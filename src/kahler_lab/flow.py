@@ -10,13 +10,24 @@ class volume identically.
 
 Explicit time stepping at full collocation resolution is hopeless -- the
 spectral Laplacian carries eigenvalues growing like the fourth power of
-the grid size -- so steps are taken in a fixed low-order coefficient
-subspace: the right-hand side is evaluated exactly on the grid, the
-update is projected onto the leading Chebyshev modes, and the potential
-is re-centered to zero reference mean.  Within that subspace the explicit
-step is stable for ordinary step sizes, and the stationary point stays
-machine-exact.  A step that leaves the admissible cone is retried with a
-halved (sticky) step size.
+the grid size -- so the flow lives in a fixed low-order subspace: the
+state is the vector of the leading Chebyshev coefficients of phi, and
+each explicit Euler step updates those coefficients directly,
+
+    c'  =  (1 + dt) c + dt C_m log(rho),    c'[0] -= <reference mean of c'>,
+
+with C_m the truncated analysis operator.  Within that subspace the
+explicit step is stable for ordinary step sizes, and the stationary point
+stays machine-exact.
+
+The grid is touched only through skinny operators built once per call:
+the synthesis restricted to the kept modes, composed with the first and
+the weighted second derivative, maps the coefficients to m_x and m/x on
+the grid.  Those give the right-hand side log(rho) and the positivity
+tests of `make_metric`, with its errors.  A candidate that leaves the
+admissible cone is retried with a halved (sticky) step size.  Only the
+samples build a full metric state on the grid, for their energies,
+curvature minimum and volume.
 """
 
 from __future__ import annotations
@@ -64,10 +75,12 @@ def run_flow(bg: Background, phi0, dt: float = 1e-3, steps: int = 1000,
              energy_ks=None, max_halvings: int = 12) -> FlowTrajectory:
     """Integrate the normalized flow for `steps` accepted steps of size dt.
 
-    Samples (potential, energies, curvature minimum, volume defect) every
-    `sample_every` accepted steps and at both endpoints.  If the step size
-    collapses entirely the trajectory is returned truncated, with the
-    reason recorded, rather than raising.
+    The start is projected onto the first `modes` Chebyshev modes and
+    re-centered to zero reference mean.  Samples (potential, energies,
+    curvature minimum, volume defect) every `sample_every` accepted steps
+    and at both endpoints.  If the step size collapses entirely the
+    trajectory is returned truncated, with the reason recorded, rather
+    than raising.
     """
     if bg.model != "cpn":
         raise UnsupportedModelError("the normalized flow is for the projective model")
@@ -78,30 +91,57 @@ def run_flow(bg: Background, phi0, dt: float = 1e-3, steps: int = 1000,
     if energy_ks is None:
         energy_ks = [0, 1] if bg.n >= 1 else [0]
 
-    phi = bg.lowpass(np.asarray(phi0, dtype=float), modes)
-    phi = phi - bg.mean(phi)
-    state = make_metric(bg, phi)
+    n, size = bg.n, bg.size
+    analysis = bg.cheb_analysis[:modes]
+    synthesis = np.ascontiguousarray(bg.cheb_synthesis[:, :modes])
+    # the first `size` rows map c to m_x - 1 = (w0 phi_x)_x, the rest to
+    # m/x - 1 = w0 phi_x / x
+    profiles = np.vstack([bg.D_w0_D @ synthesis,
+                          bg.w0_over_x[:, None] * (bg.D @ synthesis)])
+    mean_row = (bg.ref_measure @ synthesis) / bg.volume
+
+    def log_density(c: Array) -> Array:
+        """log(rho) of the potential with coefficients c, on the grid.
+
+        Applies the positivity tests of `make_metric`, with the same
+        errors, without assembling the rest of the metric state.
+        """
+        if not np.isfinite(c).all():
+            raise ParameterError("potential contains non-finite values")
+        q = 1.0 + profiles @ c
+        if q.min() <= 0.0:
+            m_x, m_over_x = q[:size], q[size:]
+            bad, what = ((m_x, "increasing") if m_x.min() <= 0.0
+                         else (m_over_x, "positive"))
+            node = int(np.argmin(bad))
+            raise NotKahlerError(f"moment profile not {what}", node, float(bad[node]))
+        log_q = np.log(q)
+        return log_q[:size] + (n - 1) * log_q[size:]
 
     traj = FlowTrajectory(bg)
 
-    def record(t: float, phi_now: Array, state_now) -> None:
-        energies = {k: e_k_closed(bg, phi_now, k) for k in energy_ks}
-        vol = bg.integrate(state_now.rho)
+    def record(t: float, c: Array) -> None:
+        phi = synthesis @ c
+        state = make_metric(bg, phi)
+        energies = {k: e_k_closed(bg, phi, k) for k in energy_ks}
+        vol = bg.integrate(state.rho)
         traj.samples.append(FlowSample(
-            t, phi_now.copy(), energies, state_now.min_ricci,
+            t, phi, energies, state.min_ricci,
             abs(vol - bg.volume) / bg.volume))
 
-    record(0.0, phi, state)
+    c = analysis @ np.asarray(phi0, dtype=float)
+    c[0] -= mean_row @ c
+    record(0.0, c)
+    log_rho = log_density(c)
 
     t = 0.0
     halvings = 0
     accepted = 0
     while accepted < steps:
-        rhs = state.log_rho + phi
-        candidate = bg.lowpass(phi + dt * rhs, modes)
-        candidate = candidate - bg.mean(candidate)
+        candidate = (1.0 + dt) * c + dt * (analysis @ log_rho)
+        candidate[0] -= mean_row @ candidate
         try:
-            new_state = make_metric(bg, candidate)
+            new_log_rho = log_density(candidate)
         except NotKahlerError as exc:
             halvings += 1
             if halvings > max_halvings:
@@ -110,14 +150,14 @@ def run_flow(bg: Background, phi0, dt: float = 1e-3, steps: int = 1000,
                 break
             dt *= 0.5  # sticky: stay at the smaller step from here on
             continue
-        phi, state = candidate, new_state
+        c, log_rho = candidate, new_log_rho
         t += dt
         accepted += 1
         if accepted % sample_every == 0:
-            record(t, phi, state)
+            record(t, c)
 
     if traj.samples[-1].t < t - 1e-12 or accepted == 0:
-        record(t, phi, state)
+        record(t, c)
     traj.dt_final = dt
     traj.halvings = halvings
     traj.steps = accepted

@@ -74,6 +74,7 @@ class Background:
     w0_x: Array | None = None
     w0_over_x: Array | None = None
     D2: Array | None = None   # torus second derivative
+    D_w0_D: Array | None = None  # D diag(w0) D, the weighted second derivative
     mu: tuple[float, ...] = ()
     antider: spectral.Antiderivative | None = None
     bary_w: Array | None = None
@@ -208,6 +209,7 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
             model=model, n=n, size=grid_size, x=x, wq=wq, D=D,
             ref_measure=ref_measure, volume=volume, moment_mean=float(n),
             w0=w0, w0_x=w0_x, w0_over_x=w0_over_x,
+            D_w0_D=D @ (w0[:, None] * D),
             antider=spectral.Antiderivative(D), bary_w=bary_w,
             cheb_analysis=C, cheb_synthesis=V,
         )
@@ -224,7 +226,7 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
         )
 
     _freeze(bg.x, bg.wq, bg.D, bg.ref_measure, bg.w0, bg.w0_x, bg.w0_over_x,
-            bg.D2, bg.bary_w, bg.cheb_analysis, bg.cheb_synthesis)
+            bg.D2, bg.D_w0_D, bg.bary_w, bg.cheb_analysis, bg.cheb_synthesis)
 
     ref = make_metric(bg, np.zeros(bg.size))
     bg.reference = ref
@@ -487,7 +489,7 @@ def laplacian_matrix(state: MetricState) -> Array:
     bg = state.bg
     if bg.model == "torus":
         return bg.D2 / state.rho[:, None]
-    A = (bg.D @ (bg.w0[:, None] * bg.D)) / state.m_x[:, None]
+    A = bg.D_w0_D / state.m_x[:, None]
     if bg.n > 1:
         A = A + (bg.n - 1) * state.r[:, None] * bg.D
     return A

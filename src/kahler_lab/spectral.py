@@ -102,8 +102,9 @@ def cheb_transform(size: int) -> tuple[Array, Array]:
     c[0] = c[-1] = 2.0
     A = (2.0 / n) * M / np.outer(c, c)
     # our increasing grid reverses the standard Lobatto ordering
-    C = A[:, ::-1]
-    V = M.T[::-1, :]
+    # contiguous copies keep the matvecs on the BLAS path
+    C = np.ascontiguousarray(A[:, ::-1])
+    V = np.ascontiguousarray(M.T[::-1, :])
     return C, V
 
 
@@ -111,10 +112,12 @@ def bary_interp(x: Array, w: Array, vals: Array, xq) -> Array:
     """Stable barycentric interpolation from grid values to query points."""
     xq_arr = np.atleast_1d(np.asarray(xq, dtype=float))
     diff = xq_arr[:, None] - x[None, :]
-    hit_row, hit_col = np.nonzero(np.abs(diff) < 1e-14)
-    diff[hit_row, :] = 1.0  # dummy, rows overwritten below
-    tmp = w[None, :] / diff
-    out = (tmp @ vals) / tmp.sum(axis=1)
+    hit = np.abs(diff) < 1e-14
+    hit_row, hit_col = np.nonzero(hit)
+    miss = ~hit.any(axis=1)
+    out = np.empty(len(xq_arr))
+    tmp = w[None, :] / diff[miss]
+    out[miss] = (tmp @ vals) / tmp.sum(axis=1)
     out[hit_row] = vals[hit_col]
     return out if np.ndim(xq) else float(out[0])
 

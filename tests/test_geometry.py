@@ -365,6 +365,20 @@ def test_laplacian_matrix_agrees_with_apply(bg_cp2, probe_cp2):
     assert np.abs(A @ u - laplacian(state, u)).max() < 1e-10
 
 
+@pytest.mark.parametrize("name", ["bg_cp1", "bg_cp2", "bg_torus"])
+def test_laplacian_matrix_matches_uncached_formula(name, request):
+    bg = request.getfixturevalue(name)
+    phi = generate_probe(bg, seed=5, scenario="unit", index=0)
+    state = make_metric(bg, phi)
+    if bg.model == "torus":
+        expected = bg.D2 / state.rho[:, None]
+    else:
+        expected = (bg.D @ (bg.w0[:, None] * bg.D)) / state.m_x[:, None]
+        if bg.n > 1:
+            expected = expected + (bg.n - 1) * state.r[:, None] * bg.D
+    assert np.array_equal(laplacian_matrix(state), expected)
+
+
 def test_torus_laplacian_is_flat_second_derivative_over_density(
         bg_torus, probe_torus):
     state = make_metric(bg_torus, probe_torus)

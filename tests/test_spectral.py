@@ -131,6 +131,18 @@ def test_bary_interp_reproduces_polynomial_and_node_values():
     assert spectral.bary_interp(x, w, vals, float(x[7])) == vals[7]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bary_interp_node_hits_raise_no_warning():
+    x = spectral.cheb_nodes(16, 3.0)
+    w = spectral.cheb_bary_weights(16)
+    vals = np.exp(x)
+    xq = np.array([x[0], 0.5 * (x[3] + x[4]), x[9], x[-1]])
+    out = spectral.bary_interp(x, w, vals, xq)
+    assert out[0] == vals[0] and out[2] == vals[9] and out[3] == vals[-1]
+    assert abs(out[1] - np.exp(xq[1])) < 1e-10
+    assert spectral.bary_interp(x, w, vals, float(x[5])) == vals[5]
+
+
 def test_bary_interp_scalar_query_returns_scalar():
     x = spectral.cheb_nodes(12, 1.0)
     w = spectral.cheb_bary_weights(12)
