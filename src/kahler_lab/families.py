@@ -31,7 +31,10 @@ _MAX_DRAWS = 100
 def family_rng(seed: int, scenario: str, index: int) -> np.random.Generator:
     """Independent stream for one probe of one scenario."""
     tag = (crc32(scenario.encode()) << 32) ^ index
-    return np.random.Generator(np.random.Philox(key=[seed, tag]))
+    # an explicit uint64 key: a plain list holding a tag of 2**63 or more
+    # would pass through float64 and merge neighbouring indices
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed, tag], dtype=np.uint64)))
 
 
 def _draw_cpn(bg: Background, rng: np.random.Generator, modes: int,
