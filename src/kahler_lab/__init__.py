@@ -39,7 +39,6 @@ from .errors import (
     LabError,
     NotKahlerError,
     ParameterError,
-    PathBrokenError,
     SolverError,
     UnsupportedModelError,
 )
@@ -48,19 +47,16 @@ from .exact import (
     verify_sigma_expansion,
     verify_zero_identity,
 )
-from .families import family_rng, generate_family, generate_probe
+from .families import family_rng, generate_probe
 from .flow import FlowSample, FlowTrajectory, run_flow
 from .geometry import (
     Background,
     FormSlot,
     MetricState,
-    RadialPotential,
     fs_background,
-    integrate,
     laplacian,
     laplacian_matrix,
     make_metric,
-    normalize,
     osc,
     potential_from_density,
     ricci_potential,
@@ -85,15 +81,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Background", "CheckItem", "CheckReport", "EnergyValue", "FlowSample",
     "FlowTrajectory", "FormSlot", "GeneratorError", "LabError",
-    "MetricState", "NotKahlerError", "ParameterError", "PathBrokenError",
-    "PathPoint", "PathTrajectory", "RadialPotential", "ScenarioConfig",
-    "SolverError", "Termination", "UnsupportedModelError",
-    "check_lemma_3_4", "check_lemma_4_1", "check_section5",
-    "critical_residual", "e1_cy", "e_k_closed", "e_k_path", "family_rng",
-    "fs_background", "futaki_k", "generate_family", "generate_probe",
-    "i_and_j", "integrate", "lambda1_radial", "laplacian",
-    "laplacian_matrix", "list_scenarios", "make_metric", "mu_k",
-    "normalize", "orbit_potential", "osc", "parse_config",
+    "MetricState", "NotKahlerError", "ParameterError", "PathPoint",
+    "PathTrajectory", "ScenarioConfig", "SolverError", "Termination",
+    "UnsupportedModelError", "check_lemma_3_4", "check_lemma_4_1",
+    "check_section5", "critical_residual", "e1_cy", "e_k_closed", "e_k_path",
+    "family_rng", "fs_background", "futaki_k", "generate_probe", "i_and_j",
+    "lambda1_radial", "laplacian", "laplacian_matrix", "list_scenarios",
+    "make_metric", "mu_k", "orbit_potential", "osc", "parse_config",
     "path_monitors", "potential_from_density", "ricci_positive_generator",
     "ricci_potential", "run_flow", "run_scenario", "scalar_curvature",
     "sigma_k", "slot_gradsq", "slot_hessian", "slot_metric",

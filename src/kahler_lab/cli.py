@@ -28,8 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      "LAB_OUT and the config's out_dir)")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--grid", type=int, default=None, help="override the grid size")
-    run.add_argument("--jobs", type=int, default=1, help="worker threads for "
-                     "independent probes (default 1)")
 
     sub.add_parser("list-scenarios", help="print scenario names and descriptions")
 
@@ -78,7 +76,7 @@ def main(argv=None) -> int:
 
     out_dir = args.out or os.environ.get("LAB_OUT") or cfg.out_dir or "lab_out"
     try:
-        report = run_scenario(cfg, jobs=max(1, args.jobs), out_dir=out_dir)
+        report = run_scenario(cfg, out_dir=out_dir)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

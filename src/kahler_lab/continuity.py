@@ -42,7 +42,6 @@ from .errors import (
     NotKahlerError,
     ParameterError,
     SolverError,
-    UnsupportedModelError,
 )
 from .geometry import (
     Background,
@@ -56,10 +55,9 @@ from .geometry import (
     slot_gradsq,
     slot_hessian,
     slot_metric,
-    slot_ricci,
     wedge_density,
 )
-from .energies import e_k_closed, i_and_j, mu_k
+from .energies import e_k_closed, i_and_j
 from . import spectral
 
 Array = np.ndarray
@@ -180,8 +178,7 @@ def solve_yau_path(bg: Background, ref, t_max: float = 1.0,
     """
     theta = np.asarray(ref, dtype=float)
     ref_state = make_metric(bg, theta)
-    f_pot, _ = ricci_potential(ref_state)
-    f = f_pot.values
+    f, _ = ricci_potential(ref_state)
 
     traj = PathTrajectory("prescribed", bg, theta, f)
     steps = int(round(t_max / dt))
@@ -294,8 +291,7 @@ def solve_aubin_path(bg: Background, ref, t_max: float = 1.0, dt: float = 0.02,
     """
     theta = np.asarray(ref, dtype=float)
     ref_state = make_metric(bg, theta)
-    f_pot, _ = ricci_potential(ref_state)
-    f = f_pot.values
+    f, _ = ricci_potential(ref_state)
     rho_ref = ref_state.rho
 
     traj = PathTrajectory("bending", bg, theta, f)
@@ -364,8 +360,8 @@ def ricci_positive_generator(bg: Background, theta, alpha: float = 1.0) -> Array
     if not 0.0 < alpha <= 1.0:
         raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
     state = make_metric(bg, np.asarray(theta, dtype=float))
-    f_pot, _ = ricci_potential(state)
-    density = np.exp(alpha * f_pot.values) * state.rho
+    f, _ = ricci_potential(state)
+    density = np.exp(alpha * f) * state.rho
     out = potential_from_density(bg, density, polish=2)
     out_state = make_metric(bg, out)
     before = state.min_ricci
@@ -381,30 +377,43 @@ def ricci_positive_generator(bg: Background, theta, alpha: float = 1.0) -> Array
 # monitors
 
 
+def monitor_row(bg: Background, t: float, c_t: float, phi: Array,
+                state: MetricState, ref=None, ks=None) -> dict:
+    """Scalar diagnostics of one potential: energies, I, J, first
+    eigenvalue, curvature minimum.  `state` is the metric of ref + phi, and
+    energies are relative to `ref` (the background reference when None)."""
+    row = {"t": t, "c_t": c_t}
+    for k in range(bg.n + 1) if ks is None else ks:
+        row[f"E_{k}"] = e_k_closed(bg, phi, k, ref=ref)
+    row["I"], row["J"], row["I_minus_J"] = i_and_j(bg, phi, ref=ref)
+    row["lambda1_radial"] = lambda1_radial(state)
+    row["min_ricci"] = state.min_ricci
+    return row
+
+
 def path_monitors(traj: PathTrajectory, ks=None) -> list[dict]:
-    """Per-point scalar diagnostics: energies, I, J, first eigenvalue,
-    curvature minimum.  Energies are relative to the path's own reference."""
-    bg = traj.bg
-    if ks is None:
-        ks = range(bg.n + 1)
-    rows = []
-    for p in traj.points:
-        row = {"t": p.t, "c_t": p.c_t}
-        for k in ks:
-            row[f"E_{k}"] = e_k_closed(bg, p.phi, k, ref=traj.ref)
-        i_val, j_val, imj = i_and_j(bg, p.phi, ref=traj.ref)
-        row["I"] = i_val
-        row["J"] = j_val
-        row["I_minus_J"] = imj
-        row["lambda1_radial"] = lambda1_radial(p.state)
-        row["min_ricci"] = p.state.min_ricci
-        rows.append(row)
-    return rows
+    """Per-point `monitor_row`s, energies relative to the path's own
+    reference."""
+    return [monitor_row(traj.bg, p.t, p.c_t, p.phi, p.state, traj.ref, ks)
+            for p in traj.points]
 
 
 def _simpson_uniform(values, dt: float) -> float:
-    from scipy.integrate import simpson
-    return float(simpson(np.asarray(values, dtype=float), dx=dt))
+    """Composite Simpson on uniform samples, as scipy.integrate.simpson.
+
+    An odd number of points is plain composite Simpson.  Two points use the
+    trapezoid rule.  Any other even number applies Simpson to all points but
+    the last and closes the last interval with the three-point correction
+    h (5/12 y[-1] + 2/3 y[-2] - 1/12 y[-3]).
+    """
+    y = np.asarray(values, dtype=float)
+    if len(y) == 2:
+        return float(0.5 * dt * (y[0] + y[1]))
+    odd = y if len(y) % 2 else y[:-1]
+    total = np.sum(odd[:-2:2] + 4.0 * odd[1:-1:2] + odd[2::2]) * (dt / 3.0)
+    if len(y) % 2 == 0:
+        total += dt * (5.0 / 12.0 * y[-1] + 2.0 / 3.0 * y[-2] - 1.0 / 12.0 * y[-3])
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +687,8 @@ def check_section5(bg: Background, theta, aubin: PathTrajectory,
         ref_state = make_metric(bg, theta)
         w_ref = slot_metric(ref_state)
         f_hess = slot_hessian(bg, yau.f)
-        d_term = 0.0
-        for i in range(1, 2):
-            slots = [f_hess] * i + [w_ref] * (n - i)
-            d_term += comb(2, i + 1) * bg.integrate(
-                yau.f * wedge_density(bg, slots))
+        # the k = 1 reference term; its one binomial factor C(2, 2) is 1
+        d_term = bg.integrate(yau.f * wedge_density(bg, [f_hess] + [w_ref] * (n - 1)))
         rhs = 2.0 * partial + 2.0 * sq_integral / bg.volume - d_term / bg.volume
         items.append(CheckItem.identity(
             "bridge_identity",

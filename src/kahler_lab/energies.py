@@ -37,11 +37,9 @@ from .geometry import (
     sigma_k,
     slot_gradsq,
     slot_metric,
-    slot_reference,
     slot_ricci,
     wedge_density,
 )
-from . import spectral
 
 Array = np.ndarray
 
@@ -71,10 +69,6 @@ def mu_k(bg: Background, k: int) -> float:
 def _check_k(bg: Background, k: int) -> None:
     if not 0 <= k <= bg.n:
         raise ParameterError(f"energy index must lie in [0, {bg.n}], got {k}")
-
-
-def _values(phi) -> Array:
-    return phi.values if hasattr(phi, "values") else np.asarray(phi, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +126,7 @@ def e_k_path(bg: Background, phi, k: int, path: str = "linear",
              tol: float = 1e-10) -> EnergyValue:
     """Energy E_k through the time integral along the named segment."""
     _check_k(bg, k)
-    values = _values(phi)
+    values = np.asarray(phi, dtype=float)
     mu = mu_k(bg, k)
 
     def integrand(t: float) -> float:
@@ -163,14 +157,14 @@ def e_k_closed(bg: Background, phi, k: int, ref=None) -> float:
     """
     _check_k(bg, k)
     n = bg.n
-    values = _values(phi)
+    values = np.asarray(phi, dtype=float)
     mu = mu_k(bg, k)
 
     if ref is None:
         ref_state = bg.reference
         total_state = make_metric(bg, values)
     else:
-        ref_vals = _values(ref)
+        ref_vals = np.asarray(ref, dtype=float)
         ref_state = make_metric(bg, ref_vals)
         total_state = make_metric(bg, ref_vals + values)
 
@@ -207,12 +201,12 @@ def i_and_j(bg: Background, phi, ref=None) -> tuple[float, float, float]:
     w_phi^{n-1-i}; J carries weights (i+1)/(n+1), and I - J is evaluated
     with its own weights (n-i)/(n+1) rather than by subtraction.
     """
-    values = _values(phi)
+    values = np.asarray(phi, dtype=float)
     if ref is None:
         ref_state = bg.reference
         total_state = make_metric(bg, values)
     else:
-        ref_vals = _values(ref)
+        ref_vals = np.asarray(ref, dtype=float)
         ref_state = make_metric(bg, ref_vals)
         total_state = make_metric(bg, ref_vals + values)
 
@@ -230,25 +224,6 @@ def i_and_j(bg: Background, phi, ref=None) -> tuple[float, float, float]:
         imj_val += q * (n - i) / (n + 1)
     v = bg.volume
     return i_val / v, j_val / v, imj_val / v
-
-
-def d_dt_i_minus_j_check(bg: Background, phi, t0: float = 0.6,
-                         h: float = 1e-3) -> tuple[float, float]:
-    """Derivative identity for I - J along the linear segment t -> t phi.
-
-    Returns (finite-difference lhs, analytic rhs) of
-
-        d/dt (I - J)(phi_t) = -(1/V) int phi_t (Lap_t d/dt phi_t) w_t^n.
-    """
-    values = _values(phi)
-    ts = t0 + h * np.arange(-2, 3)
-    samples = np.array([[i_and_j(bg, t * values)[2]] for t in ts])
-    lhs = float(spectral.fd_derivative(samples, h)[2, 0])
-
-    state = make_metric(bg, t0 * values)
-    lap_dot = laplacian(state, values)
-    rhs = -bg.integrate(t0 * values * lap_dot * state.rho) / bg.volume
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +256,7 @@ def critical_residual(state: MetricState, k: int) -> Array:
 # Futaki-type invariants and the pullback orbit
 
 
-def futaki_k(bg: Background, phi, k: int) -> float:
+def futaki_k(bg: Background, state: MetricState, k: int) -> float:
     """Degree-k invariant of the generating rotation field at a metric.
 
     The Hamiltonian is the moment profile of the state, normalized to zero
@@ -295,7 +270,6 @@ def futaki_k(bg: Background, phi, k: int) -> float:
     if bg.model != "cpn":
         raise UnsupportedModelError("the rotation field lives on the projective model")
     n = bg.n
-    state = phi if isinstance(phi, MetricState) else make_metric(bg, _values(phi))
     h = state.m - bg.mean(state.m, state.rho)
 
     ric = slot_ricci(state)
@@ -320,7 +294,7 @@ def orbit_potential(bg: Background, phi, s: float) -> Array:
     """
     if bg.model != "cpn":
         raise UnsupportedModelError("the rotation orbit lives on the projective model")
-    values = _values(phi)
+    values = np.asarray(phi, dtype=float)
     length = bg.length
     x = bg.x
 
@@ -346,6 +320,6 @@ def e1_cy(bg: Background, phi) -> float:
     Manifestly nonnegative."""
     if bg.model != "torus":
         raise UnsupportedModelError("closed form specific to the flat model")
-    state = phi if isinstance(phi, MetricState) else make_metric(bg, _values(phi))
+    state = make_metric(bg, phi)
     slope = bg.D @ state.log_rho
     return bg.integrate(slope * slope)

@@ -28,14 +28,6 @@ class NotKahlerError(LabError):
         self.value = value
 
 
-class PathBrokenError(LabError):
-    """An interpolation path left the space of metrics at parameter s."""
-
-    def __init__(self, s: float):
-        super().__init__(f"path leaves the positive cone at s = {s:.6f}")
-        self.s = s
-
-
 class SolverError(LabError):
     """A nonlinear solve failed to reach the requested residual."""
 

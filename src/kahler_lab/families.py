@@ -3,7 +3,7 @@
 Sampling uses counter-based PRNG streams (Philox) keyed by a global seed,
 a stable hash of the scenario name, and the probe index, so any probe of
 any scenario can be regenerated in isolation -- in particular, families
-are identical whether drawn sequentially or in parallel.
+are identical when drawn in any order.
 
 Projective probes are Chebyshev series in the rescaled coordinate with a
 quadratically decaying amplitude envelope; torus probes are cosine series
@@ -82,10 +82,3 @@ def generate_probe(bg: Background, seed: int, scenario: str, index: int,
     raise ParameterError(
         f"rejection rate too high ({rejected}/{_MAX_DRAWS}) at amplitude "
         f"{amplitude}; the family parameters are inadmissible")
-
-
-def generate_family(bg: Background, seed: int, scenario: str, count: int,
-                    modes: int = DEFAULT_MODES,
-                    amplitude: float | None = None) -> list[Array]:
-    return [generate_probe(bg, seed, scenario, i, modes, amplitude)
-            for i in range(count)]

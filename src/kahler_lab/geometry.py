@@ -58,7 +58,8 @@ _SLOT_KINDS = (
 class Background:
     """Immutable grid-plus-reference-metric bundle.
 
-    Shared freely between threads; all arrays are frozen after construction.
+    Built once and passed to every computation on its grid; all arrays are
+    frozen after construction.
     """
 
     model: str
@@ -113,14 +114,6 @@ class Background:
         coeffs = self.cheb_analysis @ values
         coeffs[modes:] = 0.0
         return self.cheb_synthesis @ coeffs
-
-
-@dataclass
-class RadialPotential:
-    """Grid samples of a rotation-invariant potential with a normalization tag."""
-
-    values: Array
-    normalization: str = "none"  # none | integral-zero | sup-zero
 
 
 @dataclass
@@ -268,8 +261,6 @@ def _mu_from_reference(bg: Background, k: int) -> float:
 
 
 def _potential_values(phi) -> Array:
-    if isinstance(phi, RadialPotential):
-        phi = phi.values
     arr = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ParameterError("potential contains non-finite values")
@@ -370,11 +361,6 @@ def _make_metric_torus(bg: Background, values: Array) -> MetricState:
     return state
 
 
-def ricci_eigenvalues(state: MetricState) -> tuple[Array, Array]:
-    """Ricci eigenvalues relative to the metric: (radial, transverse)."""
-    return state.lam_r, state.lam_s
-
-
 # ---------------------------------------------------------------------------
 # wedge calculus
 
@@ -442,11 +428,6 @@ def wedge_density(bg: Background, slots: list[FormSlot]) -> Array:
     return total / n
 
 
-def integrate(bg: Background, density: Array) -> float:
-    """Integral of a reference-relative density over the manifold."""
-    return bg.integrate(density)
-
-
 # ---------------------------------------------------------------------------
 # curvature scalars and the Laplacian
 
@@ -499,7 +480,7 @@ def laplacian_matrix(state: MetricState) -> Array:
 # Ricci potential and prescribed-density inversion
 
 
-def ricci_potential(state: MetricState) -> tuple[RadialPotential, float]:
+def ricci_potential(state: MetricState) -> tuple[Array, float]:
     """Potential f with Ric - omega = i ddbar f, e^f averaging to one.
 
     Returns (f, defect) where the defect is the max-node residual of the
@@ -518,7 +499,7 @@ def ricci_potential(state: MetricState) -> tuple[RadialPotential, float]:
     defect_r = np.abs(hess.ar - (state.G_x - state.m_x))
     defect_s = np.abs(hess.as_ - (state.G_over_x - state.m_over_x))
     defect = float(max(defect_r.max(), defect_s.max()))
-    return RadialPotential(f, "none"), defect
+    return f, defect
 
 
 def potential_from_density(bg: Background, rho_target: Array,
@@ -577,19 +558,6 @@ def potential_from_density(bg: Background, rho_target: Array,
 
 # ---------------------------------------------------------------------------
 # diagnostics
-
-
-def normalize(bg: Background, phi, mode: str = "integral-zero") -> RadialPotential:
-    vals = _potential_values(phi)
-    if mode == "integral-zero":
-        out = vals - bg.mean(vals)
-    elif mode == "sup-zero":
-        out = vals - vals.max()
-    elif mode == "none":
-        out = vals.copy()
-    else:
-        raise ParameterError(f"unknown normalization {mode!r}")
-    return RadialPotential(out, mode)
 
 
 def spectral_tail(bg: Background, values) -> float:

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +23,7 @@ from .continuity import (
     check_lemma_4_1,
     check_section5,
     lambda1_radial,
+    monitor_row,
     path_monitors,
     ricci_positive_generator,
     solve_aubin_path,
@@ -39,9 +38,9 @@ from .energies import (
     mu_k,
     orbit_potential,
 )
-from .errors import ParameterError
+from .errors import NotKahlerError, ParameterError
 from .exact import run_all as run_exact
-from .families import DEFAULT_AMPLITUDE, DEFAULT_MODES, generate_probe
+from .families import DEFAULT_MODES, generate_probe
 from .flow import run_flow
 from .geometry import (
     MAX_N,
@@ -54,6 +53,7 @@ from .geometry import (
     wedge_density,
 )
 from . import energies as _energies
+from . import spectral
 
 SCENARIO_NAMES = (
     "exact_identities",
@@ -89,15 +89,6 @@ class ScenarioConfig:
     count: int | None = None
     tolerances: dict = field(default_factory=dict)
     out_dir: str | None = None
-
-    def echo(self) -> dict:
-        return {
-            "scenario": self.scenario, "model": self.model, "n": self.n,
-            "grid_size": self.grid_size, "seed": self.seed,
-            "modes": self.modes, "amplitude": self.amplitude,
-            "count": self.count, "tolerances": dict(self.tolerances),
-            "out_dir": self.out_dir,
-        }
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
@@ -162,13 +153,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
 # shared helpers
 
 
-def _parallel(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmt(value) -> str:
     return repr(float(value))
 
@@ -183,18 +167,22 @@ def trajectory_csv(bg, rows: list[dict]) -> str:
 
 
 def _probes(bg, cfg: ScenarioConfig, count: int | None = None,
-            amplitude_override=None, index_offset: int = 0) -> list:
-    amp = cfg.amplitude if amplitude_override is None else amplitude_override
+            index_offset: int = 0) -> list:
     return [generate_probe(bg, cfg.seed, cfg.scenario, index_offset + i,
-                           cfg.modes, amp)
+                           cfg.modes, cfg.amplitude)
             for i in range(count if count is not None else cfg.count)]
+
+
+def _suffixed(items: list[CheckItem], idx: int) -> list[CheckItem]:
+    """A probe's rows from a shared check suite, named apart by probe index."""
+    return [replace(c, name=f"{c.name}_s{idx}") for c in items]
 
 
 # ---------------------------------------------------------------------------
 # scenario runners
 
 
-def _run_exact_identities(cfg, bg, report, art, jobs):
+def _run_exact_identities(cfg, bg, report, art):
     start = time.perf_counter()
     for result in run_exact(max_n=12, max_k=30, max_sigma_n=4):
         report.add(CheckItem.exact(
@@ -207,7 +195,7 @@ def _run_exact_identities(cfg, bg, report, art, jobs):
         elapsed, 1.0, 0.0))
 
 
-def _run_fs_anchors(cfg, bg, report, art, jobs):
+def _run_fs_anchors(cfg, bg, report, art):
     t = cfg.tolerances
     ref = bg.reference
     if cfg.model == "cpn":
@@ -215,10 +203,10 @@ def _run_fs_anchors(cfg, bg, report, art, jobs):
         report.add(CheckItem.identity(
             "round_eigenvalues", "round-metric Ricci eigenvalues all equal one",
             float(dev), 0.0, t["eigenvalue"]))
-        f_pot, defect = ricci_potential(ref)
+        f, defect = ricci_potential(ref)
         report.add(CheckItem.identity(
             "round_ricci_potential", "round-metric Ricci potential vanishes",
-            float(np.abs(f_pot.values).max()), 0.0, t["eigenvalue"],
+            float(np.abs(f).max()), 0.0, t["eigenvalue"],
             note=f"defining-identity defect {defect:.2e}"))
         for k in range(bg.n + 1):
             report.add(CheckItem.identity(
@@ -255,33 +243,25 @@ def _run_fs_anchors(cfg, bg, report, art, jobs):
         bg.integrate(ref.rho) / bg.volume, 1.0, 1e-12))
 
 
-def _run_ek_path_independence(cfg, bg, report, art, jobs):
+def _run_ek_path_independence(cfg, bg, report, art):
     t = cfg.tolerances
-    probes = _probes(bg, cfg)
-
-    def work(item):
-        idx, phi = item
-        rows = []
+    for idx, phi in enumerate(_probes(bg, cfg)):
         for k in range(bg.n + 1):
             lin = e_k_path(bg, phi, k, "linear")
             quad = e_k_path(bg, phi, k, "quadratic")
             closed = e_k_closed(bg, phi, k)
             scale = max(abs(lin.value), abs(closed))
-            rows.append(CheckItem.identity(
+            report.add(CheckItem.identity(
                 f"path_independence_s{idx}_k{k}",
                 "energy value agrees along two admissible segments",
                 lin.value, quad.value, t["path"], relative_to=scale))
-            rows.append(CheckItem.identity(
+            report.add(CheckItem.identity(
                 f"path_vs_closed_s{idx}_k{k}",
                 "segment integral agrees with the closed-form expression",
                 lin.value, closed, t["closed"], relative_to=scale))
-        return rows
-
-    for rows in _parallel(work, list(enumerate(probes)), jobs):
-        report.extend(rows)
 
 
-def _run_prop21_agreement(cfg, bg, report, art, jobs):
+def _run_prop21_agreement(cfg, bg, report, art):
     t = cfg.tolerances
     probes = _probes(bg, cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -293,91 +273,73 @@ def _run_prop21_agreement(cfg, bg, report, art, jobs):
             f"zero_potential_k{k}", "closed form vanishes at the reference",
             zero, 0.0, 1e-11))
 
-    def work(item):
-        idx, phi = item
-        rows = []
+    for idx, phi in enumerate(probes):
         for k in range(bg.n + 1):
             closed = e_k_closed(bg, phi, k)
             path = e_k_path(bg, phi, k, "linear")
             scale = max(abs(closed), abs(path.value))
-            rows.append(CheckItem.identity(
+            report.add(CheckItem.identity(
                 f"definition_agreement_s{idx}_k{k}",
                 "closed-form expression reproduces the defining integral",
                 path.value, closed, t["closed"], relative_to=scale))
             shifted = e_k_closed(bg, phi + shifts[idx], k)
-            rows.append(CheckItem.identity(
+            report.add(CheckItem.identity(
                 f"shift_invariance_s{idx}_k{k}",
                 "energy unchanged by adding a constant to the potential",
                 shifted, closed, t["shift"], relative_to=max(1.0, abs(closed))))
-        return rows
-
-    for rows in _parallel(work, list(enumerate(probes)), jobs):
-        report.extend(rows)
 
 
-def _run_cocycle(cfg, bg, report, art, jobs):
+def _run_cocycle(cfg, bg, report, art):
     t = cfg.tolerances
     first = _probes(bg, cfg)
     second = _probes(bg, cfg, index_offset=cfg.count)
 
-    def work(item):
-        idx, (phi, psi) = item
-        rows = []
+    for idx, (phi, psi) in enumerate(zip(first, second)):
         for k in range(bg.n + 1):
             direct = e_k_closed(bg, phi, k)
             via = e_k_closed(bg, psi, k) + e_k_closed(bg, phi - psi, k, ref=psi)
             scale = max(abs(direct), abs(via))
-            rows.append(CheckItem.identity(
+            report.add(CheckItem.identity(
                 f"cocycle_s{idx}_k{k}",
                 "energy composes along intermediate metrics",
                 direct, via, t["cocycle"], relative_to=scale))
             anti = e_k_closed(bg, -psi, k, ref=psi) + e_k_closed(bg, psi, k)
-            rows.append(CheckItem.identity(
+            report.add(CheckItem.identity(
                 f"antisymmetry_s{idx}_k{k}",
                 "energy reverses sign when the endpoints swap",
                 anti, 0.0, t["cocycle"]))
-        return rows
-
-    for rows in _parallel(work, list(enumerate(zip(first, second))), jobs):
-        report.extend(rows)
 
 
-def _run_theorem1(cfg, bg, report, art, jobs):
+def _run_theorem1(cfg, bg, report, art):
     t = cfg.tolerances
     seeds = [np.zeros(bg.size)] + _probes(bg, cfg, count=cfg.count - 1)
 
-    def work(item):
-        idx, theta = item
+    per_k = {k: [] for k in range(bg.n + 1)}
+    for idx, theta in enumerate(seeds):
         tilde = ricci_positive_generator(bg, theta, alpha=1.0)
         state = make_metric(bg, tilde)
         psi0 = tilde - theta          # potential of the probe over its Ricci form
         grad = slot_gradsq(bg, psi0)
         met = slot_metric(state)
         q0 = bg.integrate(wedge_density(bg, [grad] + [met] * (bg.n - 1))) / bg.volume
-        values = {k: e_k_closed(bg, tilde, k) for k in range(bg.n + 1)}
-        dev = max(abs(state.lam_r - 1.0).max(), abs(state.lam_s - 1.0).max())
-        return idx, state.min_ricci, q0, values, float(dev)
-
-    results = _parallel(work, list(enumerate(seeds)), jobs)
-
-    per_k = {k: [] for k in range(bg.n + 1)}
-    for idx, min_ric, q0, values, dev in results:
+        dev = float(max(abs(state.lam_r - 1.0).max(), abs(state.lam_s - 1.0).max()))
         report.add(CheckItem.lower_bound(
             f"probe_positivity_s{idx}",
-            "transported probe has positive curvature", min_ric, 0.0, 0.0))
+            "transported probe has positive curvature", state.min_ricci, 0.0, 0.0))
         for k in range(bg.n + 1):
-            per_k[k].append((values[k], dev))
+            value = e_k_closed(bg, tilde, k)
+            per_k[k].append((value, dev))
             report.add(CheckItem.lower_bound(
                 f"energy_floor_s{idx}_k{k}",
                 "energy from the round metric to a positively curved probe "
                 "is nonnegative",
-                values[k], 0.0, t["energy_floor"]))
+                value, 0.0, t["energy_floor"]))
             if k >= 1:
                 report.add(CheckItem.lower_bound(
                     f"gradient_refinement_s{idx}_k{k}",
                     "energy dominates the gradient term of the probe over "
                     "its curvature form",
-                    values[k], k * q0, t["energy_floor"]))
+                    value, k * q0, t["energy_floor"]))
 
     for k in range(bg.n + 1):
         vals = per_k[k]
@@ -389,84 +351,55 @@ def _run_theorem1(cfg, bg, report, art, jobs):
             note=f"minimum at probe {arg}"))
 
 
-def _run_theorem2(cfg, bg, report, art, jobs):
+def _run_theorem2(cfg, bg, report, art):
     t = cfg.tolerances
-    probes = _probes(bg, cfg)
-    split_count = min(5, len(probes))
-
-    def work(item):
-        idx, theta = item
-        rows = [CheckItem.lower_bound(
+    for idx, theta in enumerate(_probes(bg, cfg)):
+        report.add(CheckItem.lower_bound(
             f"energy_floor_s{idx}",
             "k = 1 energy from the round metric is nonnegative on arbitrary "
             "probes",
-            e_k_closed(bg, theta, 1), 0.0, t["energy_floor"])]
-        if idx < split_count:
+            e_k_closed(bg, theta, 1), 0.0, t["energy_floor"]))
+        if idx < 5:
             yau = solve_yau_path(bg, theta, dt=0.05)
             psi1 = yau.points[-1].phi
             total = e_k_closed(bg, theta + psi1, 1)
             back = e_k_closed(bg, psi1, 1, ref=theta)
             direct = e_k_closed(bg, theta, 1)
-            rows.append(CheckItem.identity(
+            report.add(CheckItem.identity(
                 f"split_cocycle_s{idx}",
                 "energy splits through the curvature-inverted midpoint",
                 direct, total - back, t["cocycle"],
                 relative_to=max(abs(direct), abs(total))))
-            rows.append(CheckItem.lower_bound(
+            report.add(CheckItem.lower_bound(
                 f"split_positive_leg_s{idx}",
                 "leg ending at a positively curved metric is nonnegative",
                 total, 0.0, t["energy_floor"]))
-            rows.append(CheckItem.upper_bound(
+            report.add(CheckItem.upper_bound(
                 f"split_negative_leg_s{idx}",
                 "prescribed-volume endpoint leg is nonpositive",
                 back, 0.0, t["energy_floor"]))
-        return rows
-
-    for rows in _parallel(work, list(enumerate(probes)), jobs):
-        report.extend(rows)
 
 
-def _run_lemma32_34(cfg, bg, report, art, jobs):
-    probes = _probes(bg, cfg)
-
-    def work(item):
-        idx, theta = item
+def _run_lemma32_34(cfg, bg, report, art):
+    for idx, theta in enumerate(_probes(bg, cfg)):
         traj = solve_aubin_path(bg, theta)
         monitors = path_monitors(traj)
-        items = check_lemma_3_4(bg, traj, monitors=monitors)
-        renamed = [CheckItem(f"{c.name}_s{idx}", c.anchor, c.lhs, c.rhs,
-                             c.tol, c.margin, c.passed, c.kind, c.note)
-                   for c in items]
-        return idx, renamed, traj, monitors
-
-    for idx, items, traj, monitors in _parallel(work, list(enumerate(probes)), jobs):
-        report.extend(items)
+        report.extend(_suffixed(check_lemma_3_4(bg, traj, monitors=monitors), idx))
         if not traj.completed:
             report.note(f"probe {idx}: path stalled at t = {traj.termination.t_last}"
                         f" ({traj.termination.reason})")
         art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, monitors))
 
 
-def _run_lemma41(cfg, bg, report, art, jobs):
-    probes = _probes(bg, cfg)
-
-    def work(item):
-        idx, theta = item
+def _run_lemma41(cfg, bg, report, art):
+    for idx, theta in enumerate(_probes(bg, cfg)):
         traj = solve_yau_path(bg, theta)
-        items = check_lemma_4_1(bg, traj)
-        renamed = [CheckItem(f"{c.name}_s{idx}", c.anchor, c.lhs, c.rhs,
-                             c.tol, c.margin, c.passed, c.kind, c.note)
-                   for c in items]
-        monitors = path_monitors(traj) if idx == 0 else None
-        return idx, renamed, monitors
-
-    for idx, items, monitors in _parallel(work, list(enumerate(probes)), jobs):
-        report.extend(items)
-        if monitors is not None:
-            art.write(f"trajectory_volume_{idx}.csv", trajectory_csv(bg, monitors))
+        report.extend(_suffixed(check_lemma_4_1(bg, traj), idx))
+        if idx == 0:
+            art.write("trajectory_volume_0.csv", trajectory_csv(bg, path_monitors(traj)))
 
 
-def _run_futaki(cfg, bg, report, art, jobs):
+def _run_futaki(cfg, bg, report, art):
     t = cfg.tolerances
     probes = [np.zeros(bg.size)] + _probes(bg, cfg, count=cfg.count - 1)
 
@@ -495,7 +428,6 @@ def _run_futaki(cfg, bg, report, art, jobs):
         samples = np.array([
             [e_k_closed(bg, orbit_potential(bg, base, s), k)]
             for s in 0.1 + h * np.arange(-2, 3)])
-        from . import spectral
         deriv = float(spectral.fd_derivative(samples, h)[2, 0])
         report.add(CheckItem.identity(
             f"orbit_derivative_k{k}",
@@ -504,29 +436,20 @@ def _run_futaki(cfg, bg, report, art, jobs):
             t["orbit_derivative"]))
 
 
-def _run_section5(cfg, bg, report, art, jobs):
-    probes = _probes(bg, cfg)
-
-    def work(item):
-        idx, theta = item
+def _run_section5(cfg, bg, report, art):
+    for idx, theta in enumerate(_probes(bg, cfg)):
         aubin = solve_aubin_path(bg, theta)
         yau = solve_yau_path(bg, theta)
         monitors = path_monitors(aubin)
-        items = check_section5(bg, theta, aubin, yau, monitors=monitors)
-        renamed = [CheckItem(f"{c.name}_s{idx}", c.anchor, c.lhs, c.rhs,
-                             c.tol, c.margin, c.passed, c.kind, c.note)
-                   for c in items]
-        return idx, renamed, aubin, monitors
-
-    for idx, items, aubin, monitors in _parallel(work, list(enumerate(probes)), jobs):
-        report.extend(items)
+        report.extend(_suffixed(
+            check_section5(bg, theta, aubin, yau, monitors=monitors), idx))
         if not aubin.completed:
             report.note(f"probe {idx}: bending path stalled at "
                         f"t = {aubin.termination.t_last}")
         art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, monitors))
 
 
-def _run_orbit_flatness(cfg, bg, report, art, jobs):
+def _run_orbit_flatness(cfg, bg, report, art):
     t = cfg.tolerances
     s_values = [-1.2, -1.0, -0.7, -0.4, -0.2, -0.1, 0.1, 0.2, 0.4, 0.7, 1.0, 1.2]
 
@@ -568,7 +491,7 @@ def _run_orbit_flatness(cfg, bg, report, art, jobs):
             relative_to=max(1.0, abs(base_e1))))
 
 
-def _run_properness_probe(cfg, bg, report, art, jobs):
+def _run_properness_probe(cfg, bg, report, art):
     t = cfg.tolerances
     base = generate_probe(bg, cfg.seed, cfg.scenario, 0, cfg.modes, cfg.amplitude)
     scales = np.geomspace(0.25, 2.5, 12)
@@ -577,7 +500,7 @@ def _run_properness_probe(cfg, bg, report, art, jobs):
     for c in scales:
         try:
             make_metric(bg, c * base)
-        except Exception:
+        except NotKahlerError:
             break
         e1 = e_k_closed(bg, c * base, 1)
         jval = i_and_j(bg, c * base)[1]
@@ -602,8 +525,8 @@ def _run_properness_probe(cfg, bg, report, art, jobs):
     resid = y - A @ coef
     dof = max(1, len(x) - 2)
     se = float(np.sqrt(resid @ resid / dof / ((x - x.mean()) @ (x - x.mean()))))
-    from scipy.stats import t as student_t
-    half = float(student_t.ppf(0.975, dof)) * se
+    from scipy.special import stdtrit
+    half = float(stdtrit(dof, 0.975)) * se
     report.add(CheckItem.info(
         "empirical_exponent",
         "least-squares growth exponent of log-energy against log-J", slope))
@@ -621,7 +544,7 @@ def _run_properness_probe(cfg, bg, report, art, jobs):
         "orbit scenario.")
 
 
-def _run_krf_monotone(cfg, bg, report, art, jobs):
+def _run_krf_monotone(cfg, bg, report, art):
     t = cfg.tolerances
 
     fs = run_flow(bg, np.zeros(bg.size), dt=1e-3, steps=400)
@@ -630,8 +553,7 @@ def _run_krf_monotone(cfg, bg, report, art, jobs):
         "round_stationary", "round metric is an exact fixed point of the flow",
         drift, 0.0, t["stationary"]))
 
-    def work(item):
-        idx, phi0 = item
+    for idx, phi0 in enumerate(_probes(bg, cfg)):
         traj = run_flow(bg, phi0, dt=1e-3, steps=1000)
         e0 = traj.energy_series(0)
         e1 = traj.energy_series(1)
@@ -641,14 +563,10 @@ def _run_krf_monotone(cfg, bg, report, art, jobs):
             if flags[a] and flags[a + 1]:
                 e1_incr = max(e1_incr, e1[a + 1] - e1[a])
         vol = max(s.volume_defect for s in traj.samples)
-        return idx, float(np.diff(e0).max()), float(e1_incr), vol, traj
-
-    results = _parallel(work, list(enumerate(_probes(bg, cfg))), jobs)
-    for idx, e0_incr, e1_incr, vol, traj in results:
         report.add(CheckItem.upper_bound(
             f"k0_decreasing_s{idx}",
             "k = 0 energy never increases between flow samples",
-            e0_incr, 0.0, t["monotone"]))
+            float(np.diff(e0).max()), 0.0, t["monotone"]))
         if np.isfinite(e1_incr):
             report.add(CheckItem.upper_bound(
                 f"k1_decreasing_s{idx}",
@@ -660,17 +578,8 @@ def _run_krf_monotone(cfg, bg, report, art, jobs):
             "class volume conserved along the flow",
             vol, 0.0, t["volume"]))
         if idx == 0:
-            rows = []
-            for s in traj.samples:
-                state = make_metric(bg, s.phi)
-                row = {"t": s.t, "c_t": 0.0}
-                for k in range(bg.n + 1):
-                    row[f"E_{k}"] = e_k_closed(bg, s.phi, k)
-                i_val, j_val, _ = i_and_j(bg, s.phi)
-                row.update(I=i_val, J=j_val,
-                           lambda1_radial=lambda1_radial(state),
-                           min_ricci=s.min_ricci)
-                rows.append(row)
+            rows = [monitor_row(bg, s.t, 0.0, s.phi, make_metric(bg, s.phi), ref=None)
+                    for s in traj.samples]
             art.write("trajectory_flow_0.csv", trajectory_csv(bg, rows))
 
     small = generate_probe(bg, cfg.seed, cfg.scenario, 10_000, cfg.modes, 0.03)
@@ -683,7 +592,7 @@ def _run_krf_monotone(cfg, bg, report, art, jobs):
         float(dev), 0.0, t["convergence"]))
 
 
-def _run_cy_torus(cfg, bg, report, art, jobs):
+def _run_cy_torus(cfg, bg, report, art):
     t = cfg.tolerances
     ref = bg.reference
     report.add(CheckItem.identity(
@@ -694,19 +603,15 @@ def _run_cy_torus(cfg, bg, report, art, jobs):
             f"class_constant_k{k}", "flat-model class constants vanish",
             mu_k(bg, k), 0.0, 1e-12))
 
-    probes = _probes(bg, cfg)
-
-    def work(item):
-        idx, phi = item
-        rows = []
+    for idx, phi in enumerate(_probes(bg, cfg)):
         cy = e1_cy(bg, phi)
-        rows.append(CheckItem.lower_bound(
+        report.add(CheckItem.lower_bound(
             f"nonnegative_s{idx}",
             "flat-model k = 1 energy is a manifest square",
             cy, 0.0, t["floor"]))
         if idx < 5:
             closed = e_k_closed(bg, phi, 1)
-            rows.append(CheckItem.identity(
+            report.add(CheckItem.identity(
                 f"closed_form_s{idx}",
                 "general energy formula reduces to the squared-slope integral",
                 closed, cy, t["agreement"], relative_to=max(1.0, cy)))
@@ -714,15 +619,11 @@ def _run_cy_torus(cfg, bg, report, art, jobs):
             for k in range(bg.n + 1):
                 lin = e_k_path(bg, phi, k, "linear")
                 quad = e_k_path(bg, phi, k, "quadratic")
-                rows.append(CheckItem.identity(
+                report.add(CheckItem.identity(
                     f"path_independence_s{idx}_k{k}",
                     "flat-model energy agrees along two admissible segments",
                     lin.value, quad.value, t["path"],
                     relative_to=max(1.0, abs(lin.value))))
-        return rows
-
-    for rows in _parallel(work, list(enumerate(probes)), jobs):
-        report.extend(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -841,8 +742,7 @@ def list_scenarios() -> list[tuple[str, str]]:
     return [(name, _REGISTRY[name].description) for name in SCENARIO_NAMES]
 
 
-def run_scenario(cfg: ScenarioConfig, jobs: int = 1,
-                 out_dir: str | None = None) -> CheckReport:
+def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> CheckReport:
     """Execute one scenario and write its artifacts.
 
     Returns the in-memory report; report.json, checks.csv and any
@@ -857,12 +757,12 @@ def run_scenario(cfg: ScenarioConfig, jobs: int = 1,
     bg = None
     if spec.needs_background:
         bg = fs_background(cfg.model, cfg.n, cfg.grid_size)
-    spec.runner(cfg, bg, report, art, jobs)
+    spec.runner(cfg, bg, report, art)
     runtime = time.perf_counter() - start
 
     payload = {
         "scenario": cfg.scenario,
-        "config": cfg.echo(),
+        "config": asdict(cfg),
         "checks": [item.as_dict() for item in report.items],
         "aggregate": report.all_passed,
         "runtime_seconds": runtime,

@@ -7,9 +7,6 @@ fixtures a first smoke test in themselves.
 
 from __future__ import annotations
 
-import sys
-
-import numpy as np
 import pytest
 
 from kahler_lab.families import generate_probe
@@ -55,22 +52,3 @@ def probe_cp2(bg_cp2):
 def probe_torus(bg_torus):
     return generate_probe(bg_torus, seed=7, scenario="unit", index=0)
 
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """One pass/fail line per acceptance criterion, printed after the run."""
-    mod = sys.modules.get("test_acceptance") or sys.modules.get(
-        "tests.test_acceptance")
-    criteria = getattr(mod, "CRITERIA", None) if mod else None
-    if not criteria:
-        return
-    terminalreporter.write_sep("=", "acceptance criteria")
-    for num in sorted(criteria):
-        ok, label, detail = criteria[num]
-        verdict = "PASS" if ok else "FAIL"
-        line = f"CRITERION {num:2d} {verdict} - {label}"
-        if detail:
-            line += f"  [{detail}]"
-        terminalreporter.write_line(line)
-    extra = getattr(mod, "EXTRA_LINES", [])
-    for line in extra:
-        terminalreporter.write_line(line)

@@ -1,0 +1,59 @@
+"""Exit codes of the `lab` command, called in-process."""
+
+from __future__ import annotations
+
+import json
+
+from kahler_lab import cli
+from kahler_lab.errors import SolverError
+
+
+def _config(tmp_path, raw) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    return str(path)
+
+
+def test_list_scenarios_exits_zero():
+    assert cli.main(["list-scenarios"]) == 0
+
+
+def test_validate_rejects_unknown_key(tmp_path):
+    path = _config(tmp_path, {"scenario": "fs_anchors", "colour": "blue"})
+    assert cli.main(["validate", "--config", path]) == 2
+
+
+def test_invalid_json_is_a_config_error(tmp_path):
+    path = _config(tmp_path, "{not json")
+    assert cli.main(["validate", "--config", path]) == 2
+    assert cli.main(["run", "--config", path]) == 2
+
+
+def test_run_passes_and_writes_report(tmp_path):
+    path = _config(tmp_path, {"scenario": "fs_anchors"})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    assert (out / "fs_anchors" / "report.json").is_file()
+    assert (out / "fs_anchors" / "checks.csv").is_file()
+
+
+def test_run_with_a_failing_check_exits_one(tmp_path):
+    # the residual rows sit at 8e-12 .. 6e-10, so a zero tolerance fails them
+    path = _config(tmp_path, {"scenario": "fs_anchors",
+                              "tolerances": {"residual": 0.0}})
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path)]) == 1
+
+
+def test_jobs_option_is_rejected(tmp_path):
+    path = _config(tmp_path, {"scenario": "fs_anchors"})
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path),
+                     "--jobs", "2"]) == 2
+
+
+def test_numerical_failure_exits_three(tmp_path, monkeypatch):
+    def broken(cfg, out_dir=None):
+        raise SolverError("raised on purpose")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    path = _config(tmp_path, {"scenario": "fs_anchors"})
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path)]) == 3

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from kahler_lab.continuity import (PathTrajectory, Termination,
-                                   check_lemma_3_4, check_lemma_4_1,
+                                   _simpson_uniform, check_lemma_3_4, check_lemma_4_1,
                                    check_section5, lambda1_radial,
                                    path_monitors, ricci_positive_generator,
                                    solve_aubin_path, solve_yau_path)
@@ -303,5 +303,20 @@ def test_curvature_potential_drives_prescribed_equation(bg_cp2, probe_cp2):
     state = make_metric(bg_cp2, probe_cp2)
     f, defect = ricci_potential(state)
     assert defect < 1e-8
-    mass = bg_cp2.integrate(state.rho * np.exp(f.values))
+    mass = bg_cp2.integrate(state.rho * np.exp(f))
     assert mass == pytest.approx(bg_cp2.volume, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# time quadrature of the check suites
+
+
+def test_simpson_rule_matches_scipy_on_every_length():
+    from scipy.integrate import simpson
+    rng = np.random.default_rng(0)
+    for size in range(2, 61):
+        y = rng.standard_normal(size)
+        for dt in (0.02, 0.25):
+            scale = dt * np.abs(y).sum()
+            assert _simpson_uniform(y, dt) == pytest.approx(
+                float(simpson(y, dx=dt)), rel=0.0, abs=1e-14 * scale), size

@@ -16,14 +16,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kahler_lab.energies import (EnergyValue, critical_residual,
-                                 d_dt_i_minus_j_check, e1_cy, e_k_closed,
-                                 e_k_path, futaki_k, i_and_j, mu_k,
-                                 orbit_potential)
+from kahler_lab import spectral
+from kahler_lab.energies import (EnergyValue, critical_residual, e1_cy,
+                                 e_k_closed, e_k_path, futaki_k, i_and_j,
+                                 mu_k, orbit_potential)
 from kahler_lab.errors import ParameterError, UnsupportedModelError
 from kahler_lab.families import generate_probe
-from kahler_lab.geometry import (integrate, laplacian, make_metric,
-                                 slot_metric, slot_ricci, wedge_density)
+from kahler_lab.geometry import (laplacian, make_metric, slot_metric,
+                                 slot_ricci, wedge_density)
 
 
 def _fd5(f, t0: float, h: float) -> float:
@@ -50,10 +50,10 @@ def _first_variation(bg, phi, t0: float, k: int) -> float:
     met = slot_metric(state)
     lap = laplacian(state, phi)
     d1 = wedge_density(bg, [ric] * k + [met] * (n - k))
-    total = (k + 1) * integrate(bg, lap * d1)
+    total = (k + 1) * bg.integrate(lap * d1)
     if k < n:
         d2 = wedge_density(bg, [ric] * (k + 1) + [met] * (n - k - 1))
-        total -= (n - k) * integrate(bg, phi * (d2 - mu_k(bg, k) * state.rho))
+        total -= (n - k) * bg.integrate(phi * (d2 - mu_k(bg, k) * state.rho))
     return total / bg.volume
 
 
@@ -151,14 +151,14 @@ def test_bad_indices_and_paths_raise(bg_cp2, probe_cp2):
 def test_i_functional_matches_integration_by_parts(bg_cp2, probe_cp2):
     state = make_metric(bg_cp2, probe_cp2)
     i_val, _, _ = i_and_j(bg_cp2, probe_cp2)
-    oracle = integrate(bg_cp2, probe_cp2 * (1.0 - state.rho)) / bg_cp2.volume
+    oracle = bg_cp2.integrate(probe_cp2 * (1.0 - state.rho)) / bg_cp2.volume
     assert i_val == pytest.approx(oracle, abs=1e-11 * max(1.0, abs(oracle)))
 
 
 def test_i_functional_matches_integration_by_parts_n1(bg_cp1, probe_cp1):
     state = make_metric(bg_cp1, probe_cp1)
     i_val, _, _ = i_and_j(bg_cp1, probe_cp1)
-    oracle = integrate(bg_cp1, probe_cp1 * (1.0 - state.rho)) / bg_cp1.volume
+    oracle = bg_cp1.integrate(probe_cp1 * (1.0 - state.rho)) / bg_cp1.volume
     assert i_val == pytest.approx(oracle, abs=1e-11 * max(1.0, abs(oracle)))
 
 
@@ -179,6 +179,24 @@ def test_size_functionals_nonnegative_and_sandwiched(bg_cp2):
         # classical sandwich: I/(n+1) <= I - J <= n I/(n+1)
         assert imj >= i_val / (n + 1) - 1e-12
         assert imj <= n * i_val / (n + 1) + 1e-12
+
+
+def d_dt_i_minus_j_check(bg, phi, t0: float = 0.6,
+                         h: float = 1e-3) -> tuple[float, float]:
+    """Derivative identity for I - J along the linear segment t -> t phi.
+
+    Returns (finite-difference lhs, analytic rhs) of
+
+        d/dt (I - J)(phi_t) = -(1/V) int phi_t (Lap_t d/dt phi_t) w_t^n.
+    """
+    ts = t0 + h * np.arange(-2, 3)
+    samples = np.array([[i_and_j(bg, t * phi)[2]] for t in ts])
+    lhs = float(spectral.fd_derivative(samples, h)[2, 0])
+
+    state = make_metric(bg, t0 * phi)
+    lap_dot = laplacian(state, phi)
+    rhs = -bg.integrate(t0 * phi * lap_dot * state.rho) / bg.volume
+    return lhs, rhs
 
 
 def test_i_minus_j_time_derivative_identity(bg_cp2, probe_cp2):
@@ -236,20 +254,22 @@ def test_rotation_invariant_matches_orbit_energy_derivative(bg_cp2, probe_cp2):
         lhs = _fd5(lambda s: e_k_closed(
             bg_cp2, orbit_potential(bg_cp2, probe_cp2, s), k), s0, h)
         base = orbit_potential(bg_cp2, probe_cp2, s0)
-        rhs = futaki_k(bg_cp2, base, k) / bg_cp2.volume
+        rhs = futaki_k(bg_cp2, make_metric(bg_cp2, base), k) / bg_cp2.volume
         assert lhs == pytest.approx(rhs, abs=2e-7 * max(1.0, abs(rhs)))
 
 
 def test_rotation_invariant_vanishes_on_round_and_probes(bg_cp2, probe_cp2):
     for k in range(3):
-        assert abs(futaki_k(bg_cp2, np.zeros(bg_cp2.size), k)) < 1e-9 * bg_cp2.volume
+        round_state = make_metric(bg_cp2, np.zeros(bg_cp2.size))
+        assert abs(futaki_k(bg_cp2, round_state, k)) < 1e-9 * bg_cp2.volume
         # the invariant is metric-independent and zero in this class
-        assert abs(futaki_k(bg_cp2, probe_cp2, k)) < 1e-7 * bg_cp2.volume
+        probe_state = make_metric(bg_cp2, probe_cp2)
+        assert abs(futaki_k(bg_cp2, probe_state, k)) < 1e-7 * bg_cp2.volume
 
 
 def test_rotation_invariant_requires_projective_model(bg_torus, probe_torus):
     with pytest.raises(UnsupportedModelError):
-        futaki_k(bg_torus, probe_torus, 1)
+        futaki_k(bg_torus, make_metric(bg_torus, probe_torus), 1)
     with pytest.raises(UnsupportedModelError):
         orbit_potential(bg_torus, probe_torus, 0.3)
 

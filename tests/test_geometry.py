@@ -18,9 +18,9 @@ import pytest
 from kahler_lab.errors import (NotKahlerError, ParameterError,
                                UnsupportedModelError)
 from kahler_lab.families import generate_probe
-from kahler_lab.geometry import (FormSlot, fs_background, integrate,
+from kahler_lab.geometry import (FormSlot, fs_background,
                                  laplacian, laplacian_matrix, make_metric,
-                                 normalize, osc, potential_from_density,
+                                 osc, potential_from_density,
                                  ricci_potential, sigma_k, slot_gradsq,
                                  slot_hessian, slot_metric, slot_reference,
                                  slot_ricci, spectral_tail, wedge_density)
@@ -39,7 +39,7 @@ def test_round_reference_frozen_anchors(n, size):
     assert bg.moment_mean == float(n)
     assert bg.mean(bg.x) == pytest.approx(float(n), abs=1e-11)
     # quadrature of the constant density recovers the volume
-    assert integrate(bg, np.ones(size)) == pytest.approx(bg.volume, rel=1e-13)
+    assert bg.integrate(np.ones(size)) == pytest.approx(bg.volume, rel=1e-13)
     # unit curvature: both eigenvalue fields identically one
     ref = bg.reference
     assert np.abs(ref.lam_r - 1.0).max() < 1e-10
@@ -59,10 +59,10 @@ def test_round_laplacian_of_moment_coordinate(n, size):
 
 def test_round_ricci_potential_vanishes(bg_cp2):
     f, defect = ricci_potential(bg_cp2.reference)
-    assert np.abs(f.values).max() < 1e-11
+    assert np.abs(f).max() < 1e-11
     assert defect < 1e-10
     # normalization: exp(f) averages to one in the reference volume
-    mass = bg_cp2.integrate(bg_cp2.reference.rho * np.exp(f.values))
+    mass = bg_cp2.integrate(bg_cp2.reference.rho * np.exp(f))
     assert mass == pytest.approx(bg_cp2.volume, rel=1e-12)
 
 
@@ -436,17 +436,6 @@ def test_torus_density_inversion_round_trip(bg_torus, probe_torus):
 
 # ---------------------------------------------------------------------------
 # small diagnostics
-
-
-def test_normalize_modes(bg_cp2, probe_cp2):
-    shifted = probe_cp2 + 3.0
-    zero_mean = normalize(bg_cp2, shifted)
-    assert abs(bg_cp2.mean(zero_mean.values)) < 1e-12
-    assert zero_mean.normalization == "integral-zero"
-    sup = normalize(bg_cp2, shifted, "sup-zero")
-    assert sup.values.max() == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(ParameterError):
-        normalize(bg_cp2, shifted, "median")
 
 
 def test_osc_frozen_value():

@@ -1,0 +1,136 @@
+"""Golden-report harness: write a canonical set of scenario reports, or
+compare two such sets.
+
+    python3 tools/golden.py write DIR
+    python3 tools/golden.py diff A B
+
+`write` runs, at seeds 0, 1 and 2 and through
+`kahler_lab.scenarios.run_scenario` of this checkout, two sets:
+
+* DIR/default/seed<s>/<scenario>/ -- all 15 scenarios at default configs;
+* DIR/n384/seed<s>/<scenario>/    -- lemma41, lemma32_34, section5 and
+  krf_monotone at grid_size 384 with count 1.
+
+`diff` compares every scenario directory of A with the same one in B and
+prints one line per scenario: mismatches of check-row names, order, kinds
+and pass flags (and of the report's config, notes and aggregate), the
+largest lhs/rhs movement |a - b| / max(1, |a|), and trajectory CSVs that
+differ byte for byte.  The wall-clock row `exact_runtime` and the report
+fields `runtime_seconds` and `timestamp` are ignored.  It exits 1 on any
+mismatch or on a movement above 1e-12, else 0.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, set before anything imports numpy: results must not
+# depend on how a threaded reduction splits its sums
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import json
+import math
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1, 2)
+PATH_SCENARIOS = ("lemma41", "lemma32_34", "section5", "krf_monotone")
+MAX_MOVE = 1e-12
+IGNORED_ROWS = {"exact_runtime"}
+IGNORED_FIELDS = {"runtime_seconds", "timestamp"}
+
+
+def write(out: Path) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from kahler_lab import scenarios
+
+    sets = {
+        "default": [(name, {}) for name in scenarios.SCENARIO_NAMES],
+        "n384": [(name, {"grid_size": 384, "count": 1}) for name in PATH_SCENARIOS],
+    }
+    for set_name, runs in sets.items():
+        for seed in SEEDS:
+            base = out / set_name / f"seed{seed}"
+            for name, extra in runs:
+                cfg = scenarios.parse_config({"scenario": name, "seed": seed, **extra})
+                report = scenarios.run_scenario(cfg, out_dir=str(base))
+                print(f"{set_name}/seed{seed}/{name}: {len(report.items)} rows",
+                      flush=True)
+    return 0
+
+
+def _move(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(1.0, abs(a))
+
+
+def _compare(a_dir: Path, b_dir: Path) -> tuple[list[str], float]:
+    """Mismatches and the largest lhs/rhs movement of one scenario."""
+    a = json.loads((a_dir / "report.json").read_text())
+    b = json.loads((b_dir / "report.json").read_text())
+    # the check rows are compared one by one below
+    problems = [f"report field {key!r} differs"
+                for key in sorted((set(a) | set(b)) - IGNORED_FIELDS - {"checks"})
+                if a.get(key) != b.get(key)]
+
+    rows_a, rows_b = a["checks"], b["checks"]
+    names_a = [row["name"] for row in rows_a]
+    names_b = [row["name"] for row in rows_b]
+    if names_a != names_b:
+        problems.append(f"row names or order differ "
+                        f"({len(names_a)} vs {len(names_b)} rows)")
+    move = 0.0
+    for ra, rb in zip(rows_a, rows_b):
+        if ra["name"] != rb["name"] or ra["name"] in IGNORED_ROWS:
+            continue
+        for key in ("kind", "pass", "tol", "anchor", "note"):
+            if ra[key] != rb[key]:
+                problems.append(f"{ra['name']}: {key} {ra[key]!r} -> {rb[key]!r}")
+        move = max(move, _move(ra["lhs"], rb["lhs"]), _move(ra["rhs"], rb["rhs"]))
+
+    traj_a = sorted(p.name for p in a_dir.glob("trajectory_*.csv"))
+    traj_b = sorted(p.name for p in b_dir.glob("trajectory_*.csv"))
+    if traj_a != traj_b:
+        problems.append(f"trajectory files {traj_a} vs {traj_b}")
+    problems += [f"{name} differs" for name in sorted(set(traj_a) & set(traj_b))
+                 if (a_dir / name).read_bytes() != (b_dir / name).read_bytes()]
+    return problems, move
+
+
+def diff(a_root: Path, b_root: Path) -> int:
+    dirs_a = {p.parent.relative_to(a_root) for p in a_root.rglob("report.json")}
+    dirs_b = {p.parent.relative_to(b_root) for p in b_root.rglob("report.json")}
+    bad = 0
+    for rel in sorted(dirs_a - dirs_b) + sorted(dirs_b - dirs_a):
+        print(f"{rel}: present in only one set")
+        bad += 1
+    worst = 0.0
+    for rel in sorted(dirs_a & dirs_b):
+        problems, move = _compare(a_root / rel, b_root / rel)
+        worst = max(worst, move)
+        ok = not problems and move <= MAX_MOVE
+        bad += not ok
+        print(f"{rel}: max move {move:.2e} {'ok' if ok else 'MISMATCH'}")
+        for problem in problems:
+            print(f"    {problem}")
+    print(f"{len(dirs_a | dirs_b)} scenario runs, {bad} mismatched, "
+          f"largest movement {worst:.2e}")
+    return 1 if bad else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "write":
+        return write(Path(argv[1]))
+    if len(argv) == 3 and argv[0] == "diff":
+        return diff(Path(argv[1]), Path(argv[2]))
+    print("usage: golden.py write DIR | golden.py diff A B", file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
