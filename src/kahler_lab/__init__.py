@@ -60,12 +60,10 @@ from .geometry import (
     osc,
     potential_from_density,
     ricci_potential,
-    scalar_curvature,
     sigma_k,
     slot_gradsq,
     slot_hessian,
     slot_metric,
-    slot_reference,
     slot_ricci,
     wedge_density,
 )
@@ -89,9 +87,9 @@ __all__ = [
     "lambda1_radial", "laplacian", "laplacian_matrix", "list_scenarios",
     "make_metric", "mu_k", "orbit_potential", "osc", "parse_config",
     "path_monitors", "potential_from_density", "ricci_positive_generator",
-    "ricci_potential", "run_flow", "run_scenario", "scalar_curvature",
-    "sigma_k", "slot_gradsq", "slot_hessian", "slot_metric",
-    "slot_reference", "slot_ricci", "solve_aubin_path", "solve_yau_path",
+    "ricci_potential", "run_flow", "run_scenario", "sigma_k",
+    "slot_gradsq", "slot_hessian", "slot_metric", "slot_ricci",
+    "solve_aubin_path", "solve_yau_path",
     "verify_binomial_identity", "verify_sigma_expansion",
     "verify_zero_identity", "wedge_density",
 ]

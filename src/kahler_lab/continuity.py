@@ -1,8 +1,8 @@
 """Two Monge-Ampere continuity paths and their verification suites.
 
 Both paths start from a radial reference metric w (potential `ref` over the
-background) with normalized Ricci potential f, and are parametrized by
-t in [0, 1]:
+background, state `ref_state` of the trajectory) with normalized Ricci
+potential f, and are parametrized by t in [0, 1]:
 
 * the bending path          w_phi_t^n = e^{f - t phi_t} w^n,
   which deforms the Ricci condition Ric = t w_phi + (1-t) w and ends, when
@@ -52,15 +52,30 @@ from .geometry import (
     osc,
     potential_from_density,
     ricci_potential,
-    slot_gradsq,
     slot_hessian,
     slot_metric,
     wedge_density,
 )
-from .energies import e_k_closed, i_and_j
+from .energies import _gradient_wedges, e_k_closed, i_and_j
 from . import spectral
 
 Array = np.ndarray
+
+# bending solve: fixed-point sweeps, Newton iterations, residual and gauge
+# tolerance, and the smallest internal substep before a path stalls
+PICARD_ITERS = 50
+NEWTON_ITERS = 40
+NEWTON_TOL = 1e-11
+MIN_SUBSTEP = 1e-4
+
+# tolerances of the verification suites
+RATE_TOL = 1e-5         # differentiated path equations
+RICCI_TOL = 1e-6        # bent Ricci identity
+LAMBDA1_SLACK = 1e-6    # first eigenvalue against the path parameter
+IDENTITY_TOL = 1e-5     # endpoint, two-time and bridge energy identities
+ENDPOINT_SLACK = 1e-7   # sign of the prescribed-path endpoint energy
+BOUND_SLACK = 1e-7      # growth bounds along the bending path
+T_PAIR = (0.2, 0.8)     # times of the two-time identity
 
 
 @dataclass
@@ -89,7 +104,7 @@ class Termination:
 class PathTrajectory:
     kind: str             # "bending" | "prescribed"
     bg: Background
-    ref: Array
+    ref_state: MetricState
     f: Array
     points: list[PathPoint] = field(default_factory=list)
     termination: Termination | None = None
@@ -168,9 +183,8 @@ def _ref_mean(bg: Background, values: Array, rho_ref: Array) -> float:
     return float((bg.ref_measure * rho_ref) @ values) / bg.volume
 
 
-def solve_yau_path(bg: Background, ref, t_max: float = 1.0,
-                   dt: float = 0.02) -> PathTrajectory:
-    """Solve the prescribed-volume path on a uniform grid in t.
+def solve_yau_path(bg: Background, ref, dt: float = 0.02) -> PathTrajectory:
+    """Solve the prescribed-volume path on a uniform grid in t over [0, 1].
 
     Every point is a single monotone moment inversion; the path always
     completes.  Stored potentials have zero reference mean; the recorded
@@ -180,8 +194,8 @@ def solve_yau_path(bg: Background, ref, t_max: float = 1.0,
     ref_state = make_metric(bg, theta)
     f, _ = ricci_potential(ref_state)
 
-    traj = PathTrajectory("prescribed", bg, theta, f)
-    steps = int(round(t_max / dt))
+    traj = PathTrajectory("prescribed", bg, ref_state, f)
+    steps = int(round(1.0 / dt))
     for i in range(steps + 1):
         t = i * dt
         mass = float(bg.ref_measure @ (np.exp(t * f) * ref_state.rho))
@@ -206,8 +220,7 @@ def _bending_residual(bg: Background, state: MetricState, phi_tilde: Array,
 
 
 def _solve_bending_t(bg: Background, theta: Array, f: Array, ref_state,
-                     t: float, guess: Array, *, picard_iters: int = 50,
-                     newton_iters: int = 40, tol: float = 1e-11):
+                     t: float, guess: Array):
     """Solve the bending equation at fixed t > 0 from a warm start.
 
     At t = 1, Lap + I is singular along u = m - n, and the Newton step
@@ -215,7 +228,7 @@ def _solve_bending_t(bg: Background, theta: Array, f: Array, ref_state,
     with l = u w^n, imposing  int phi u w^n = 0 : the solvability condition
     of the differentiated equation at t = 1, which makes the solution the
     limit of the path.  The solve returns only once both the residual and
-    that gauge defect are within `tol`.
+    that gauge defect are within NEWTON_TOL.
 
     Returns (phi_tilde, state, iterations, residual) or raises SolverError.
     """
@@ -224,7 +237,7 @@ def _solve_bending_t(bg: Background, theta: Array, f: Array, ref_state,
     iters = 0
     beta = 0.5
     prev_step = np.inf
-    for _ in range(picard_iters):
+    for _ in range(PICARD_ITERS):
         iters += 1
         density = np.exp(f + log_rho_ref - t * phi)
         density *= bg.volume / float(bg.ref_measure @ density)
@@ -243,7 +256,7 @@ def _solve_bending_t(bg: Background, theta: Array, f: Array, ref_state,
 
     endpoint = abs(t - 1.0) < 1e-12
     state = None
-    for _ in range(newton_iters):
+    for _ in range(NEWTON_ITERS):
         try:
             state = make_metric(bg, theta + phi)
         except NotKahlerError as exc:
@@ -255,7 +268,7 @@ def _solve_bending_t(bg: Background, theta: Array, f: Array, ref_state,
             u = state.m - bg.moment_mean
             ell = bg.ref_measure * state.rho * u
             gauge = float(ell @ phi)
-        if res <= tol and abs(gauge) <= tol:
+        if res <= NEWTON_TOL and abs(gauge) <= NEWTON_TOL:
             return phi, state, iters, res
         iters += 1
         J = laplacian_matrix(state) + t * np.eye(bg.size)
@@ -281,12 +294,11 @@ def _solve_bending_t(bg: Background, theta: Array, f: Array, ref_state,
     raise SolverError("Newton did not converge", t=t, residual=res)
 
 
-def solve_aubin_path(bg: Background, ref, t_max: float = 1.0, dt: float = 0.02,
-                     min_substep: float = 1e-4) -> PathTrajectory:
-    """March the bending path over a uniform reported grid in t.
+def solve_aubin_path(bg: Background, ref, dt: float = 0.02) -> PathTrajectory:
+    """March the bending path over a uniform reported grid in t over [0, 1].
 
     Internal substeps (not reported) bridge hard stretches; if progress
-    stalls below `min_substep` the trajectory is returned truncated with a
+    stalls below MIN_SUBSTEP the trajectory is returned truncated with a
     stall record.
     """
     theta = np.asarray(ref, dtype=float)
@@ -294,7 +306,7 @@ def solve_aubin_path(bg: Background, ref, t_max: float = 1.0, dt: float = 0.02,
     f, _ = ricci_potential(ref_state)
     rho_ref = ref_state.rho
 
-    traj = PathTrajectory("bending", bg, theta, f)
+    traj = PathTrajectory("bending", bg, ref_state, f)
 
     # t = 0: direct inversion; the constant is fixed by smooth continuation
     # (zero weighted mean of the exact potential against e^f w^n)
@@ -307,7 +319,7 @@ def solve_aubin_path(bg: Background, ref, t_max: float = 1.0, dt: float = 0.02,
     state0 = make_metric(bg, theta + phi0)
     traj.points.append(PathPoint(0.0, phi0, c0, state0))
 
-    steps = int(round(t_max / dt))
+    steps = int(round(1.0 / dt))
     # (t_a, tilde_a) is the most recent solved point, (t_b, tilde_b) the one
     # before it; both feed the linear warm-start extrapolation
     t_a, tilde_a = 0.0, phi0 + c0
@@ -327,7 +339,7 @@ def solve_aubin_path(bg: Background, ref, t_max: float = 1.0, dt: float = 0.02,
                     bg, theta, f, ref_state, t_try, guess)
             except SolverError as exc:
                 sub *= 0.5
-                if sub < min_substep:
+                if sub < MIN_SUBSTEP:
                     traj.termination = Termination(
                         "stalled", traj.points[-1].t,
                         f"no progress past t = {t_a:.6f}: {exc}")
@@ -377,15 +389,15 @@ def ricci_positive_generator(bg: Background, theta, alpha: float = 1.0) -> Array
 # monitors
 
 
-def monitor_row(bg: Background, t: float, c_t: float, phi: Array,
-                state: MetricState, ref=None, ks=None) -> dict:
-    """Scalar diagnostics of one potential: energies, I, J, first
-    eigenvalue, curvature minimum.  `state` is the metric of ref + phi, and
-    energies are relative to `ref` (the background reference when None)."""
+def monitor_row(t: float, c_t: float, state: MetricState,
+                ref: MetricState | None = None, ks=None) -> dict:
+    """Scalar diagnostics of one metric state: energies, I, J, first
+    eigenvalue, curvature minimum.  Energies, I and J are relative to the
+    state `ref` (the background reference when None)."""
     row = {"t": t, "c_t": c_t}
-    for k in range(bg.n + 1) if ks is None else ks:
-        row[f"E_{k}"] = e_k_closed(bg, phi, k, ref=ref)
-    row["I"], row["J"], row["I_minus_J"] = i_and_j(bg, phi, ref=ref)
+    for k in range(state.bg.n + 1) if ks is None else ks:
+        row[f"E_{k}"] = e_k_closed(state, k, ref)
+    row["I"], row["J"], row["I_minus_J"] = i_and_j(state, ref)
     row["lambda1_radial"] = lambda1_radial(state)
     row["min_ricci"] = state.min_ricci
     return row
@@ -394,7 +406,7 @@ def monitor_row(bg: Background, t: float, c_t: float, phi: Array,
 def path_monitors(traj: PathTrajectory, ks=None) -> list[dict]:
     """Per-point `monitor_row`s, energies relative to the path's own
     reference."""
-    return [monitor_row(traj.bg, p.t, p.c_t, p.phi, p.state, traj.ref, ks)
+    return [monitor_row(p.t, p.c_t, p.state, traj.ref_state, ks)
             for p in traj.points]
 
 
@@ -416,28 +428,38 @@ def _simpson_uniform(values, dt: float) -> float:
     return float(total)
 
 
+def _squared_rate_integral(traj: PathTrajectory, rate: Array) -> float:
+    """int_0^1 (1 - t) int (Lap_t d/dt phi_t)^2 w_t^n dt  over the path, by
+    Simpson's rule on its grid (not divided by V)."""
+    bg = traj.bg
+    sq = np.empty(len(traj.points))
+    for idx, p in enumerate(traj.points):
+        lap_rate = laplacian(p.state, rate[idx])
+        sq[idx] = (1.0 - p.t) * bg.integrate(lap_rate * lap_rate * p.state.rho)
+    return _simpson_uniform(sq, traj.dt)
+
+
 # ---------------------------------------------------------------------------
 # verification suites
 
 
-def check_lemma_3_4(bg: Background, traj: PathTrajectory, ks=None, *,
-                    eq_rate_tol: float = 1e-5, eq_ricci_tol: float = 1e-6,
-                    lambda1_slack: float = 1e-6, identity_tol: float = 1e-5,
+def check_lemma_3_4(traj: PathTrajectory, *,
                     monitors: list[dict] | None = None) -> list[CheckItem]:
     """Structural checks along the bending path.
 
     Covers the differentiated equation, the bent Ricci identity, the
     eigenvalue lower bound, the sign of the pairing integral, monotonicity
-    of I - J, and the endpoint energy identity and inequality (the latter
-    two only on a completed path).
+    of I - J, and the endpoint energy identity and inequality for every k
+    (the latter two only on a completed path).  `monitors` are the path's
+    `path_monitors` with every energy, computed here when None.
     """
     if traj.kind != "bending":
         raise ParameterError("this suite applies to the bending path")
-    if ks is None:
-        ks = range(bg.n + 1)
+    bg = traj.bg
+    ref_state = traj.ref_state
     items: list[CheckItem] = []
     if monitors is None:
-        monitors = path_monitors(traj, ks)
+        monitors = path_monitors(traj)
     ts = traj.ts
     dt = traj.dt
     tilde = traj.stacked_exact()
@@ -456,12 +478,11 @@ def check_lemma_3_4(bg: Background, traj: PathTrajectory, ks=None, *,
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     items.append(CheckItem.identity(
         "rate_equation", "time derivative of the path equation",
-        worst, 0.0, eq_rate_tol))
+        worst, 0.0, RATE_TOL))
 
     # bent Ricci identity:  Ric_t = t w_t + (1-t) w, compared at the level
     # of the curvature moment map (one derivative below the eigenvalues,
     # where the solver residual is not amplified by differentiation)
-    ref_state = make_metric(bg, traj.ref)
     worst = 0.0
     for p in traj.points:
         res_r = p.state.G - (p.t * p.state.m + (1.0 - p.t) * ref_state.m)
@@ -472,23 +493,22 @@ def check_lemma_3_4(bg: Background, traj: PathTrajectory, ks=None, *,
             worst = max(worst, float(np.abs(res_s).max()))
     items.append(CheckItem.identity(
         "bent_ricci_identity", "interpolated curvature along the path",
-        worst, 0.0, eq_ricci_tol))
+        worst, 0.0, RICCI_TOL))
 
     # eigenvalue bound lambda_1 >= t
     lam_margin = min(row["lambda1_radial"] - row["t"] for row in monitors)
     items.append(CheckItem.lower_bound(
         "eigenvalue_bound", "first eigenvalue dominates the path parameter",
-        lam_margin, 0.0, lambda1_slack))
+        lam_margin, 0.0, LAMBDA1_SLACK))
 
-    # pairing integral nonpositive:  (1/V) int phi (Lap d/dt phi) <= 0
-    worst_pair = -np.inf
-    for idx, p in enumerate(traj.points):
-        lap_rate = laplacian(p.state, rate[idx])
-        val = bg.integrate(tilde[idx] * lap_rate * p.state.rho) / bg.volume
-        worst_pair = max(worst_pair, val)
+    # pairing integral nonpositive:  (1/V) int phi (Lap d/dt phi) <= 0; the
+    # same integrals, weighted by 1 - t, feed the endpoint identity below
+    pair = np.array([bg.integrate(tilde[idx] * laplacian(p.state, rate[idx])
+                                  * p.state.rho)
+                     for idx, p in enumerate(traj.points)])
     items.append(CheckItem.upper_bound(
         "pairing_sign", "nonpositive pairing of potential with its rate",
-        worst_pair, 0.0, 1e-8))
+        float((pair / bg.volume).max()), 0.0, 1e-8))
 
     # I - J nondecreasing
     imj = np.array([row["I_minus_J"] for row in monitors])
@@ -498,26 +518,14 @@ def check_lemma_3_4(bg: Background, traj: PathTrajectory, ks=None, *,
 
     if traj.completed and abs(ts[-1] - 1.0) < 1e-12:
         # endpoint energy identity, one row per k
-        for k in ks:
-            e_start = e_k_closed(bg, traj.points[0].phi, k, ref=traj.ref)
-            e_end = e_k_closed(bg, traj.points[-1].phi, k, ref=traj.ref)
+        pairing_integral = _simpson_uniform((1.0 - ts) * pair, dt)
+        q0 = _gradient_wedges(traj.points[0].state, ref_state)
+        for k in range(bg.n + 1):
+            e_start = monitors[0][f"E_{k}"]
+            e_end = monitors[-1][f"E_{k}"]
             lhs = e_end - e_start
-
-            integrand = np.empty(len(traj.points))
-            for idx, p in enumerate(traj.points):
-                lap_rate = laplacian(p.state, rate[idx])
-                integrand[idx] = (1.0 - p.t) * bg.integrate(
-                    tilde[idx] * lap_rate * p.state.rho)
-            time_term = (k + 1) / bg.volume * _simpson_uniform(integrand, dt)
-
-            p0 = traj.points[0]
-            w_ref_slot = slot_metric(make_metric(bg, traj.ref))
-            w_phi0 = slot_metric(p0.state)
-            grad0 = slot_gradsq(bg, p0.phi)
-            boundary = 0.0
-            for i in range(k):
-                slots = [grad0] + [w_ref_slot] * i + [w_phi0] * (bg.n - i - 1)
-                boundary += (k - i) * bg.integrate(wedge_density(bg, slots))
+            time_term = (k + 1) / bg.volume * pairing_integral
+            boundary = sum((k - i) * q0[i] for i in range(k))
             rhs = time_term - boundary / bg.volume
 
             scale = max(abs(e_start), abs(e_end))
@@ -525,11 +533,11 @@ def check_lemma_3_4(bg: Background, traj: PathTrajectory, ks=None, *,
                 f"endpoint_identity_k{k}",
                 "energy drop equals weighted pairing integral minus start-point "
                 "gradient terms",
-                lhs, rhs, identity_tol, relative_to=scale))
+                lhs, rhs, IDENTITY_TOL, relative_to=scale))
             items.append(CheckItem.upper_bound(
                 f"endpoint_monotone_k{k}",
                 "energy at the far end does not exceed the start",
-                e_end, e_start, identity_tol))
+                e_end, e_start, IDENTITY_TOL))
     else:
         items.append(CheckItem.info(
             "endpoint_identity_skipped", "path did not complete; endpoint "
@@ -538,22 +546,19 @@ def check_lemma_3_4(bg: Background, traj: PathTrajectory, ks=None, *,
     return items
 
 
-def check_lemma_4_1(bg: Background, traj: PathTrajectory, ks=None, *,
-                    eq_rate_tol: float = 1e-5, identity_tol: float = 1e-5,
-                    endpoint_slack: float = 1e-7) -> list[CheckItem]:
+def check_lemma_4_1(traj: PathTrajectory) -> list[CheckItem]:
     """Endpoint energy identity for the prescribed-volume path.
 
     The energy of the endpoint splits into two nonpositive gradient sums,
     a nonpositive squared-rate integral, and a reference-only term; for
     k = 1 the reference term is nonpositive too, giving the sign of the
-    endpoint energy.
+    endpoint energy.  Rows cover k = 1 and, where n >= 2, k = 2.
     """
     if traj.kind != "prescribed":
         raise ParameterError("this suite applies to the prescribed-volume path")
-    if ks is None:
-        ks = [k for k in (1, 2) if k <= bg.n]
-    items: list[CheckItem] = []
+    bg = traj.bg
     n = bg.n
+    items: list[CheckItem] = []
     dt = traj.dt
     rate = traj.exact_rate()
     c_rate = spectral.fd_derivative(np.array([p.c_t for p in traj.points]), dt)
@@ -569,29 +574,16 @@ def check_lemma_4_1(bg: Background, traj: PathTrajectory, ks=None, *,
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     items.append(CheckItem.identity(
         "rate_equation", "time derivative of the prescribed-volume equation",
-        worst, 0.0, eq_rate_tol))
+        worst, 0.0, RATE_TOL))
 
-    ref_state = make_metric(bg, traj.ref)
-    w_ref = slot_metric(ref_state)
+    w_ref = slot_metric(traj.ref_state)
     f_hess = slot_hessian(bg, traj.f)
     end = traj.points[-1]
-    w_end = slot_metric(end.state)
-    grad_end = slot_gradsq(bg, end.phi)
+    sq_integral = _squared_rate_integral(traj, rate)
+    q_end = _gradient_wedges(end.state, traj.ref_state)
 
-    # squared-rate time integral (shared by every k)
-    sq = np.empty(len(traj.points))
-    for idx, p in enumerate(traj.points):
-        lap_rate = laplacian(p.state, rate[idx])
-        sq[idx] = (1.0 - p.t) * bg.integrate(lap_rate * lap_rate * p.state.rho)
-    sq_integral = _simpson_uniform(sq, dt)
-
-    q_end = []
-    for i in range(n):
-        slots = [grad_end] + [w_ref] * i + [w_end] * (n - i - 1)
-        q_end.append(bg.integrate(wedge_density(bg, slots)))
-
-    for k in ks:
-        lhs = e_k_closed(bg, end.phi, k, ref=traj.ref)
+    for k in range(1, min(n, 2) + 1):
+        lhs = e_k_closed(end.state, k, traj.ref_state)
 
         t1 = -sum((n - k) * (i + 1) / (n + 1) * q_end[i] for i in range(k))
         t2 = -sum((k + 1) * (n - i) / (n + 1) * q_end[i] for i in range(k, n))
@@ -607,26 +599,26 @@ def check_lemma_4_1(bg: Background, traj: PathTrajectory, ks=None, *,
             f"endpoint_identity_k{k}",
             "endpoint energy equals gradient sums plus squared-rate integral "
             "plus reference term",
-            lhs, rhs, identity_tol, relative_to=lhs))
+            lhs, rhs, IDENTITY_TOL, relative_to=lhs))
         if k == 1:
             items.append(CheckItem.upper_bound(
                 "endpoint_sign_k1", "endpoint energy nonpositive at k = 1",
-                lhs, 0.0, endpoint_slack))
+                lhs, 0.0, ENDPOINT_SLACK))
     return items
 
 
-def check_section5(bg: Background, theta, aubin: PathTrajectory,
-                   yau: PathTrajectory, *, identity_tol: float = 1e-5,
-                   bound_slack: float = 1e-7, t_pair=(0.2, 0.8),
+def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
                    monitors: list[dict] | None = None) -> list[CheckItem]:
     """Growth-control suite built on both paths from the same reference.
 
     Includes the exact two-time energy identity, the bridge identity
     expressing the background-relative energy of the reference potential
     through both paths, lower/upper growth bounds along the way, and the
-    boundedness monitor for the k = 1 energy.
+    boundedness monitor for the k = 1 energy.  `monitors` are the bending
+    path's `path_monitors` (at least I - J and E_1), computed here when None.
     """
-    theta = np.asarray(theta, dtype=float)
+    bg = aubin.bg
+    ref_state = aubin.ref_state
     items: list[CheckItem] = []
     n = bg.n
     if monitors is None:
@@ -642,12 +634,11 @@ def check_section5(bg: Background, theta, aubin: PathTrajectory,
 
     # gradient-square boundary quantity (1/V) int gradsq(phi_t) ^ w_t^{n-1}
     def grad_term(p: PathPoint) -> float:
-        slots = [slot_gradsq(bg, p.phi)] + [slot_metric(p.state)] * (n - 1)
-        return bg.integrate(wedge_density(bg, slots)) / bg.volume
+        return _gradient_wedges(p.state, ref_state)[0] / bg.volume
 
     # two-time identity for the k = 1 energy
-    i1 = int(round(t_pair[0] / dt))
-    i2 = int(round(t_pair[1] / dt))
+    i1 = int(round(T_PAIR[0] / dt))
+    i2 = int(round(T_PAIR[1] / dt))
     if i2 < len(aubin.points):
         pa, pb = aubin.points[i1], aubin.points[i2]
         lhs = e1_path[i2] - e1_path[i1]
@@ -658,33 +649,26 @@ def check_section5(bg: Background, theta, aubin: PathTrajectory,
         items.append(CheckItem.identity(
             "two_time_identity",
             "energy increment between two path times matches its closed form",
-            lhs, rhs, identity_tol, relative_to=max(abs(lhs), abs(e1_path[i2]))))
+            lhs, rhs, IDENTITY_TOL, relative_to=max(abs(lhs), abs(e1_path[i2]))))
     else:
         items.append(CheckItem.info(
             "two_time_identity_skipped",
             "path too short for the requested time pair", float(ts[-1])))
 
     # lower bound by the accumulated I - J integral (valid on any range)
-    e1_theta = e_k_closed(bg, theta, 1)
+    e1_theta = e_k_closed(ref_state, 1)
     partial = _simpson_uniform(imj, dt)
     items.append(CheckItem.lower_bound(
         "energy_vs_accumulated_imj",
         "background-relative energy dominates twice the accumulated I - J",
-        e1_theta, 2.0 * partial, bound_slack,
+        e1_theta, 2.0 * partial, BOUND_SLACK,
         note="" if aubin.completed else "partial range (valid: integrand >= 0)"))
     items.append(CheckItem.info(
         "accumulated_imj", "value of the accumulated I - J integral", partial))
 
     # bridge identity through both paths (needs the complete bending path)
     if aubin.completed and abs(ts[-1] - 1.0) < 1e-12:
-        rate = yau.exact_rate()
-        sq = np.empty(len(yau.points))
-        for idx, p in enumerate(yau.points):
-            lap_rate = laplacian(p.state, rate[idx])
-            sq[idx] = (1.0 - p.t) * bg.integrate(lap_rate * lap_rate * p.state.rho)
-        sq_integral = _simpson_uniform(sq, yau.dt)
-
-        ref_state = make_metric(bg, theta)
+        sq_integral = _squared_rate_integral(yau, yau.exact_rate())
         w_ref = slot_metric(ref_state)
         f_hess = slot_hessian(bg, yau.f)
         # the k = 1 reference term; its one binomial factor C(2, 2) is 1
@@ -693,7 +677,7 @@ def check_section5(bg: Background, theta, aubin: PathTrajectory,
         items.append(CheckItem.identity(
             "bridge_identity",
             "background-relative energy through both paths",
-            e1_theta, rhs, identity_tol, relative_to=max(1.0, abs(e1_theta))))
+            e1_theta, rhs, IDENTITY_TOL, relative_to=max(1.0, abs(e1_theta))))
 
         # decay bound from a late time onward, and oscillation control
         end = aubin.points[-1]
@@ -705,24 +689,23 @@ def check_section5(bg: Background, theta, aubin: PathTrajectory,
             if p.t < 0.5 - 1e-12:
                 continue
             # E_1 between the endpoint metric and the time-t metric
-            e_between = e_k_closed(bg, p.phi - end.phi, 1,
-                                   ref=theta + end.phi)
+            e_between = e_k_closed(p.state, 1, end.state)
             tail = 2.0 * _simpson_uniform(imj[idx:], dt) if idx < len(imj) - 1 else 0.0
             worst_tail = max(worst_tail, e_between - tail)
             worst_decay = max(
                 worst_decay,
                 e_between - 2.0 * n * (1.0 - p.t) * imj_end)
             o = osc(p.phi_exact - end.phi_exact)
-            j_between = i_and_j(bg, p.phi - end.phi, ref=theta + end.phi)[1]
+            j_between = i_and_j(p.state, end.state)[1]
             ratio = max(ratio, o / (1.0 + j_between))
         items.append(CheckItem.upper_bound(
             "late_energy_vs_tail",
             "late-time energy to the endpoint bounded by the tail integral",
-            worst_tail, 0.0, bound_slack))
+            worst_tail, 0.0, BOUND_SLACK))
         items.append(CheckItem.upper_bound(
             "late_energy_decay",
             "late-time energy to the endpoint decays linearly in 1 - t",
-            worst_decay, 0.0, bound_slack))
+            worst_decay, 0.0, BOUND_SLACK))
         items.append(CheckItem.info(
             "oscillation_ratio",
             "largest oscillation of the gap over 1 + J of the gap", ratio))
@@ -730,7 +713,7 @@ def check_section5(bg: Background, theta, aubin: PathTrajectory,
             "endpoint_imj_vs_reference_j",
             "I - J at the endpoint minus J of the reference potential "
             "(drift diagnostic)",
-            imj_end - i_and_j(bg, theta)[1]))
+            imj_end - i_and_j(ref_state)[1]))
 
         # accumulated integral versus endpoint I - J and oscillation
         worst_gap = -np.inf
@@ -742,7 +725,7 @@ def check_section5(bg: Background, theta, aubin: PathTrajectory,
         items.append(CheckItem.upper_bound(
             "integral_vs_endpoint",
             "accumulated I - J dominates its endpoint lower bound",
-            worst_gap, 0.0, bound_slack))
+            worst_gap, 0.0, BOUND_SLACK))
     else:
         items.append(CheckItem.info(
             "bridge_identity_skipped",
@@ -759,5 +742,5 @@ def check_section5(bg: Background, theta, aubin: PathTrajectory,
     items.append(CheckItem.upper_bound(
         "energy_bounded_above",
         "k = 1 energy stays under its start-time cap along the path",
-        worst_cap, 0.0, bound_slack))
+        worst_cap, 0.0, BOUND_SLACK))
     return items

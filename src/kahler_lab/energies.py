@@ -14,6 +14,17 @@ path independent; this module evaluates it along two different segments
 closed-form expression with no time integration, so independence is a
 checkable claim rather than an assumption.
 
+Every functional takes metric states, never bare potentials.  `state` is the
+MetricState of the metric w_phi being measured and `ref` the MetricState of
+the metric w it is measured from (the background reference when omitted);
+the potential between them is  phi = state.phi - ref.phi .  Callers hold
+both states already, so no functional rebuilds one.  The two potentials may
+carry different additive constants (the bending path stores equation-exact
+potentials, for one), and none of that matters: a constant changes no
+metric, I and J see phi only through its gradient, and in the closed form of
+E_k the two phi-linear sums move by c (n-k) mu_k V and c (n+1) V under
+phi -> phi + c, which their prefactors cancel.
+
 Also here: the classical normalized functionals I and J, their difference,
 the critical-equation residual sigma_{k+1} - Lap sigma_k - const, the
 degree-k Futaki-type invariants of the generating holomorphic field, the
@@ -44,6 +55,7 @@ from .geometry import (
 Array = np.ndarray
 
 PATHS = ("linear", "quadratic")
+GAUSS_ORDERS = (24, 48, 96, 192, 384)   # time-quadrature escalation
 
 
 @dataclass
@@ -99,8 +111,7 @@ def _ek_integrand(bg: Background, state: MetricState, dot: Array, k: int,
     return (first - second) / bg.volume
 
 
-def _gauss_adaptive(f, tol: float, orders=(24, 48, 96, 192, 384)
-                    ) -> tuple[float, int, float]:
+def _gauss_adaptive(f, tol: float) -> tuple[float, int, float]:
     """Gauss-Legendre on [0, 1] with order escalation.
 
     The integrands here are analytic in the segment parameter, so the
@@ -109,7 +120,7 @@ def _gauss_adaptive(f, tol: float, orders=(24, 48, 96, 192, 384)
     """
     prev = None
     err = float("inf")
-    for m in orders:
+    for m in GAUSS_ORDERS:
         nodes, weights = np.polynomial.legendre.leggauss(m)
         nodes = 0.5 * (nodes + 1.0)
         weights = 0.5 * weights
@@ -122,17 +133,18 @@ def _gauss_adaptive(f, tol: float, orders=(24, 48, 96, 192, 384)
     raise SolverError("time quadrature failed to converge", residual=err)
 
 
-def e_k_path(bg: Background, phi, k: int, path: str = "linear",
+def e_k_path(state: MetricState, k: int, path: str = "linear",
              tol: float = 1e-10) -> EnergyValue:
-    """Energy E_k through the time integral along the named segment."""
+    """Energy E_k of the state's metric relative to the background
+    reference, through the time integral along the named segment."""
+    bg = state.bg
     _check_k(bg, k)
-    values = np.asarray(phi, dtype=float)
+    values = state.phi - bg.reference.phi
     mu = mu_k(bg, k)
 
     def integrand(t: float) -> float:
         phi_t, dot_t = _path_point(path, t, values)
-        state = make_metric(bg, phi_t)
-        return _ek_integrand(bg, state, dot_t, k, mu)
+        return _ek_integrand(bg, make_metric(bg, phi_t), dot_t, k, mu)
 
     total, order, err = _gauss_adaptive(integrand, tol)
     return EnergyValue(total, k, f"path:{path}", order, err)
@@ -142,37 +154,38 @@ def e_k_path(bg: Background, phi, k: int, path: str = "linear",
 # closed-form route
 
 
-def e_k_closed(bg: Background, phi, k: int, ref=None) -> float:
-    """Energy E_k without time integration, relative to an arbitrary radial
-    reference in the class.
+def e_k_closed(state: MetricState, k: int,
+               ref: MetricState | None = None) -> float:
+    """Energy E_k of the metric of `state` relative to the metric of `ref`
+    (the background reference when None), without time integration.
 
-    With w the reference metric (potential `ref` over the background),
-    w_phi the metric of ref + phi, and L = log(w^n / w_phi^n):
+    With w the metric of `ref`, w_phi that of `state`, phi = state.phi -
+    ref.phi and L = log(w^n / w_phi^n):
 
         E_k = -(1/V) [  sum_{j=0}^{n-k-1} int phi  w_phi^j ^ Ric(w)^{k+1}
                                                    ^ w^{n-j-k-1}
                       + sum_{j=0}^{k}     int L  Ric(w_phi)^j ^ Ric(w)^{k-j}
                                                    ^ w_phi^{n-k} ]
               + (n-k) mu_k / ((n+1) V)  sum_{i=0}^{n} int phi  w_phi^i ^ w^{n-i}
+
+    Each wedge in the phi-linear sums integrates to a class constant, so a
+    constant c added to phi moves the first sum by c (n-k) mu_k V and the
+    last by c (n+1) V, and the two cancel: the value does not depend on the
+    constants the two states' potentials carry.
     """
+    bg = state.bg
     _check_k(bg, k)
+    if ref is None:
+        ref = bg.reference
     n = bg.n
-    values = np.asarray(phi, dtype=float)
+    values = state.phi - ref.phi
     mu = mu_k(bg, k)
 
-    if ref is None:
-        ref_state = bg.reference
-        total_state = make_metric(bg, values)
-    else:
-        ref_vals = np.asarray(ref, dtype=float)
-        ref_state = make_metric(bg, ref_vals)
-        total_state = make_metric(bg, ref_vals + values)
-
-    w_ref = slot_metric(ref_state)
-    w_phi = slot_metric(total_state)
-    ric_ref = slot_ricci(ref_state)
-    ric_phi = slot_ricci(total_state)
-    log_ratio = ref_state.log_rho - total_state.log_rho
+    w_ref = slot_metric(ref)
+    w_phi = slot_metric(state)
+    ric_ref = slot_ricci(ref)
+    ric_phi = slot_ricci(state)
+    log_ratio = ref.log_rho - state.log_rho
 
     a = 0.0
     for j in range(n - k):
@@ -194,31 +207,34 @@ def e_k_closed(bg: Background, phi, k: int, ref=None) -> float:
 # I and J
 
 
-def i_and_j(bg: Background, phi, ref=None) -> tuple[float, float, float]:
-    """The normalized functionals (I, J, I - J) of a potential.
+def _gradient_wedges(state: MetricState, ref: MetricState) -> list[float]:
+    """The gradient-square wedges  int i dphi ^ dbar phi ^ w^i ^ w_phi^{n-1-i}
+    for i = 0 .. n-1 (not divided by V), with w the metric of `ref`, w_phi
+    that of `state` and phi = state.phi - ref.phi."""
+    bg = state.bg
+    n = bg.n
+    w_ref = slot_metric(ref)
+    w_phi = slot_metric(state)
+    grad = slot_gradsq(bg, state.phi - ref.phi)
+    return [bg.integrate(wedge_density(
+        bg, [grad] + [w_ref] * i + [w_phi] * (n - 1 - i))) for i in range(n)]
+
+
+def i_and_j(state: MetricState,
+            ref: MetricState | None = None) -> tuple[float, float, float]:
+    """The normalized functionals (I, J, I - J) of the metric of `state`
+    relative to the metric of `ref` (the background reference when None).
 
     I is the sum over i of the gradient-square wedge against w^i ^
     w_phi^{n-1-i}; J carries weights (i+1)/(n+1), and I - J is evaluated
     with its own weights (n-i)/(n+1) rather than by subtraction.
     """
-    values = np.asarray(phi, dtype=float)
+    bg = state.bg
     if ref is None:
-        ref_state = bg.reference
-        total_state = make_metric(bg, values)
-    else:
-        ref_vals = np.asarray(ref, dtype=float)
-        ref_state = make_metric(bg, ref_vals)
-        total_state = make_metric(bg, ref_vals + values)
-
-    w_ref = slot_metric(ref_state)
-    w_phi = slot_metric(total_state)
-    grad = slot_gradsq(bg, values)
-
+        ref = bg.reference
     n = bg.n
     i_val = j_val = imj_val = 0.0
-    for i in range(n):
-        slots = [grad] + [w_ref] * i + [w_phi] * (n - 1 - i)
-        q = bg.integrate(wedge_density(bg, slots))
+    for i, q in enumerate(_gradient_wedges(state, ref)):
         i_val += q
         j_val += q * (i + 1) / (n + 1)
         imj_val += q * (n - i) / (n + 1)
@@ -256,7 +272,7 @@ def critical_residual(state: MetricState, k: int) -> Array:
 # Futaki-type invariants and the pullback orbit
 
 
-def futaki_k(bg: Background, state: MetricState, k: int) -> float:
+def futaki_k(state: MetricState, k: int) -> float:
     """Degree-k invariant of the generating rotation field at a metric.
 
     The Hamiltonian is the moment profile of the state, normalized to zero
@@ -266,6 +282,7 @@ def futaki_k(bg: Background, state: MetricState, k: int) -> float:
               + (k+1) int (Lap h) Ric^k ^ w_phi^{n-k}
               - (n-k) int h Ric^{k+1} ^ w_phi^{n-k-1}
     """
+    bg = state.bg
     _check_k(bg, k)
     if bg.model != "cpn":
         raise UnsupportedModelError("the rotation field lives on the projective model")
@@ -314,12 +331,12 @@ def orbit_potential(bg: Background, phi, s: float) -> Array:
 # torus closed form
 
 
-def e1_cy(bg: Background, phi) -> float:
-    """Closed form of the k = 1 energy on the Ricci-flat torus model:
-    the integral of the squared derivative of the log volume ratio.
-    Manifestly nonnegative."""
+def e1_cy(state: MetricState) -> float:
+    """Closed form of the k = 1 energy on the Ricci-flat torus model,
+    relative to the flat reference: the integral of the squared derivative
+    of the log volume ratio.  Manifestly nonnegative."""
+    bg = state.bg
     if bg.model != "torus":
         raise UnsupportedModelError("closed form specific to the flat model")
-    state = make_metric(bg, phi)
     slope = bg.D @ state.log_rho
     return bg.integrate(slope * slope)

@@ -37,16 +37,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotKahlerError, ParameterError, UnsupportedModelError
-from .geometry import Background, make_metric
+from .geometry import Background, MetricState, make_metric
 from .energies import e_k_closed
 
 Array = np.ndarray
+
+ENERGY_KS = (0, 1)   # energies recorded at every sample
 
 
 @dataclass
 class FlowSample:
     t: float
-    phi: Array
+    state: MetricState
     energies: dict[int, float]
     min_ricci: float
     volume_defect: float
@@ -72,13 +74,13 @@ class FlowTrajectory:
 
 def run_flow(bg: Background, phi0, dt: float = 1e-3, steps: int = 1000,
              modes: int = 24, sample_every: int = 25,
-             energy_ks=None, max_halvings: int = 12) -> FlowTrajectory:
+             max_halvings: int = 12) -> FlowTrajectory:
     """Integrate the normalized flow for `steps` accepted steps of size dt.
 
     The start is projected onto the first `modes` Chebyshev modes and
-    re-centered to zero reference mean.  Samples (potential, energies,
-    curvature minimum, volume defect) every `sample_every` accepted steps
-    and at both endpoints.  If the step size collapses entirely the
+    re-centered to zero reference mean.  Samples (metric state, energies
+    E_0 and E_1, curvature minimum, volume defect) every `sample_every`
+    accepted steps and at both endpoints.  If the step size collapses entirely the
     trajectory is returned truncated, with the reason recorded, rather
     than raising.
     """
@@ -88,8 +90,6 @@ def run_flow(bg: Background, phi0, dt: float = 1e-3, steps: int = 1000,
         raise ParameterError(f"step size must not exceed 1e-3, got {dt}")
     if dt * steps > 10.0 + 1e-9:
         raise ParameterError("total flow time must not exceed 10")
-    if energy_ks is None:
-        energy_ks = [0, 1] if bg.n >= 1 else [0]
 
     n, size = bg.n, bg.size
     analysis = bg.cheb_analysis[:modes]
@@ -121,12 +121,11 @@ def run_flow(bg: Background, phi0, dt: float = 1e-3, steps: int = 1000,
     traj = FlowTrajectory(bg)
 
     def record(t: float, c: Array) -> None:
-        phi = synthesis @ c
-        state = make_metric(bg, phi)
-        energies = {k: e_k_closed(bg, phi, k) for k in energy_ks}
+        state = make_metric(bg, synthesis @ c)
+        energies = {k: e_k_closed(state, k) for k in ENERGY_KS}
         vol = bg.integrate(state.rho)
         traj.samples.append(FlowSample(
-            t, phi, energies, state.min_ricci,
+            t, state, energies, state.min_ricci,
             abs(vol - bg.volume) / bg.volume))
 
     c = analysis @ np.asarray(phi0, dtype=float)

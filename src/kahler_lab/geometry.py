@@ -46,7 +46,6 @@ MAX_N = {"cpn": 4, "torus": 1}
 MIN_GRID = 16
 
 _SLOT_KINDS = (
-    "reference_metric",
     "perturbed_metric",
     "ricci_of_perturbed",
     "hessian_of",
@@ -86,9 +85,6 @@ class Background:
     @property
     def length(self) -> float:
         return float(self.n + 1) if self.model == "cpn" else 1.0
-
-    def deriv(self, values: Array) -> Array:
-        return self.D @ values
 
     def integrate(self, density: Array) -> float:
         """Integral of a density (relative to the reference volume form)."""
@@ -365,11 +361,6 @@ def _make_metric_torus(bg: Background, values: Array) -> MetricState:
 # wedge calculus
 
 
-def slot_reference(bg: Background) -> FormSlot:
-    one = np.ones(bg.size)
-    return FormSlot("reference_metric", one, one.copy())
-
-
 def slot_metric(state: MetricState) -> FormSlot:
     if state.bg.model == "torus":
         return FormSlot("perturbed_metric", state.rho, np.zeros(state.bg.size))
@@ -448,10 +439,6 @@ def sigma_k(state: MetricState, k: int) -> Array:
         out += comb(n - 1, k) * state.lam_s ** k
     out += comb(n - 1, k - 1) * state.lam_s ** (k - 1) * state.lam_r
     return out
-
-
-def scalar_curvature(state: MetricState) -> Array:
-    return sigma_k(state, 1)
 
 
 def laplacian(state: MetricState, u) -> Array:

@@ -246,10 +246,11 @@ def _run_fs_anchors(cfg, bg, report, art):
 def _run_ek_path_independence(cfg, bg, report, art):
     t = cfg.tolerances
     for idx, phi in enumerate(_probes(bg, cfg)):
+        state = make_metric(bg, phi)
         for k in range(bg.n + 1):
-            lin = e_k_path(bg, phi, k, "linear")
-            quad = e_k_path(bg, phi, k, "quadratic")
-            closed = e_k_closed(bg, phi, k)
+            lin = e_k_path(state, k, "linear")
+            quad = e_k_path(state, k, "quadratic")
+            closed = e_k_closed(state, k)
             scale = max(abs(lin.value), abs(closed))
             report.add(CheckItem.identity(
                 f"path_independence_s{idx}_k{k}",
@@ -268,21 +269,23 @@ def _run_prop21_agreement(cfg, bg, report, art):
     shifts = rng.uniform(-1.0, 1.0, size=len(probes))
 
     for k in range(bg.n + 1):
-        zero = e_k_closed(bg, np.zeros(bg.size), k)
+        zero = e_k_closed(bg.reference, k)
         report.add(CheckItem.identity(
             f"zero_potential_k{k}", "closed form vanishes at the reference",
             zero, 0.0, 1e-11))
 
     for idx, phi in enumerate(probes):
+        state = make_metric(bg, phi)
+        shifted_state = make_metric(bg, phi + shifts[idx])
         for k in range(bg.n + 1):
-            closed = e_k_closed(bg, phi, k)
-            path = e_k_path(bg, phi, k, "linear")
+            closed = e_k_closed(state, k)
+            path = e_k_path(state, k, "linear")
             scale = max(abs(closed), abs(path.value))
             report.add(CheckItem.identity(
                 f"definition_agreement_s{idx}_k{k}",
                 "closed-form expression reproduces the defining integral",
                 path.value, closed, t["closed"], relative_to=scale))
-            shifted = e_k_closed(bg, phi + shifts[idx], k)
+            shifted = e_k_closed(shifted_state, k)
             report.add(CheckItem.identity(
                 f"shift_invariance_s{idx}_k{k}",
                 "energy unchanged by adding a constant to the potential",
@@ -295,15 +298,16 @@ def _run_cocycle(cfg, bg, report, art):
     second = _probes(bg, cfg, index_offset=cfg.count)
 
     for idx, (phi, psi) in enumerate(zip(first, second)):
+        phi_state, psi_state = make_metric(bg, phi), make_metric(bg, psi)
         for k in range(bg.n + 1):
-            direct = e_k_closed(bg, phi, k)
-            via = e_k_closed(bg, psi, k) + e_k_closed(bg, phi - psi, k, ref=psi)
+            direct = e_k_closed(phi_state, k)
+            via = e_k_closed(psi_state, k) + e_k_closed(phi_state, k, psi_state)
             scale = max(abs(direct), abs(via))
             report.add(CheckItem.identity(
                 f"cocycle_s{idx}_k{k}",
                 "energy composes along intermediate metrics",
                 direct, via, t["cocycle"], relative_to=scale))
-            anti = e_k_closed(bg, -psi, k, ref=psi) + e_k_closed(bg, psi, k)
+            anti = e_k_closed(bg.reference, k, psi_state) + e_k_closed(psi_state, k)
             report.add(CheckItem.identity(
                 f"antisymmetry_s{idx}_k{k}",
                 "energy reverses sign when the endpoints swap",
@@ -327,7 +331,7 @@ def _run_theorem1(cfg, bg, report, art):
             f"probe_positivity_s{idx}",
             "transported probe has positive curvature", state.min_ricci, 0.0, 0.0))
         for k in range(bg.n + 1):
-            value = e_k_closed(bg, tilde, k)
+            value = e_k_closed(state, k)
             per_k[k].append((value, dev))
             report.add(CheckItem.lower_bound(
                 f"energy_floor_s{idx}_k{k}",
@@ -354,17 +358,17 @@ def _run_theorem1(cfg, bg, report, art):
 def _run_theorem2(cfg, bg, report, art):
     t = cfg.tolerances
     for idx, theta in enumerate(_probes(bg, cfg)):
+        direct = e_k_closed(make_metric(bg, theta), 1)
         report.add(CheckItem.lower_bound(
             f"energy_floor_s{idx}",
             "k = 1 energy from the round metric is nonnegative on arbitrary "
             "probes",
-            e_k_closed(bg, theta, 1), 0.0, t["energy_floor"]))
+            direct, 0.0, t["energy_floor"]))
         if idx < 5:
             yau = solve_yau_path(bg, theta, dt=0.05)
-            psi1 = yau.points[-1].phi
-            total = e_k_closed(bg, theta + psi1, 1)
-            back = e_k_closed(bg, psi1, 1, ref=theta)
-            direct = e_k_closed(bg, theta, 1)
+            end = yau.points[-1].state
+            total = e_k_closed(end, 1)
+            back = e_k_closed(end, 1, yau.ref_state)
             report.add(CheckItem.identity(
                 f"split_cocycle_s{idx}",
                 "energy splits through the curvature-inverted midpoint",
@@ -384,7 +388,7 @@ def _run_lemma32_34(cfg, bg, report, art):
     for idx, theta in enumerate(_probes(bg, cfg)):
         traj = solve_aubin_path(bg, theta)
         monitors = path_monitors(traj)
-        report.extend(_suffixed(check_lemma_3_4(bg, traj, monitors=monitors), idx))
+        report.extend(_suffixed(check_lemma_3_4(traj, monitors=monitors), idx))
         if not traj.completed:
             report.note(f"probe {idx}: path stalled at t = {traj.termination.t_last}"
                         f" ({traj.termination.reason})")
@@ -394,7 +398,7 @@ def _run_lemma32_34(cfg, bg, report, art):
 def _run_lemma41(cfg, bg, report, art):
     for idx, theta in enumerate(_probes(bg, cfg)):
         traj = solve_yau_path(bg, theta)
-        report.extend(_suffixed(check_lemma_4_1(bg, traj), idx))
+        report.extend(_suffixed(check_lemma_4_1(traj), idx))
         if idx == 0:
             art.write("trajectory_volume_0.csv", trajectory_csv(bg, path_monitors(traj)))
 
@@ -407,7 +411,7 @@ def _run_futaki(cfg, bg, report, art):
     for theta in probes:
         state = make_metric(bg, theta)
         for k in range(bg.n + 1):
-            values[k].append(futaki_k(bg, state, k) / bg.volume)
+            values[k].append(futaki_k(state, k) / bg.volume)
 
     for k in range(bg.n + 1):
         arr = np.array(values[k])
@@ -424,10 +428,10 @@ def _run_futaki(cfg, bg, report, art):
     # derivative of the energy along the rotation orbit equals the invariant
     base = probes[1] if len(probes) > 1 else probes[0]
     h = 0.02
+    orbit = [make_metric(bg, orbit_potential(bg, base, s))
+             for s in 0.1 + h * np.arange(-2, 3)]
     for k in range(min(bg.n, 2) + 1):
-        samples = np.array([
-            [e_k_closed(bg, orbit_potential(bg, base, s), k)]
-            for s in 0.1 + h * np.arange(-2, 3)])
+        samples = np.array([[e_k_closed(point, k)] for point in orbit])
         deriv = float(spectral.fd_derivative(samples, h)[2, 0])
         report.add(CheckItem.identity(
             f"orbit_derivative_k{k}",
@@ -441,8 +445,7 @@ def _run_section5(cfg, bg, report, art):
         aubin = solve_aubin_path(bg, theta)
         yau = solve_yau_path(bg, theta)
         monitors = path_monitors(aubin)
-        report.extend(_suffixed(
-            check_section5(bg, theta, aubin, yau, monitors=monitors), idx))
+        report.extend(_suffixed(check_section5(aubin, yau, monitors=monitors), idx))
         if not aubin.completed:
             report.note(f"probe {idx}: bending path stalled at "
                         f"t = {aubin.termination.t_last}")
@@ -455,12 +458,11 @@ def _run_orbit_flatness(cfg, bg, report, art):
 
     js, e_by_k, f_by_k = [], {k: [] for k in range(bg.n + 1)}, {k: [] for k in range(bg.n + 1)}
     for s in s_values:
-        pot = orbit_potential(bg, np.zeros(bg.size), s)
-        state = make_metric(bg, pot)
-        js.append(i_and_j(bg, pot)[1])
+        state = make_metric(bg, orbit_potential(bg, np.zeros(bg.size), s))
+        js.append(i_and_j(state)[1])
         for k in range(bg.n + 1):
-            e_by_k[k].append(e_k_closed(bg, pot, k))
-            f_by_k[k].append(futaki_k(bg, state, k) / bg.volume)
+            e_by_k[k].append(e_k_closed(state, k))
+            f_by_k[k].append(futaki_k(state, k) / bg.volume)
 
     report.add(CheckItem.lower_bound(
         "j_span", "orbit sweep spans a tenfold range of J",
@@ -481,13 +483,13 @@ def _run_orbit_flatness(cfg, bg, report, art):
             float(arr.max() - arr.min()), 0.0, t["spread"]))
 
     probe = generate_probe(bg, cfg.seed, cfg.scenario, 0, cfg.modes, cfg.amplitude)
-    base_e1 = e_k_closed(bg, probe, 1)
+    base_e1 = e_k_closed(make_metric(bg, probe), 1)
     for s in (-0.6, 0.6):
-        moved = orbit_potential(bg, probe, s)
+        moved = make_metric(bg, orbit_potential(bg, probe, s))
         report.add(CheckItem.identity(
             f"pullback_invariance_s{s:+.1f}",
             "energy of a probe unchanged under the rotation pullback",
-            e_k_closed(bg, moved, 1), base_e1, t["energy"],
+            e_k_closed(moved, 1), base_e1, t["energy"],
             relative_to=max(1.0, abs(base_e1))))
 
 
@@ -499,11 +501,11 @@ def _run_properness_probe(cfg, bg, report, art):
     rows = []
     for c in scales:
         try:
-            make_metric(bg, c * base)
+            state = make_metric(bg, c * base)
         except NotKahlerError:
             break
-        e1 = e_k_closed(bg, c * base, 1)
-        jval = i_and_j(bg, c * base)[1]
+        e1 = e_k_closed(state, 1)
+        jval = i_and_j(state)[1]
         rows.append((float(c), e1, jval))
 
     for c, e1, _ in rows:
@@ -548,7 +550,7 @@ def _run_krf_monotone(cfg, bg, report, art):
     t = cfg.tolerances
 
     fs = run_flow(bg, np.zeros(bg.size), dt=1e-3, steps=400)
-    drift = max(float(np.abs(s.phi).max()) for s in fs.samples)
+    drift = max(float(np.abs(s.state.phi).max()) for s in fs.samples)
     report.add(CheckItem.identity(
         "round_stationary", "round metric is an exact fixed point of the flow",
         drift, 0.0, t["stationary"]))
@@ -578,13 +580,12 @@ def _run_krf_monotone(cfg, bg, report, art):
             "class volume conserved along the flow",
             vol, 0.0, t["volume"]))
         if idx == 0:
-            rows = [monitor_row(bg, s.t, 0.0, s.phi, make_metric(bg, s.phi), ref=None)
-                    for s in traj.samples]
+            rows = [monitor_row(s.t, 0.0, s.state) for s in traj.samples]
             art.write("trajectory_flow_0.csv", trajectory_csv(bg, rows))
 
     small = generate_probe(bg, cfg.seed, cfg.scenario, 10_000, cfg.modes, 0.03)
     long_run = run_flow(bg, small, dt=1e-3, steps=10_000, sample_every=2000)
-    final = make_metric(bg, long_run.samples[-1].phi)
+    final = long_run.samples[-1].state
     dev = max(abs(final.lam_r - 1.0).max(), abs(final.lam_s - 1.0).max())
     report.add(CheckItem.identity(
         "long_time_convergence",
@@ -604,21 +605,22 @@ def _run_cy_torus(cfg, bg, report, art):
             mu_k(bg, k), 0.0, 1e-12))
 
     for idx, phi in enumerate(_probes(bg, cfg)):
-        cy = e1_cy(bg, phi)
+        state = make_metric(bg, phi)
+        cy = e1_cy(state)
         report.add(CheckItem.lower_bound(
             f"nonnegative_s{idx}",
             "flat-model k = 1 energy is a manifest square",
             cy, 0.0, t["floor"]))
         if idx < 5:
-            closed = e_k_closed(bg, phi, 1)
+            closed = e_k_closed(state, 1)
             report.add(CheckItem.identity(
                 f"closed_form_s{idx}",
                 "general energy formula reduces to the squared-slope integral",
                 closed, cy, t["agreement"], relative_to=max(1.0, cy)))
         if idx < 3:
             for k in range(bg.n + 1):
-                lin = e_k_path(bg, phi, k, "linear")
-                quad = e_k_path(bg, phi, k, "quadratic")
+                lin = e_k_path(state, k, "linear")
+                quad = e_k_path(state, k, "quadratic")
                 report.add(CheckItem.identity(
                     f"path_independence_s{idx}_k{k}",
                     "flat-model energy agrees along two admissible segments",

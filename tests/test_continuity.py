@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kahler_lab import continuity, energies
 from kahler_lab.continuity import (PathTrajectory, Termination,
                                    _simpson_uniform, check_lemma_3_4, check_lemma_4_1,
                                    check_section5, lambda1_radial,
@@ -175,7 +176,7 @@ def test_trajectory_helpers_and_termination_semantics(bg_cp2, yau_cp2):
     assert stacked.shape == (len(traj.points), bg_cp2.size)
     rate = traj.exact_rate()
     assert rate.shape == stacked.shape
-    stalled = PathTrajectory("bending", bg_cp2, traj.ref, traj.f,
+    stalled = PathTrajectory("bending", bg_cp2, traj.ref_state, traj.f,
                              points=list(traj.points),
                              termination=Termination("stalled", 0.4, "test"))
     assert not stalled.completed
@@ -225,15 +226,15 @@ def test_path_monitor_rows_have_expected_fields(bg_cp2, yau_cp2):
     assert abs(rows[0]["E_1"]) < 1e-10
 
 
-def test_bending_suite_passes_on_solved_path(bg_cp2_fine, path_pair_fine):
+def test_bending_suite_passes_on_solved_path(path_pair_fine):
     theta, aubin, _ = path_pair_fine
-    items = check_lemma_3_4(bg_cp2_fine, aubin)
+    items = check_lemma_3_4(aubin)
     failed = [i.name for i in items if not i.passed]
     assert not failed, failed
 
 
-def _rate_equation_error(bg, traj) -> float:
-    (row,) = [i for i in check_lemma_3_4(bg, traj) if i.name == "rate_equation"]
+def _rate_equation_error(traj) -> float:
+    (row,) = [i for i in check_lemma_3_4(traj) if i.name == "rate_equation"]
     return abs(row.lhs - row.rhs)
 
 
@@ -241,8 +242,7 @@ def test_bending_rate_equation_converges_at_fourth_order(bg_cp2_fine):
     # the 5-point time stencil is fourth order, so each halving of dt
     # should cut the error ~16x; a misplaced t = 1 point caps it at ~4x
     theta = generate_probe(bg_cp2_fine, seed=3, scenario="paths", index=0)
-    errs = [_rate_equation_error(bg_cp2_fine,
-                                 solve_aubin_path(bg_cp2_fine, theta, dt=dt))
+    errs = [_rate_equation_error(solve_aubin_path(bg_cp2_fine, theta, dt=dt))
             for dt in (0.04, 0.02, 0.01)]
     assert errs[1] <= 1e-7, errs
     assert errs[0] >= 10.0 * errs[1], errs
@@ -270,27 +270,57 @@ def test_bending_path_endpoint_is_the_limit_of_the_path(bg_cp2_fine,
     assert abs(gauge) <= 1e-10
 
 
-def test_prescribed_suite_passes_on_solved_path(bg_cp2_fine, path_pair_fine):
+def test_prescribed_suite_passes_on_solved_path(path_pair_fine):
     theta, _, yau = path_pair_fine
-    items = check_lemma_4_1(bg_cp2_fine, yau)
+    items = check_lemma_4_1(yau)
     failed = [i.name for i in items if not i.passed]
     assert not failed, failed
 
 
-def test_growth_suite_passes_on_path_pair(bg_cp2_fine, path_pair_fine):
+def test_growth_suite_passes_on_path_pair(path_pair_fine):
     theta, aubin, yau = path_pair_fine
-    items = check_section5(bg_cp2_fine, theta, aubin, yau)
+    items = check_section5(aubin, yau)
     failed = [i.name for i in items if not i.passed]
     assert not failed, failed
+
+
+def test_monitors_suites_and_functionals_build_no_metric(monkeypatch, bg_torus,
+                                                        probe_torus):
+    # every state the monitors and suites need is on the trajectories, and
+    # the functionals take states: none of them may rebuild a metric
+    bg = fs_background("cpn", 2, 48)
+    theta = generate_probe(bg, seed=3, scenario="paths", index=0)
+    aubin = solve_aubin_path(bg, theta, dt=0.05)
+    yau = solve_yau_path(bg, theta, dt=0.05)
+    assert aubin.completed and yau.completed
+    torus_state = make_metric(bg_torus, probe_torus)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("make_metric called")
+
+    monkeypatch.setattr(continuity, "make_metric", no_rebuild)
+    monkeypatch.setattr(energies, "make_metric", no_rebuild)
+    monitors = path_monitors(aubin)
+    assert len(monitors) == len(aubin.points)
+    for items in (check_lemma_3_4(aubin), check_lemma_3_4(aubin, monitors=monitors),
+                  check_lemma_4_1(yau), check_section5(aubin, yau),
+                  check_section5(aubin, yau, monitors=monitors)):
+        assert items
+    end = aubin.points[-1].state
+    for k in range(bg.n + 1):
+        energies.futaki_k(end, k)
+        energies.e_k_closed(end, k, yau.points[-1].state)
+    energies.i_and_j(end, aubin.ref_state)
+    assert energies.e1_cy(torus_state) >= 0.0
 
 
 def test_suites_reject_mismatched_path_kinds(bg_cp2, yau_cp2, aubin_cp2):
     _, yau = yau_cp2
     _, aubin = aubin_cp2
     with pytest.raises(ParameterError):
-        check_lemma_3_4(bg_cp2, yau)
+        check_lemma_3_4(yau)
     with pytest.raises(ParameterError):
-        check_lemma_4_1(bg_cp2, aubin)
+        check_lemma_4_1(aubin)
 
 
 # ---------------------------------------------------------------------------

@@ -65,14 +65,15 @@ def test_closed_form_derivative_matches_first_variation(fixture, k, request):
     bg = request.getfixturevalue(fixture)
     phi = generate_probe(bg, seed=13, scenario="energy", index=0)
     t0 = 0.55
-    lhs = _fd5(lambda t: e_k_closed(bg, t * phi, k), t0, 1e-3)
+    lhs = _fd5(lambda t: e_k_closed(make_metric(bg, t * phi), k), t0, 1e-3)
     rhs = _first_variation(bg, phi, t0, k)
     assert lhs == pytest.approx(rhs, abs=1e-8 * max(1.0, abs(rhs)))
 
 
 def test_torus_closed_form_derivative_matches_first_variation(bg_torus,
                                                               probe_torus):
-    lhs = _fd5(lambda t: e_k_closed(bg_torus, t * probe_torus, 1), 0.6, 1e-3)
+    lhs = _fd5(lambda t: e_k_closed(make_metric(bg_torus, t * probe_torus), 1),
+               0.6, 1e-3)
     rhs = _first_variation(bg_torus, probe_torus, 0.6, 1)
     assert lhs == pytest.approx(rhs, abs=1e-7 * max(1.0, abs(rhs)))
 
@@ -84,26 +85,25 @@ def test_torus_closed_form_derivative_matches_first_variation(bg_torus,
 @pytest.mark.parametrize("fixture", ["bg_cp1", "bg_cp2", "bg_torus"])
 def test_path_routes_and_closed_form_agree(fixture, request):
     bg = request.getfixturevalue(fixture)
-    phi = generate_probe(bg, seed=21, scenario="routes", index=3)
+    state = make_metric(bg, generate_probe(bg, seed=21, scenario="routes", index=3))
     for k in range(bg.n + 1):
-        lin = e_k_path(bg, phi, k, "linear")
-        quad = e_k_path(bg, phi, k, "quadratic")
-        closed = e_k_closed(bg, phi, k)
+        lin = e_k_path(state, k, "linear")
+        quad = e_k_path(state, k, "quadratic")
+        closed = e_k_closed(state, k)
         scale = max(1.0, abs(closed))
         assert abs(lin.value - quad.value) < 1e-10 * scale
         assert abs(lin.value - closed) < 1e-9 * scale
 
 
 def test_energy_of_zero_potential_vanishes(bg_cp2):
+    zero = make_metric(bg_cp2, np.zeros(bg_cp2.size))
     for k in range(3):
-        assert e_k_closed(bg_cp2, np.zeros(bg_cp2.size), k) == pytest.approx(
-            0.0, abs=1e-12)
-        assert e_k_path(bg_cp2, np.zeros(bg_cp2.size), k).value == pytest.approx(
-            0.0, abs=1e-12)
+        assert e_k_closed(zero, k) == pytest.approx(0.0, abs=1e-12)
+        assert e_k_path(zero, k).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_energy_value_carries_metadata(bg_cp1, probe_cp1):
-    out = e_k_path(bg_cp1, probe_cp1, 1)
+    out = e_k_path(make_metric(bg_cp1, probe_cp1), 1)
     assert isinstance(out, EnergyValue)
     assert out.k == 1
     assert out.method == "path:linear"
@@ -113,33 +113,47 @@ def test_energy_value_carries_metadata(bg_cp1, probe_cp1):
 
 
 def test_constant_shift_invariance(bg_cp2, probe_cp2):
+    state = make_metric(bg_cp2, probe_cp2)
+    shifted = make_metric(bg_cp2, probe_cp2 + 11.0)
     for k in range(3):
-        a = e_k_closed(bg_cp2, probe_cp2, k)
-        b = e_k_closed(bg_cp2, probe_cp2 + 11.0, k)
+        a = e_k_closed(state, k)
+        b = e_k_closed(shifted, k)
+        assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(a)))
+    # a state/ref pair whose potentials carry different additive constants,
+    # as the bending path's equation-exact potentials do
+    base = generate_probe(bg_cp2, seed=31, scenario="cocycle", index=0)
+    ref, ref_shifted = make_metric(bg_cp2, base), make_metric(bg_cp2, base - 4.5)
+    for k in range(3):
+        a = e_k_closed(state, k, ref)
+        b = e_k_closed(shifted, k, ref_shifted)
+        assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(a)))
+    for a, b in zip(i_and_j(state, ref), i_and_j(shifted, ref_shifted)):
         assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(a)))
 
 
 def test_cocycle_and_antisymmetry(bg_cp2):
     a = generate_probe(bg_cp2, seed=31, scenario="cocycle", index=0)
     b = 0.6 * generate_probe(bg_cp2, seed=31, scenario="cocycle", index=1)
+    state_a, state_ab = make_metric(bg_cp2, a), make_metric(bg_cp2, a + b)
     for k in range(3):
-        whole = e_k_closed(bg_cp2, a + b, k)
-        first = e_k_closed(bg_cp2, a, k)
-        second = e_k_closed(bg_cp2, b, k, ref=a)
+        whole = e_k_closed(state_ab, k)
+        first = e_k_closed(state_a, k)
+        second = e_k_closed(state_ab, k, ref=state_a)
         scale = max(1.0, abs(whole))
         assert abs(whole - (first + second)) < 1e-9 * scale
         # traversing a leg backwards negates it
-        back = e_k_closed(bg_cp2, -b, k, ref=a + b)
+        back = e_k_closed(state_a, k, ref=state_ab)
         assert abs(second + back) < 1e-9 * scale
 
 
 def test_bad_indices_and_paths_raise(bg_cp2, probe_cp2):
+    state = make_metric(bg_cp2, probe_cp2)
     with pytest.raises(ParameterError):
-        e_k_closed(bg_cp2, probe_cp2, 3)
+        e_k_closed(state, 3)
     with pytest.raises(ParameterError):
-        e_k_path(bg_cp2, probe_cp2, -1)
+        e_k_path(state, -1)
     with pytest.raises(ParameterError):
-        e_k_path(bg_cp2, probe_cp2, 1, path="cubic")
+        e_k_path(state, 1, path="cubic")
     with pytest.raises(ParameterError):
         mu_k(bg_cp2, 5)
 
@@ -150,20 +164,20 @@ def test_bad_indices_and_paths_raise(bg_cp2, probe_cp2):
 
 def test_i_functional_matches_integration_by_parts(bg_cp2, probe_cp2):
     state = make_metric(bg_cp2, probe_cp2)
-    i_val, _, _ = i_and_j(bg_cp2, probe_cp2)
+    i_val, _, _ = i_and_j(state)
     oracle = bg_cp2.integrate(probe_cp2 * (1.0 - state.rho)) / bg_cp2.volume
     assert i_val == pytest.approx(oracle, abs=1e-11 * max(1.0, abs(oracle)))
 
 
 def test_i_functional_matches_integration_by_parts_n1(bg_cp1, probe_cp1):
     state = make_metric(bg_cp1, probe_cp1)
-    i_val, _, _ = i_and_j(bg_cp1, probe_cp1)
+    i_val, _, _ = i_and_j(state)
     oracle = bg_cp1.integrate(probe_cp1 * (1.0 - state.rho)) / bg_cp1.volume
     assert i_val == pytest.approx(oracle, abs=1e-11 * max(1.0, abs(oracle)))
 
 
 def test_j_is_half_of_i_in_dimension_one(bg_cp1, probe_cp1):
-    i_val, j_val, imj = i_and_j(bg_cp1, probe_cp1)
+    i_val, j_val, imj = i_and_j(make_metric(bg_cp1, probe_cp1))
     assert j_val == pytest.approx(0.5 * i_val, rel=1e-12)
     assert imj == pytest.approx(i_val - j_val, rel=1e-10)
 
@@ -171,7 +185,7 @@ def test_j_is_half_of_i_in_dimension_one(bg_cp1, probe_cp1):
 def test_size_functionals_nonnegative_and_sandwiched(bg_cp2):
     for idx in range(4):
         phi = generate_probe(bg_cp2, seed=41, scenario="size", index=idx)
-        i_val, j_val, imj = i_and_j(bg_cp2, phi)
+        i_val, j_val, imj = i_and_j(make_metric(bg_cp2, phi))
         n = bg_cp2.n
         assert i_val > 0.0
         assert j_val > 0.0
@@ -190,7 +204,7 @@ def d_dt_i_minus_j_check(bg, phi, t0: float = 0.6,
         d/dt (I - J)(phi_t) = -(1/V) int phi_t (Lap_t d/dt phi_t) w_t^n.
     """
     ts = t0 + h * np.arange(-2, 3)
-    samples = np.array([[i_and_j(bg, t * phi)[2]] for t in ts])
+    samples = np.array([[i_and_j(make_metric(bg, t * phi))[2]] for t in ts])
     lhs = float(spectral.fd_derivative(samples, h)[2, 0])
 
     state = make_metric(bg, t0 * phi)
@@ -205,7 +219,7 @@ def test_i_minus_j_time_derivative_identity(bg_cp2, probe_cp2):
 
 
 def test_i_minus_j_nondecreasing_along_segment(bg_cp2, probe_cp2):
-    values = [i_and_j(bg_cp2, t * probe_cp2)[2]
+    values = [i_and_j(make_metric(bg_cp2, t * probe_cp2))[2]
               for t in np.linspace(0.0, 1.0, 6)]
     assert values[0] == pytest.approx(0.0, abs=1e-13)
     assert np.diff(values).min() > -1e-12
@@ -251,25 +265,25 @@ def test_rotation_invariant_matches_orbit_energy_derivative(bg_cp2, probe_cp2):
     s0 = 0.12
     h = 0.02
     for k in range(3):
-        lhs = _fd5(lambda s: e_k_closed(
-            bg_cp2, orbit_potential(bg_cp2, probe_cp2, s), k), s0, h)
+        lhs = _fd5(lambda s: e_k_closed(make_metric(
+            bg_cp2, orbit_potential(bg_cp2, probe_cp2, s)), k), s0, h)
         base = orbit_potential(bg_cp2, probe_cp2, s0)
-        rhs = futaki_k(bg_cp2, make_metric(bg_cp2, base), k) / bg_cp2.volume
+        rhs = futaki_k(make_metric(bg_cp2, base), k) / bg_cp2.volume
         assert lhs == pytest.approx(rhs, abs=2e-7 * max(1.0, abs(rhs)))
 
 
 def test_rotation_invariant_vanishes_on_round_and_probes(bg_cp2, probe_cp2):
     for k in range(3):
         round_state = make_metric(bg_cp2, np.zeros(bg_cp2.size))
-        assert abs(futaki_k(bg_cp2, round_state, k)) < 1e-9 * bg_cp2.volume
+        assert abs(futaki_k(round_state, k)) < 1e-9 * bg_cp2.volume
         # the invariant is metric-independent and zero in this class
         probe_state = make_metric(bg_cp2, probe_cp2)
-        assert abs(futaki_k(bg_cp2, probe_state, k)) < 1e-7 * bg_cp2.volume
+        assert abs(futaki_k(probe_state, k)) < 1e-7 * bg_cp2.volume
 
 
 def test_rotation_invariant_requires_projective_model(bg_torus, probe_torus):
     with pytest.raises(UnsupportedModelError):
-        futaki_k(bg_torus, make_metric(bg_torus, probe_torus), 1)
+        futaki_k(make_metric(bg_torus, probe_torus), 1)
     with pytest.raises(UnsupportedModelError):
         orbit_potential(bg_torus, probe_torus, 0.3)
 
@@ -279,8 +293,9 @@ def test_rotation_invariant_requires_projective_model(bg_torus, probe_torus):
 
 
 def test_flat_closed_form_matches_general_formula(bg_torus, probe_torus):
-    cy = e1_cy(bg_torus, probe_torus)
-    closed = e_k_closed(bg_torus, probe_torus, 1)
+    state = make_metric(bg_torus, probe_torus)
+    cy = e1_cy(state)
+    closed = e_k_closed(state, 1)
     assert cy >= 0.0
     assert closed == pytest.approx(cy, rel=1e-8)
 
@@ -293,9 +308,9 @@ def test_flat_closed_form_against_quadrature_oracle(bg_torus, probe_torus):
     kfreq = 2.0 * np.pi * np.arange(len(c))
     slope = np.fft.irfft(1j * kfreq * c, bg_torus.size)
     oracle = float(np.mean(slope * slope))
-    assert e1_cy(bg_torus, probe_torus) == pytest.approx(oracle, rel=1e-10)
+    assert e1_cy(state) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_flat_closed_form_rejects_projective_model(bg_cp1, probe_cp1):
     with pytest.raises(UnsupportedModelError):
-        e1_cy(bg_cp1, probe_cp1)
+        e1_cy(make_metric(bg_cp1, probe_cp1))

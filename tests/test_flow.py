@@ -64,7 +64,7 @@ def test_round_metric_is_bitwise_stationary(bg96):
     assert traj.halvings == 0 and traj.dt_final == 1e-3
     assert len(traj.samples) == 400 // 25 + 1
     for s in traj.samples:
-        assert np.all(s.phi == 0.0)
+        assert np.all(s.state.phi == 0.0)
         assert s.min_ricci == pytest.approx(1.0, abs=1e-10)
 
 
@@ -76,9 +76,9 @@ def test_coefficient_steps_match_grid_space_loop(size):
     assert traj.status == "completed" and traj.halvings == 0
     assert traj.times[-1] == pytest.approx(0.2, abs=1e-12)
     expected, _, _ = grid_space_flow(bg, phi0, 1e-3, 200)
-    assert np.abs(traj.samples[-1].phi - expected).max() <= 1e-13
+    assert np.abs(traj.samples[-1].state.phi - expected).max() <= 1e-13
     # the flow moves the potential, so the agreement is not vacuous
-    assert np.abs(expected - traj.samples[0].phi).max() > 1e-3
+    assert np.abs(expected - traj.samples[0].state.phi).max() > 1e-3
 
 
 def test_volume_is_conserved(bg96):

@@ -22,8 +22,8 @@ from kahler_lab.geometry import (FormSlot, fs_background,
                                  laplacian, laplacian_matrix, make_metric,
                                  osc, potential_from_density,
                                  ricci_potential, sigma_k, slot_gradsq,
-                                 slot_hessian, slot_metric, slot_reference,
-                                 slot_ricci, spectral_tail, wedge_density)
+                                 slot_hessian, slot_metric, slot_ricci,
+                                 spectral_tail, wedge_density)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_wedge_density_matches_permanent_oracle(fixture, request):
 
 
 def test_wedge_of_references_is_unit_density(bg_cp3):
-    slots = [slot_reference(bg_cp3)] * bg_cp3.n
+    slots = [slot_metric(bg_cp3.reference)] * bg_cp3.n
     assert np.abs(wedge_density(bg_cp3, slots) - 1.0).max() < 1e-14
 
 
@@ -272,7 +272,7 @@ def test_wedge_of_metric_slots_is_volume_density(bg_cp2, probe_cp2):
 
 def test_wedge_density_requires_exactly_n_slots(bg_cp2):
     with pytest.raises(ParameterError):
-        wedge_density(bg_cp2, [slot_reference(bg_cp2)])
+        wedge_density(bg_cp2, [slot_metric(bg_cp2.reference)])
 
 
 def test_hessian_slot_closed_form_on_moment_coordinate(bg_cp2):
@@ -285,7 +285,7 @@ def test_hessian_slot_closed_form_on_moment_coordinate(bg_cp2):
 
 def test_gradsq_slot_structure(bg_cp2, probe_cp2):
     slot = slot_gradsq(bg_cp2, probe_cp2)
-    phi_x = bg_cp2.deriv(probe_cp2)
+    phi_x = bg_cp2.D @ probe_cp2
     assert np.abs(slot.ar - bg_cp2.w0 * phi_x ** 2).max() < 1e-12
     assert np.abs(slot.as_).max() == 0.0
 
@@ -325,8 +325,7 @@ def test_sigma_zero_is_one_and_bad_index_raises(bg_cp2):
 
 def test_round_scalar_curvature_is_n(bg_cp3):
     # sigma_1 of n unit eigenvalues
-    from kahler_lab.geometry import scalar_curvature
-    assert np.abs(scalar_curvature(bg_cp3.reference) - 3.0).max() < 1e-9
+    assert np.abs(sigma_k(bg_cp3.reference, 1) - 3.0).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ compare two such sets.
 prints one line per scenario: mismatches of check-row names, order, kinds
 and pass flags (and of the report's config, notes and aggregate), the
 largest lhs/rhs movement |a - b| / max(1, |a|), and trajectory CSVs that
-differ byte for byte.  The wall-clock row `exact_runtime` and the report
+differ byte for byte, each with its largest cell movement (or a note that
+its header or shape differs).  A CSV that differs counts as a mismatch
+however small the movement.  The wall-clock row `exact_runtime` and the report
 fields `runtime_seconds` and `timestamp` are ignored.  It exits 1 on any
 mismatch or on a movement above 1e-12, else 0.
 """
@@ -97,9 +99,23 @@ def _compare(a_dir: Path, b_dir: Path) -> tuple[list[str], float]:
     traj_b = sorted(p.name for p in b_dir.glob("trajectory_*.csv"))
     if traj_a != traj_b:
         problems.append(f"trajectory files {traj_a} vs {traj_b}")
-    problems += [f"{name} differs" for name in sorted(set(traj_a) & set(traj_b))
+    problems += [f"{name} differs ({_csv_change(a_dir / name, b_dir / name)})"
+                 for name in sorted(set(traj_a) & set(traj_b))
                  if (a_dir / name).read_bytes() != (b_dir / name).read_bytes()]
     return problems, move
+
+
+def _csv_change(a: Path, b: Path) -> str:
+    """How two numeric CSVs with a header line differ."""
+    rows_a = [line.split(",") for line in a.read_text().splitlines()]
+    rows_b = [line.split(",") for line in b.read_text().splitlines()]
+    if (rows_a[:1] != rows_b[:1]
+            or [len(r) for r in rows_a] != [len(r) for r in rows_b]):
+        return "header or shape differs"
+    move = max((_move(float(x), float(y))
+                for ra, rb in zip(rows_a[1:], rows_b[1:])
+                for x, y in zip(ra, rb)), default=0.0)
+    return f"largest cell movement {move:.2e}"
 
 
 def diff(a_root: Path, b_root: Path) -> int:
