@@ -59,12 +59,14 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = parse_config(_load_config(args.config))
-        if args.command == "run":
-            if getattr(args, "seed", None) is not None:
-                cfg.seed = args.seed
-            if getattr(args, "grid", None) is not None:
-                cfg.grid_size = args.grid
+        raw = _load_config(args.config)
+        if args.command == "run" and isinstance(raw, dict):
+            # overrides go into the raw config, so parse_config validates them
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            if args.grid is not None:
+                raw["grid_size"] = args.grid
+        cfg = parse_config(raw)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,6 @@
 """Two Monge-Ampere continuity paths and their verification suites.
 
-Both paths start from a radial reference metric w (potential `ref` over the
-background, state `ref_state` of the trajectory) with normalized Ricci
+Both paths start from a radial reference metric w with normalized Ricci
 potential f, and are parametrized by t in [0, 1]:
 
 * the bending path          w_phi_t^n = e^{f - t phi_t} w^n,
@@ -23,9 +22,16 @@ of the path.  Failed steps trigger internal substepping; reported points
 always stay on the requested uniform grid, and a path that cannot reach the
 requested end is returned truncated with a stall record rather than raising.
 
+The solvers take the MetricState of the reference metric (a probe, say)
+and read the background from it; the trajectory keeps that same state as
+`ref_state`, and every path point carries the state its solve built.
+`ricci_positive_generator` likewise takes a state and returns the state of
+its output metric.
+
 The verification suites turn the structural facts of these paths --
 derivative identities, eigenvalue bounds, monotone quantities, endpoint
-energy identities and inequalities -- into CheckItem rows.
+energy identities and inequalities -- into CheckItem rows.  They read the
+states and the per-point `path_monitors` rows the caller already holds.
 """
 
 from __future__ import annotations
@@ -183,15 +189,16 @@ def _ref_mean(bg: Background, values: Array, rho_ref: Array) -> float:
     return float((bg.ref_measure * rho_ref) @ values) / bg.volume
 
 
-def solve_yau_path(bg: Background, ref, dt: float = 0.02) -> PathTrajectory:
-    """Solve the prescribed-volume path on a uniform grid in t over [0, 1].
+def solve_yau_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
+    """Solve the prescribed-volume path from the metric of `ref_state` on a
+    uniform grid in t over [0, 1].
 
     Every point is a single monotone moment inversion; the path always
     completes.  Stored potentials have zero reference mean; the recorded
     c_t makes the volume identity exact.
     """
-    theta = np.asarray(ref, dtype=float)
-    ref_state = make_metric(bg, theta)
+    bg = ref_state.bg
+    theta = ref_state.phi
     f, _ = ricci_potential(ref_state)
 
     traj = PathTrajectory("prescribed", bg, ref_state, f)
@@ -214,13 +221,7 @@ def solve_yau_path(bg: Background, ref, dt: float = 0.02) -> PathTrajectory:
 # the bending path (fixed point + Newton, with substepping)
 
 
-def _bending_residual(bg: Background, state: MetricState, phi_tilde: Array,
-                      f: Array, log_rho_ref: Array, t: float) -> Array:
-    return state.log_rho - log_rho_ref - f + t * phi_tilde
-
-
-def _solve_bending_t(bg: Background, theta: Array, f: Array, ref_state,
-                     t: float, guess: Array):
+def _solve_bending_t(ref_state: MetricState, f: Array, t: float, guess: Array):
     """Solve the bending equation at fixed t > 0 from a warm start.
 
     At t = 1, Lap + I is singular along u = m - n, and the Newton step
@@ -230,8 +231,13 @@ def _solve_bending_t(bg: Background, theta: Array, f: Array, ref_state,
     limit of the path.  The solve returns only once both the residual and
     that gauge defect are within NEWTON_TOL.
 
-    Returns (phi_tilde, state, iterations, residual) or raises SolverError.
+    Each accepted Newton iterate's state is the one its admissibility test
+    built.  Returns (phi_tilde, state, iterations, residual), where the
+    iterations count the fixed-point sweeps plus the Newton steps, or raises
+    SolverError.
     """
+    bg = ref_state.bg
+    theta = ref_state.phi
     log_rho_ref = ref_state.log_rho
     phi = guess.copy()
     iters = 0
@@ -255,13 +261,12 @@ def _solve_bending_t(bg: Background, theta: Array, f: Array, ref_state,
             break
 
     endpoint = abs(t - 1.0) < 1e-12
-    state = None
+    try:
+        state = make_metric(bg, theta + phi)
+    except NotKahlerError as exc:
+        raise SolverError(f"left the admissible cone during solve: {exc}", t=t)
     for _ in range(NEWTON_ITERS):
-        try:
-            state = make_metric(bg, theta + phi)
-        except NotKahlerError as exc:
-            raise SolverError(f"left the admissible cone during solve: {exc}", t=t)
-        R = _bending_residual(bg, state, phi, f, log_rho_ref, t)
+        R = state.log_rho - log_rho_ref - f + t * phi
         res = float(np.abs(R).max())
         gauge = 0.0
         if endpoint:
@@ -282,27 +287,29 @@ def _solve_bending_t(bg: Background, theta: Array, f: Array, ref_state,
         # backtrack if the full step leaves the admissible cone
         scale = 1.0
         for _ in range(8):
+            trial = phi + scale * delta
             try:
-                make_metric(bg, theta + phi + scale * delta)
+                state = make_metric(bg, theta + trial)
                 break
             except NotKahlerError:
                 scale *= 0.5
         else:
             raise SolverError("Newton step cannot stay admissible", t=t, residual=res)
-        phi = phi + scale * delta
+        phi = trial
 
     raise SolverError("Newton did not converge", t=t, residual=res)
 
 
-def solve_aubin_path(bg: Background, ref, dt: float = 0.02) -> PathTrajectory:
-    """March the bending path over a uniform reported grid in t over [0, 1].
+def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
+    """March the bending path from the metric of `ref_state` over a uniform
+    reported grid in t over [0, 1].
 
     Internal substeps (not reported) bridge hard stretches; if progress
     stalls below MIN_SUBSTEP the trajectory is returned truncated with a
     stall record.
     """
-    theta = np.asarray(ref, dtype=float)
-    ref_state = make_metric(bg, theta)
+    bg = ref_state.bg
+    theta = ref_state.phi
     f, _ = ricci_potential(ref_state)
     rho_ref = ref_state.rho
 
@@ -336,7 +343,7 @@ def solve_aubin_path(bg: Background, ref, dt: float = 0.02) -> PathTrajectory:
                 guess = tilde_a
             try:
                 tilde_new, state, iters, res = _solve_bending_t(
-                    bg, theta, f, ref_state, t_try, guess)
+                    ref_state, f, t_try, guess)
             except SolverError as exc:
                 sub *= 0.5
                 if sub < MIN_SUBSTEP:
@@ -360,28 +367,21 @@ def solve_aubin_path(bg: Background, ref, dt: float = 0.02) -> PathTrajectory:
 # positivity transport
 
 
-def ricci_positive_generator(bg: Background, theta, alpha: float = 1.0) -> Array:
-    """Push a potential toward positive Ricci curvature.
+def ricci_positive_generator(state: MetricState) -> MetricState:
+    """The state of a metric with positive Ricci curvature, made from the
+    metric of `state`.
 
-    One prescribed-volume step of size alpha turns the metric of `theta`
-    into one whose Ricci form is the convex combination
-    (1 - alpha) Ric(old) + alpha old-metric; at alpha = 1 the output Ricci
-    form IS the input metric, hence strictly positive for any admissible
-    input.  Raises GeneratorError if positivity unexpectedly degrades.
+    One full prescribed-volume step turns the metric into the one whose
+    Ricci form IS the input metric, hence strictly positive for any
+    admissible input.  Raises GeneratorError if the output curvature is
+    not positive.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
-    state = make_metric(bg, np.asarray(theta, dtype=float))
+    bg = state.bg
     f, _ = ricci_potential(state)
-    density = np.exp(alpha * f) * state.rho
-    out = potential_from_density(bg, density, polish=2)
-    out_state = make_metric(bg, out)
-    before = state.min_ricci
-    after = out_state.min_ricci
-    if before >= 0.0 and after <= 0.0:
-        raise GeneratorError("positivity was lost by the transport step", after)
-    if alpha == 1.0 and after <= 0.0:
-        raise GeneratorError("full step failed to reach positive curvature", after)
+    out = make_metric(bg, potential_from_density(bg, np.exp(f) * state.rho, polish=2))
+    if out.min_ricci <= 0.0:
+        raise GeneratorError("transport step failed to reach positive curvature",
+                             out.min_ricci)
     return out
 
 
@@ -390,12 +390,12 @@ def ricci_positive_generator(bg: Background, theta, alpha: float = 1.0) -> Array
 
 
 def monitor_row(t: float, c_t: float, state: MetricState,
-                ref: MetricState | None = None, ks=None) -> dict:
-    """Scalar diagnostics of one metric state: energies, I, J, first
+                ref: MetricState | None = None) -> dict:
+    """Scalar diagnostics of one metric state: every energy, I, J, first
     eigenvalue, curvature minimum.  Energies, I and J are relative to the
     state `ref` (the background reference when None)."""
     row = {"t": t, "c_t": c_t}
-    for k in range(state.bg.n + 1) if ks is None else ks:
+    for k in range(state.bg.n + 1):
         row[f"E_{k}"] = e_k_closed(state, k, ref)
     row["I"], row["J"], row["I_minus_J"] = i_and_j(state, ref)
     row["lambda1_radial"] = lambda1_radial(state)
@@ -403,11 +403,10 @@ def monitor_row(t: float, c_t: float, state: MetricState,
     return row
 
 
-def path_monitors(traj: PathTrajectory, ks=None) -> list[dict]:
+def path_monitors(traj: PathTrajectory) -> list[dict]:
     """Per-point `monitor_row`s, energies relative to the path's own
     reference."""
-    return [monitor_row(p.t, p.c_t, p.state, traj.ref_state, ks)
-            for p in traj.points]
+    return [monitor_row(p.t, p.c_t, p.state, traj.ref_state) for p in traj.points]
 
 
 def _simpson_uniform(values, dt: float) -> float:
@@ -444,22 +443,20 @@ def _squared_rate_integral(traj: PathTrajectory, rate: Array) -> float:
 
 
 def check_lemma_3_4(traj: PathTrajectory, *,
-                    monitors: list[dict] | None = None) -> list[CheckItem]:
+                    monitors: list[dict]) -> list[CheckItem]:
     """Structural checks along the bending path.
 
     Covers the differentiated equation, the bent Ricci identity, the
     eigenvalue lower bound, the sign of the pairing integral, monotonicity
     of I - J, and the endpoint energy identity and inequality for every k
     (the latter two only on a completed path).  `monitors` are the path's
-    `path_monitors` with every energy, computed here when None.
+    `path_monitors`.
     """
     if traj.kind != "bending":
         raise ParameterError("this suite applies to the bending path")
     bg = traj.bg
     ref_state = traj.ref_state
     items: list[CheckItem] = []
-    if monitors is None:
-        monitors = path_monitors(traj)
     ts = traj.ts
     dt = traj.dt
     tilde = traj.stacked_exact()
@@ -608,21 +605,19 @@ def check_lemma_4_1(traj: PathTrajectory) -> list[CheckItem]:
 
 
 def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
-                   monitors: list[dict] | None = None) -> list[CheckItem]:
+                   monitors: list[dict]) -> list[CheckItem]:
     """Growth-control suite built on both paths from the same reference.
 
     Includes the exact two-time energy identity, the bridge identity
     expressing the background-relative energy of the reference potential
     through both paths, lower/upper growth bounds along the way, and the
     boundedness monitor for the k = 1 energy.  `monitors` are the bending
-    path's `path_monitors` (at least I - J and E_1), computed here when None.
+    path's `path_monitors`.
     """
     bg = aubin.bg
     ref_state = aubin.ref_state
     items: list[CheckItem] = []
     n = bg.n
-    if monitors is None:
-        monitors = path_monitors(aubin, ks=[1])
     ts = aubin.ts
     dt = aubin.dt
     imj = np.array([row["I_minus_J"] for row in monitors])

@@ -56,6 +56,7 @@ Array = np.ndarray
 
 PATHS = ("linear", "quadratic")
 GAUSS_ORDERS = (24, 48, 96, 192, 384)   # time-quadrature escalation
+GAUSS_TOL = 1e-10                       # relative change that stops it
 
 
 @dataclass
@@ -111,7 +112,7 @@ def _ek_integrand(bg: Background, state: MetricState, dot: Array, k: int,
     return (first - second) / bg.volume
 
 
-def _gauss_adaptive(f, tol: float) -> tuple[float, int, float]:
+def _gauss_adaptive(f) -> tuple[float, int, float]:
     """Gauss-Legendre on [0, 1] with order escalation.
 
     The integrands here are analytic in the segment parameter, so the
@@ -127,14 +128,13 @@ def _gauss_adaptive(f, tol: float) -> tuple[float, int, float]:
         s = float(sum(w * f(t) for t, w in zip(nodes, weights)))
         if prev is not None:
             err = abs(s - prev)
-            if err <= tol * max(1.0, abs(s)):
+            if err <= GAUSS_TOL * max(1.0, abs(s)):
                 return s, m, err
         prev = s
     raise SolverError("time quadrature failed to converge", residual=err)
 
 
-def e_k_path(state: MetricState, k: int, path: str = "linear",
-             tol: float = 1e-10) -> EnergyValue:
+def e_k_path(state: MetricState, k: int, path: str = "linear") -> EnergyValue:
     """Energy E_k of the state's metric relative to the background
     reference, through the time integral along the named segment."""
     bg = state.bg
@@ -146,7 +146,7 @@ def e_k_path(state: MetricState, k: int, path: str = "linear",
         phi_t, dot_t = _path_point(path, t, values)
         return _ek_integrand(bg, make_metric(bg, phi_t), dot_t, k, mu)
 
-    total, order, err = _gauss_adaptive(integrand, tol)
+    total, order, err = _gauss_adaptive(integrand)
     return EnergyValue(total, k, f"path:{path}", order, err)
 
 
@@ -300,18 +300,20 @@ def futaki_k(state: MetricState, k: int) -> float:
     return total
 
 
-def orbit_potential(bg: Background, phi, s: float) -> Array:
-    """Potential of the pullback of the metric of phi under the time-s
+def orbit_potential(base: MetricState, s: float) -> Array:
+    """Potential of the pullback of the metric of `base` under the time-s
     rotation flow, relative to the background reference.
 
     In the cylinder variable the flow is the shift t -> t + s; the
     background potential transforms by (n+1)(softplus(t+s) - softplus(t))
     and the perturbation composes with the shifted moment coordinate, so
-    the result is that shift term plus phi evaluated at the moved points.
+    the result is that shift term plus `base.phi` evaluated at the moved
+    points.
     """
+    bg = base.bg
     if bg.model != "cpn":
         raise UnsupportedModelError("the rotation orbit lives on the projective model")
-    values = np.asarray(phi, dtype=float)
+    values = base.phi
     length = bg.length
     x = bg.x
 

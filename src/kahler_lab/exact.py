@@ -84,11 +84,6 @@ def _poly_mul(p: dict, q: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _poly_scale(p: dict, c) -> dict:
-    c = Fraction(c)
-    return {k: v * c for k, v in p.items()} if c else {}
-
-
 def _poly_add(p: dict, q: dict) -> dict:
     out = dict(p)
     for k, v in q.items():

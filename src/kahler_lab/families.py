@@ -10,6 +10,9 @@ quadratically decaying amplitude envelope; torus probes are cosine series
 with random phases.  Candidates violating metric positivity are rejected
 and redrawn; an error is raised if the rejection rate indicates an
 ill-chosen amplitude.
+
+A probe is an admissible metric: `generate_probe` returns the MetricState
+its admissibility test built, whose `phi` is the mean-zero potential drawn.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from zlib import crc32
 import numpy as np
 
 from .errors import NotKahlerError, ParameterError
-from .geometry import Background, make_metric
+from .geometry import Background, MetricState, make_metric
 
 Array = np.ndarray
 
@@ -61,8 +64,9 @@ def _draw_torus(bg: Background, rng: np.random.Generator, modes: int,
 
 def generate_probe(bg: Background, seed: int, scenario: str, index: int,
                    modes: int = DEFAULT_MODES,
-                   amplitude: float | None = None) -> Array:
-    """One admissible mean-zero probe; deterministic in all arguments."""
+                   amplitude: float | None = None) -> MetricState:
+    """The metric state of one admissible mean-zero probe; deterministic in
+    all arguments."""
     if amplitude is None:
         amplitude = DEFAULT_AMPLITUDE[bg.model]
     rng = family_rng(seed, scenario, index)
@@ -74,11 +78,9 @@ def generate_probe(bg: Background, seed: int, scenario: str, index: int,
             values = _draw_torus(bg, rng, modes, amplitude)
         values = values - bg.mean(values)
         try:
-            make_metric(bg, values)
+            return make_metric(bg, values)
         except NotKahlerError:
             rejected += 1
-            continue
-        return values
     raise ParameterError(
         f"rejection rate too high ({rejected}/{_MAX_DRAWS}) at amplitude "
         f"{amplitude}; the family parameters are inadmissible")

@@ -25,9 +25,12 @@ the synthesis restricted to the kept modes, composed with the first and
 the weighted second derivative, maps the coefficients to m_x and m/x on
 the grid.  Those give the right-hand side log(rho) and the positivity
 tests of `make_metric`, with its errors.  A candidate that leaves the
-admissible cone is retried with a halved (sticky) step size.  Only the
-samples build a full metric state on the grid, for their energies,
-curvature minimum and volume.
+admissible cone is retried with a halved (sticky) step size.
+
+`run_flow` takes the MetricState of the start metric and reads the
+background from it.  Only the samples build a full metric state on the
+grid; a sample keeps that state and its volume defect, and the energy
+series are evaluated on the sample states when asked for.
 """
 
 from __future__ import annotations
@@ -42,15 +45,11 @@ from .energies import e_k_closed
 
 Array = np.ndarray
 
-ENERGY_KS = (0, 1)   # energies recorded at every sample
-
 
 @dataclass
 class FlowSample:
     t: float
     state: MetricState
-    energies: dict[int, float]
-    min_ricci: float
     volume_defect: float
 
 
@@ -69,21 +68,23 @@ class FlowTrajectory:
         return np.array([s.t for s in self.samples])
 
     def energy_series(self, k: int) -> Array:
-        return np.array([s.energies[k] for s in self.samples])
+        """E_k of every sample state, relative to the background reference."""
+        return np.array([e_k_closed(s.state, k) for s in self.samples])
 
 
-def run_flow(bg: Background, phi0, dt: float = 1e-3, steps: int = 1000,
+def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
              modes: int = 24, sample_every: int = 25,
              max_halvings: int = 12) -> FlowTrajectory:
-    """Integrate the normalized flow for `steps` accepted steps of size dt.
+    """Integrate the normalized flow from the metric of `start` for `steps`
+    accepted steps of size dt.
 
-    The start is projected onto the first `modes` Chebyshev modes and
-    re-centered to zero reference mean.  Samples (metric state, energies
-    E_0 and E_1, curvature minimum, volume defect) every `sample_every`
-    accepted steps and at both endpoints.  If the step size collapses entirely the
-    trajectory is returned truncated, with the reason recorded, rather
-    than raising.
+    The start potential is projected onto the first `modes` Chebyshev modes
+    and re-centered to zero reference mean.  Samples (metric state, volume
+    defect) every `sample_every` accepted steps and at both endpoints.  If
+    the step size collapses entirely the trajectory is returned truncated,
+    with the reason recorded, rather than raising.
     """
+    bg = start.bg
     if bg.model != "cpn":
         raise UnsupportedModelError("the normalized flow is for the projective model")
     if dt > 1e-3 + 1e-15:
@@ -122,13 +123,10 @@ def run_flow(bg: Background, phi0, dt: float = 1e-3, steps: int = 1000,
 
     def record(t: float, c: Array) -> None:
         state = make_metric(bg, synthesis @ c)
-        energies = {k: e_k_closed(state, k) for k in ENERGY_KS}
         vol = bg.integrate(state.rho)
-        traj.samples.append(FlowSample(
-            t, state, energies, state.min_ricci,
-            abs(vol - bg.volume) / bg.volume))
+        traj.samples.append(FlowSample(t, state, abs(vol - bg.volume) / bg.volume))
 
-    c = analysis @ np.asarray(phi0, dtype=float)
+    c = analysis @ start.phi
     c[0] -= mean_row @ c
     record(0.0, c)
     log_rho = log_density(c)

@@ -137,12 +137,10 @@ class MetricState:
     log_rho: Array
     lam_r: Array
     lam_s: Array
-    phi_x: Array
     # projective-model fields (None on the torus)
     m: Array | None = None
     m_x: Array | None = None
     m_over_x: Array | None = None
-    w: Array | None = None
     r: Array | None = None            # w0/m, regular on the closed interval
     G: Array | None = None            # Ricci moment profile
     G_x: Array | None = None
@@ -308,7 +306,6 @@ def make_metric(bg: Background, phi) -> MetricState:
         raise NotKahlerError("moment profile not positive", node, float(m_over_x[node]))
 
     m = bg.x + delta
-    w = bg.w0 * m_x
     rho = m_x * m_over_x ** (n - 1)
     log_rho = np.log(m_x) + (n - 1) * np.log(m_over_x)
     r = bg.w0_over_x / m_over_x
@@ -328,18 +325,17 @@ def make_metric(bg: Background, phi) -> MetricState:
 
     state = MetricState(
         bg=bg, phi=values.copy(), rho=rho, log_rho=log_rho,
-        lam_r=lam_r, lam_s=lam_s, phi_x=phi_x,
-        m=m, m_x=m_x, m_over_x=m_over_x, w=w, r=r,
+        lam_r=lam_r, lam_s=lam_s,
+        m=m, m_x=m_x, m_over_x=m_over_x, r=r,
         G=G, G_x=G_x, G_over_x=G_over_x,
     )
     _freeze(state.phi, state.rho, state.log_rho, state.lam_r, state.lam_s,
-            state.phi_x, state.m, state.m_x, state.m_over_x, state.w,
-            state.r, state.G, state.G_x, state.G_over_x)
+            state.m, state.m_x, state.m_over_x, state.r, state.G, state.G_x,
+            state.G_over_x)
     return state
 
 
 def _make_metric_torus(bg: Background, values: Array) -> MetricState:
-    phi_x = bg.D @ values
     phi_xx = bg.D2 @ values
     rho = 1.0 + phi_xx
     if rho.min() <= 0.0:
@@ -350,10 +346,10 @@ def _make_metric_torus(bg: Background, values: Array) -> MetricState:
     lam = ric_flat / rho
     state = MetricState(
         bg=bg, phi=values.copy(), rho=rho, log_rho=log_rho,
-        lam_r=lam, lam_s=lam.copy(), phi_x=phi_x, ric_flat=ric_flat,
+        lam_r=lam, lam_s=lam.copy(), ric_flat=ric_flat,
     )
     _freeze(state.phi, state.rho, state.log_rho, state.lam_r, state.lam_s,
-            state.phi_x, state.ric_flat)
+            state.ric_flat)
     return state
 
 

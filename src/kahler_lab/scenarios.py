@@ -1,10 +1,11 @@
 """Config-driven verification scenarios.
 
-Each scenario draws a seeded family of probe metrics, exercises one slice
-of the functional machinery, and emits CheckItem rows plus on-disk
-artifacts (report.json, checks.csv, trajectory CSVs).  Scenario names,
-config keys, and the report/CSV schemas are part of the tool's public
-contract; anything unknown in a config is rejected up front.
+Each scenario draws a seeded family of probe metrics (as MetricStates, which
+the runners pass on and never rebuild), exercises one slice of the
+functional machinery, and emits CheckItem rows plus on-disk artifacts
+(report.json, checks.csv, trajectory CSVs).  Scenario names, config keys,
+and the report/CSV schemas are part of the tool's public contract; anything
+unknown in a config is rejected up front.
 """
 
 from __future__ import annotations
@@ -245,8 +246,7 @@ def _run_fs_anchors(cfg, bg, report, art):
 
 def _run_ek_path_independence(cfg, bg, report, art):
     t = cfg.tolerances
-    for idx, phi in enumerate(_probes(bg, cfg)):
-        state = make_metric(bg, phi)
+    for idx, state in enumerate(_probes(bg, cfg)):
         for k in range(bg.n + 1):
             lin = e_k_path(state, k, "linear")
             quad = e_k_path(state, k, "quadratic")
@@ -274,9 +274,8 @@ def _run_prop21_agreement(cfg, bg, report, art):
             f"zero_potential_k{k}", "closed form vanishes at the reference",
             zero, 0.0, 1e-11))
 
-    for idx, phi in enumerate(probes):
-        state = make_metric(bg, phi)
-        shifted_state = make_metric(bg, phi + shifts[idx])
+    for idx, state in enumerate(probes):
+        shifted_state = make_metric(bg, state.phi + shifts[idx])
         for k in range(bg.n + 1):
             closed = e_k_closed(state, k)
             path = e_k_path(state, k, "linear")
@@ -297,8 +296,7 @@ def _run_cocycle(cfg, bg, report, art):
     first = _probes(bg, cfg)
     second = _probes(bg, cfg, index_offset=cfg.count)
 
-    for idx, (phi, psi) in enumerate(zip(first, second)):
-        phi_state, psi_state = make_metric(bg, phi), make_metric(bg, psi)
+    for idx, (phi_state, psi_state) in enumerate(zip(first, second)):
         for k in range(bg.n + 1):
             direct = e_k_closed(phi_state, k)
             via = e_k_closed(psi_state, k) + e_k_closed(phi_state, k, psi_state)
@@ -316,13 +314,12 @@ def _run_cocycle(cfg, bg, report, art):
 
 def _run_theorem1(cfg, bg, report, art):
     t = cfg.tolerances
-    seeds = [np.zeros(bg.size)] + _probes(bg, cfg, count=cfg.count - 1)
+    seeds = [bg.reference] + _probes(bg, cfg, count=cfg.count - 1)
 
     per_k = {k: [] for k in range(bg.n + 1)}
     for idx, theta in enumerate(seeds):
-        tilde = ricci_positive_generator(bg, theta, alpha=1.0)
-        state = make_metric(bg, tilde)
-        psi0 = tilde - theta          # potential of the probe over its Ricci form
+        state = ricci_positive_generator(theta)
+        psi0 = state.phi - theta.phi  # potential of the probe over its Ricci form
         grad = slot_gradsq(bg, psi0)
         met = slot_metric(state)
         q0 = bg.integrate(wedge_density(bg, [grad] + [met] * (bg.n - 1))) / bg.volume
@@ -357,15 +354,15 @@ def _run_theorem1(cfg, bg, report, art):
 
 def _run_theorem2(cfg, bg, report, art):
     t = cfg.tolerances
-    for idx, theta in enumerate(_probes(bg, cfg)):
-        direct = e_k_closed(make_metric(bg, theta), 1)
+    for idx, probe in enumerate(_probes(bg, cfg)):
+        direct = e_k_closed(probe, 1)
         report.add(CheckItem.lower_bound(
             f"energy_floor_s{idx}",
             "k = 1 energy from the round metric is nonnegative on arbitrary "
             "probes",
             direct, 0.0, t["energy_floor"]))
         if idx < 5:
-            yau = solve_yau_path(bg, theta, dt=0.05)
+            yau = solve_yau_path(probe, dt=0.05)
             end = yau.points[-1].state
             total = e_k_closed(end, 1)
             back = e_k_closed(end, 1, yau.ref_state)
@@ -385,8 +382,8 @@ def _run_theorem2(cfg, bg, report, art):
 
 
 def _run_lemma32_34(cfg, bg, report, art):
-    for idx, theta in enumerate(_probes(bg, cfg)):
-        traj = solve_aubin_path(bg, theta)
+    for idx, probe in enumerate(_probes(bg, cfg)):
+        traj = solve_aubin_path(probe)
         monitors = path_monitors(traj)
         report.extend(_suffixed(check_lemma_3_4(traj, monitors=monitors), idx))
         if not traj.completed:
@@ -396,8 +393,8 @@ def _run_lemma32_34(cfg, bg, report, art):
 
 
 def _run_lemma41(cfg, bg, report, art):
-    for idx, theta in enumerate(_probes(bg, cfg)):
-        traj = solve_yau_path(bg, theta)
+    for idx, probe in enumerate(_probes(bg, cfg)):
+        traj = solve_yau_path(probe)
         report.extend(_suffixed(check_lemma_4_1(traj), idx))
         if idx == 0:
             art.write("trajectory_volume_0.csv", trajectory_csv(bg, path_monitors(traj)))
@@ -405,11 +402,10 @@ def _run_lemma41(cfg, bg, report, art):
 
 def _run_futaki(cfg, bg, report, art):
     t = cfg.tolerances
-    probes = [np.zeros(bg.size)] + _probes(bg, cfg, count=cfg.count - 1)
+    probes = [bg.reference] + _probes(bg, cfg, count=cfg.count - 1)
 
     values = {k: [] for k in range(bg.n + 1)}
-    for theta in probes:
-        state = make_metric(bg, theta)
+    for state in probes:
         for k in range(bg.n + 1):
             values[k].append(futaki_k(state, k) / bg.volume)
 
@@ -428,7 +424,7 @@ def _run_futaki(cfg, bg, report, art):
     # derivative of the energy along the rotation orbit equals the invariant
     base = probes[1] if len(probes) > 1 else probes[0]
     h = 0.02
-    orbit = [make_metric(bg, orbit_potential(bg, base, s))
+    orbit = [make_metric(bg, orbit_potential(base, s))
              for s in 0.1 + h * np.arange(-2, 3)]
     for k in range(min(bg.n, 2) + 1):
         samples = np.array([[e_k_closed(point, k)] for point in orbit])
@@ -441,9 +437,9 @@ def _run_futaki(cfg, bg, report, art):
 
 
 def _run_section5(cfg, bg, report, art):
-    for idx, theta in enumerate(_probes(bg, cfg)):
-        aubin = solve_aubin_path(bg, theta)
-        yau = solve_yau_path(bg, theta)
+    for idx, probe in enumerate(_probes(bg, cfg)):
+        aubin = solve_aubin_path(probe)
+        yau = solve_yau_path(probe)
         monitors = path_monitors(aubin)
         report.extend(_suffixed(check_section5(aubin, yau, monitors=monitors), idx))
         if not aubin.completed:
@@ -458,7 +454,7 @@ def _run_orbit_flatness(cfg, bg, report, art):
 
     js, e_by_k, f_by_k = [], {k: [] for k in range(bg.n + 1)}, {k: [] for k in range(bg.n + 1)}
     for s in s_values:
-        state = make_metric(bg, orbit_potential(bg, np.zeros(bg.size), s))
+        state = make_metric(bg, orbit_potential(bg.reference, s))
         js.append(i_and_j(state)[1])
         for k in range(bg.n + 1):
             e_by_k[k].append(e_k_closed(state, k))
@@ -483,9 +479,9 @@ def _run_orbit_flatness(cfg, bg, report, art):
             float(arr.max() - arr.min()), 0.0, t["spread"]))
 
     probe = generate_probe(bg, cfg.seed, cfg.scenario, 0, cfg.modes, cfg.amplitude)
-    base_e1 = e_k_closed(make_metric(bg, probe), 1)
+    base_e1 = e_k_closed(probe, 1)
     for s in (-0.6, 0.6):
-        moved = make_metric(bg, orbit_potential(bg, probe, s))
+        moved = make_metric(bg, orbit_potential(probe, s))
         report.add(CheckItem.identity(
             f"pullback_invariance_s{s:+.1f}",
             "energy of a probe unchanged under the rotation pullback",
@@ -501,7 +497,7 @@ def _run_properness_probe(cfg, bg, report, art):
     rows = []
     for c in scales:
         try:
-            state = make_metric(bg, c * base)
+            state = make_metric(bg, c * base.phi)
         except NotKahlerError:
             break
         e1 = e_k_closed(state, 1)
@@ -549,17 +545,17 @@ def _run_properness_probe(cfg, bg, report, art):
 def _run_krf_monotone(cfg, bg, report, art):
     t = cfg.tolerances
 
-    fs = run_flow(bg, np.zeros(bg.size), dt=1e-3, steps=400)
+    fs = run_flow(bg.reference, dt=1e-3, steps=400)
     drift = max(float(np.abs(s.state.phi).max()) for s in fs.samples)
     report.add(CheckItem.identity(
         "round_stationary", "round metric is an exact fixed point of the flow",
         drift, 0.0, t["stationary"]))
 
-    for idx, phi0 in enumerate(_probes(bg, cfg)):
-        traj = run_flow(bg, phi0, dt=1e-3, steps=1000)
+    for idx, start in enumerate(_probes(bg, cfg)):
+        traj = run_flow(start, dt=1e-3, steps=1000)
         e0 = traj.energy_series(0)
         e1 = traj.energy_series(1)
-        flags = np.array([s.min_ricci >= -1.0 for s in traj.samples])
+        flags = np.array([s.state.min_ricci >= -1.0 for s in traj.samples])
         e1_incr = -np.inf
         for a in range(len(e1) - 1):
             if flags[a] and flags[a + 1]:
@@ -584,7 +580,7 @@ def _run_krf_monotone(cfg, bg, report, art):
             art.write("trajectory_flow_0.csv", trajectory_csv(bg, rows))
 
     small = generate_probe(bg, cfg.seed, cfg.scenario, 10_000, cfg.modes, 0.03)
-    long_run = run_flow(bg, small, dt=1e-3, steps=10_000, sample_every=2000)
+    long_run = run_flow(small, dt=1e-3, steps=10_000, sample_every=2000)
     final = long_run.samples[-1].state
     dev = max(abs(final.lam_r - 1.0).max(), abs(final.lam_s - 1.0).max())
     report.add(CheckItem.identity(
@@ -604,8 +600,7 @@ def _run_cy_torus(cfg, bg, report, art):
             f"class_constant_k{k}", "flat-model class constants vanish",
             mu_k(bg, k), 0.0, 1e-12))
 
-    for idx, phi in enumerate(_probes(bg, cfg)):
-        state = make_metric(bg, phi)
+    for idx, state in enumerate(_probes(bg, cfg)):
         cy = e1_cy(state)
         report.add(CheckItem.lower_bound(
             f"nonnegative_s{idx}",

@@ -57,3 +57,10 @@ def test_numerical_failure_exits_three(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", broken)
     path = _config(tmp_path, {"scenario": "fs_anchors"})
     assert cli.main(["run", "--config", path, "--out", str(tmp_path)]) == 3
+
+
+def test_run_overrides_are_validated(tmp_path):
+    path = _config(tmp_path, {"scenario": "fs_anchors"})
+    for flag, value in (("--seed", -1), ("--seed", 2 ** 64), ("--grid", 8)):
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path),
+                         flag, str(value)]) == 2

@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 
 from kahler_lab import continuity, energies
-from kahler_lab.continuity import (PathTrajectory, Termination,
+from kahler_lab import flow as flow_module
+from kahler_lab.continuity import (PathTrajectory, Termination, _solve_bending_t,
                                    _simpson_uniform, check_lemma_3_4, check_lemma_4_1,
                                    check_section5, lambda1_radial,
                                    path_monitors, ricci_positive_generator,
                                    solve_aubin_path, solve_yau_path)
-from kahler_lab.errors import ParameterError
+from kahler_lab.errors import NotKahlerError, ParameterError
 from kahler_lab.families import generate_probe
+from kahler_lab.flow import run_flow
 from kahler_lab.geometry import (fs_background, laplacian_matrix, make_metric,
                                  ricci_potential)
 
@@ -27,13 +29,13 @@ from kahler_lab.geometry import (fs_background, laplacian_matrix, make_metric,
 @pytest.fixture(scope="module")
 def yau_cp2(bg_cp2):
     theta = generate_probe(bg_cp2, seed=3, scenario="paths", index=0)
-    return theta, solve_yau_path(bg_cp2, theta, dt=0.05)
+    return theta, solve_yau_path(theta, dt=0.05)
 
 
 @pytest.fixture(scope="module")
 def aubin_cp2(bg_cp2):
     theta = generate_probe(bg_cp2, seed=3, scenario="paths", index=0)
-    return theta, solve_aubin_path(bg_cp2, theta, dt=0.05)
+    return theta, solve_aubin_path(theta, dt=0.05)
 
 
 # the structural check suites difference the path in time before applying
@@ -48,8 +50,7 @@ def bg_cp2_fine():
 def path_pair_fine(bg_cp2_fine):
     bg = bg_cp2_fine
     theta = generate_probe(bg, seed=3, scenario="paths", index=0)
-    return (theta, solve_aubin_path(bg, theta, dt=0.02),
-            solve_yau_path(bg, theta, dt=0.02))
+    return theta, solve_aubin_path(theta, dt=0.02), solve_yau_path(theta, dt=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -68,20 +69,17 @@ def test_flat_first_eigenvalue_is_four_pi_squared(bg_torus):
         expected, rel=1e-10)
 
 
-def test_first_eigenvalue_stable_under_trial_space_size(bg_cp2, probe_cp2):
-    state = make_metric(bg_cp2, probe_cp2)
-    a = lambda1_radial(state, ritz_modes=28)
-    b = lambda1_radial(state, ritz_modes=36)
+def test_first_eigenvalue_stable_under_trial_space_size(probe_cp2):
+    a = lambda1_radial(probe_cp2, ritz_modes=28)
+    b = lambda1_radial(probe_cp2, ritz_modes=36)
     assert a == pytest.approx(b, rel=1e-8)
 
 
 def test_first_eigenvalue_grid_convergence():
-    phi_small = None
     values = []
     for size in (48, 64):
         bg = fs_background("cpn", 2, size)
-        phi = generate_probe(bg, seed=9, scenario="eig", index=0)
-        values.append(lambda1_radial(make_metric(bg, phi)))
+        values.append(lambda1_radial(generate_probe(bg, seed=9, scenario="eig", index=0)))
     assert values[0] == pytest.approx(values[1], rel=1e-7)
 
 
@@ -92,19 +90,18 @@ def test_first_eigenvalue_grid_convergence():
 def test_prescribed_path_satisfies_its_equation_pointwise(bg_cp2, yau_cp2):
     theta, traj = yau_cp2
     assert traj.completed
-    ref_state = make_metric(bg_cp2, theta)
+    assert traj.ref_state is theta
     f = traj.f
     for p in traj.points:
-        state = make_metric(bg_cp2, theta + p.phi)
-        res = state.log_rho - (p.t * f + p.c_t) - ref_state.log_rho
+        state = make_metric(bg_cp2, theta.phi + p.phi)
+        res = state.log_rho - (p.t * f + p.c_t) - theta.log_rho
         assert np.abs(res).max() < 1e-9, f"t = {p.t}"
 
 
 def test_prescribed_path_constant_matches_mass_normalization(bg_cp2, yau_cp2):
     theta, traj = yau_cp2
-    ref_state = make_metric(bg_cp2, theta)
     for p in traj.points:
-        mass = bg_cp2.integrate(np.exp(p.t * traj.f) * ref_state.rho)
+        mass = bg_cp2.integrate(np.exp(p.t * traj.f) * theta.rho)
         assert p.c_t == pytest.approx(-np.log(mass / bg_cp2.volume), abs=1e-12)
 
 
@@ -112,9 +109,8 @@ def test_prescribed_path_endpoint_inverts_curvature(bg_cp2, yau_cp2):
     # at the end of the path the curvature form of the new metric IS the
     # start metric; in moment profiles: G_end = m_start
     theta, traj = yau_cp2
-    ref_state = make_metric(bg_cp2, theta)
     end = traj.points[-1].state
-    assert np.abs(end.G - ref_state.m).max() < 1e-8
+    assert np.abs(end.G - theta.m).max() < 1e-8
 
 
 def test_prescribed_path_starts_at_reference(bg_cp2, yau_cp2):
@@ -132,10 +128,10 @@ def test_prescribed_path_starts_at_reference(bg_cp2, yau_cp2):
 def test_bending_path_satisfies_its_equation_pointwise(bg_cp2, aubin_cp2):
     theta, traj = aubin_cp2
     assert traj.completed
-    ref_state = make_metric(bg_cp2, theta)
+    assert traj.ref_state is theta
     for p in traj.points:
-        state = make_metric(bg_cp2, theta + p.phi)
-        res = (state.log_rho - ref_state.log_rho - traj.f
+        state = make_metric(bg_cp2, theta.phi + p.phi)
+        res = (state.log_rho - theta.log_rho - traj.f
                + p.t * (p.phi + p.c_t))
         assert np.abs(res).max() < 1e-8, f"t = {p.t}"
 
@@ -157,7 +153,7 @@ def test_bending_path_eigenvalue_dominates_parameter(bg_cp2, aubin_cp2):
 
 def test_bending_path_size_gap_nondecreasing(bg_cp2, aubin_cp2):
     _, traj = aubin_cp2
-    rows = path_monitors(traj, ks=[1])
+    rows = path_monitors(traj)
     gaps = [row["I_minus_J"] for row in rows]
     assert np.diff(gaps).min() > -1e-9
 
@@ -186,29 +182,11 @@ def test_trajectory_helpers_and_termination_semantics(bg_cp2, yau_cp2):
 # positivity transport
 
 
-def test_transport_step_inverts_curvature_exactly(bg_cp2, probe_cp2):
-    out = ricci_positive_generator(bg_cp2, probe_cp2)
-    in_state = make_metric(bg_cp2, probe_cp2)
-    out_state = make_metric(bg_cp2, out)
+def test_transport_step_inverts_curvature_exactly(probe_cp2):
+    out = ricci_positive_generator(probe_cp2)
     # full-step output curvature form equals the input metric
-    assert np.abs(out_state.G - in_state.m).max() < 1e-8
-    assert out_state.min_ricci > 0.0
-
-
-def test_transport_step_validates_step_size(bg_cp2, probe_cp2):
-    with pytest.raises(ParameterError):
-        ricci_positive_generator(bg_cp2, probe_cp2, alpha=0.0)
-    with pytest.raises(ParameterError):
-        ricci_positive_generator(bg_cp2, probe_cp2, alpha=1.5)
-
-
-def test_partial_transport_blends_curvature(bg_cp2, probe_cp2):
-    alpha = 0.5
-    out = ricci_positive_generator(bg_cp2, probe_cp2, alpha=alpha)
-    in_state = make_metric(bg_cp2, probe_cp2)
-    out_state = make_metric(bg_cp2, out)
-    blend = alpha * in_state.m + (1.0 - alpha) * in_state.G
-    assert np.abs(out_state.G - blend).max() < 1e-7
+    assert np.abs(out.G - probe_cp2.m).max() < 1e-8
+    assert out.min_ricci > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +206,14 @@ def test_path_monitor_rows_have_expected_fields(bg_cp2, yau_cp2):
 
 def test_bending_suite_passes_on_solved_path(path_pair_fine):
     theta, aubin, _ = path_pair_fine
-    items = check_lemma_3_4(aubin)
+    items = check_lemma_3_4(aubin, monitors=path_monitors(aubin))
     failed = [i.name for i in items if not i.passed]
     assert not failed, failed
 
 
 def _rate_equation_error(traj) -> float:
-    (row,) = [i for i in check_lemma_3_4(traj) if i.name == "rate_equation"]
+    (row,) = [i for i in check_lemma_3_4(traj, monitors=path_monitors(traj))
+              if i.name == "rate_equation"]
     return abs(row.lhs - row.rhs)
 
 
@@ -242,7 +221,7 @@ def test_bending_rate_equation_converges_at_fourth_order(bg_cp2_fine):
     # the 5-point time stencil is fourth order, so each halving of dt
     # should cut the error ~16x; a misplaced t = 1 point caps it at ~4x
     theta = generate_probe(bg_cp2_fine, seed=3, scenario="paths", index=0)
-    errs = [_rate_equation_error(solve_aubin_path(bg_cp2_fine, theta, dt=dt))
+    errs = [_rate_equation_error(solve_aubin_path(theta, dt=dt))
             for dt in (0.04, 0.02, 0.01)]
     assert errs[1] <= 1e-7, errs
     assert errs[0] >= 10.0 * errs[1], errs
@@ -279,7 +258,7 @@ def test_prescribed_suite_passes_on_solved_path(path_pair_fine):
 
 def test_growth_suite_passes_on_path_pair(path_pair_fine):
     theta, aubin, yau = path_pair_fine
-    items = check_section5(aubin, yau)
+    items = check_section5(aubin, yau, monitors=path_monitors(aubin))
     failed = [i.name for i in items if not i.passed]
     assert not failed, failed
 
@@ -290,10 +269,9 @@ def test_monitors_suites_and_functionals_build_no_metric(monkeypatch, bg_torus,
     # the functionals take states: none of them may rebuild a metric
     bg = fs_background("cpn", 2, 48)
     theta = generate_probe(bg, seed=3, scenario="paths", index=0)
-    aubin = solve_aubin_path(bg, theta, dt=0.05)
-    yau = solve_yau_path(bg, theta, dt=0.05)
+    aubin = solve_aubin_path(theta, dt=0.05)
+    yau = solve_yau_path(theta, dt=0.05)
     assert aubin.completed and yau.completed
-    torus_state = make_metric(bg_torus, probe_torus)
 
     def no_rebuild(*args, **kwargs):
         raise AssertionError("make_metric called")
@@ -302,8 +280,7 @@ def test_monitors_suites_and_functionals_build_no_metric(monkeypatch, bg_torus,
     monkeypatch.setattr(energies, "make_metric", no_rebuild)
     monitors = path_monitors(aubin)
     assert len(monitors) == len(aubin.points)
-    for items in (check_lemma_3_4(aubin), check_lemma_3_4(aubin, monitors=monitors),
-                  check_lemma_4_1(yau), check_section5(aubin, yau),
+    for items in (check_lemma_3_4(aubin, monitors=monitors), check_lemma_4_1(yau),
                   check_section5(aubin, yau, monitors=monitors)):
         assert items
     end = aubin.points[-1].state
@@ -311,14 +288,68 @@ def test_monitors_suites_and_functionals_build_no_metric(monkeypatch, bg_torus,
         energies.futaki_k(end, k)
         energies.e_k_closed(end, k, yau.points[-1].state)
     energies.i_and_j(end, aubin.ref_state)
-    assert energies.e1_cy(torus_state) >= 0.0
+    assert energies.e1_cy(probe_torus) >= 0.0
+
+
+def _record_builds(monkeypatch, module) -> list:
+    """Wrap `module.make_metric`; the list collects (potential, succeeded)."""
+    calls = []
+    original = module.make_metric
+
+    def recording(bg, phi):
+        try:
+            state = original(bg, phi)
+        except NotKahlerError:
+            calls.append((np.array(phi), False))
+            raise
+        calls.append((np.array(phi), True))
+        return state
+
+    monkeypatch.setattr(module, "make_metric", recording)
+    return calls
+
+
+def test_solvers_and_flow_never_rebuild_the_state_they_were_handed(monkeypatch):
+    bg = fs_background("cpn", 2, 48)
+    probe = generate_probe(bg, seed=3, scenario="paths", index=0)
+    calls = _record_builds(monkeypatch, continuity)
+    flow_calls = _record_builds(monkeypatch, flow_module)
+    assert solve_aubin_path(probe, dt=0.1).ref_state is probe
+    assert solve_yau_path(probe, dt=0.1).ref_state is probe
+    assert ricci_positive_generator(probe).min_ricci > 0.0
+    assert run_flow(probe, steps=20, sample_every=10).bg is bg
+    assert calls and flow_calls
+    for phi, _ in calls + flow_calls:
+        assert not np.array_equal(phi, probe.phi)
+
+
+def test_bending_solve_builds_each_newton_iterate_once(monkeypatch):
+    # every successful build but the first is a Newton iterate the
+    # backtracking loop accepted, and the next step reuses its state
+    bg = fs_background("cpn", 2, 48)
+    probe = generate_probe(bg, seed=3, scenario="paths", index=0)
+    f, _ = ricci_potential(probe)
+    calls = _record_builds(monkeypatch, continuity)
+    sweeps = []
+    original = continuity.potential_from_density
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(continuity, "potential_from_density", counting)
+    phi, state, iterations, _ = _solve_bending_t(probe, f, 0.5, np.zeros(bg.size))
+    steps = iterations - len(sweeps)
+    assert steps >= 1
+    assert sum(ok for _, ok in calls) == 1 + steps
+    assert np.array_equal(state.phi, probe.phi + phi)
 
 
 def test_suites_reject_mismatched_path_kinds(bg_cp2, yau_cp2, aubin_cp2):
     _, yau = yau_cp2
     _, aubin = aubin_cp2
     with pytest.raises(ParameterError):
-        check_lemma_3_4(yau)
+        check_lemma_3_4(yau, monitors=path_monitors(yau))
     with pytest.raises(ParameterError):
         check_lemma_4_1(aubin)
 
@@ -330,10 +361,9 @@ def test_suites_reject_mismatched_path_kinds(bg_cp2, yau_cp2, aubin_cp2):
 def test_curvature_potential_drives_prescribed_equation(bg_cp2, probe_cp2):
     # the potential f with curvature-minus-metric as its complex Hessian,
     # fed back through the density equation, reproduces the state's density
-    state = make_metric(bg_cp2, probe_cp2)
-    f, defect = ricci_potential(state)
+    f, defect = ricci_potential(probe_cp2)
     assert defect < 1e-8
-    mass = bg_cp2.integrate(state.rho * np.exp(f))
+    mass = bg_cp2.integrate(probe_cp2.rho * np.exp(f))
     assert mass == pytest.approx(bg_cp2.volume, rel=1e-12)
 
 

@@ -59,37 +59,37 @@ def bg96():
 
 
 def test_round_metric_is_bitwise_stationary(bg96):
-    traj = run_flow(bg96, np.zeros(bg96.size), dt=1e-3, steps=400)
+    traj = run_flow(bg96.reference, dt=1e-3, steps=400)
     assert traj.status == "completed" and traj.steps == 400
     assert traj.halvings == 0 and traj.dt_final == 1e-3
     assert len(traj.samples) == 400 // 25 + 1
     for s in traj.samples:
         assert np.all(s.state.phi == 0.0)
-        assert s.min_ricci == pytest.approx(1.0, abs=1e-10)
+        assert s.state.min_ricci == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("size", [48, 96])
 def test_coefficient_steps_match_grid_space_loop(size):
     bg = fs_background("cpn", 2, size)
-    phi0 = generate_probe(bg, seed=3, scenario="krf_monotone", index=0)
-    traj = run_flow(bg, phi0, dt=1e-3, steps=200, sample_every=50)
+    start = generate_probe(bg, seed=3, scenario="krf_monotone", index=0)
+    traj = run_flow(start, dt=1e-3, steps=200, sample_every=50)
     assert traj.status == "completed" and traj.halvings == 0
     assert traj.times[-1] == pytest.approx(0.2, abs=1e-12)
-    expected, _, _ = grid_space_flow(bg, phi0, 1e-3, 200)
+    expected, _, _ = grid_space_flow(bg, start.phi, 1e-3, 200)
     assert np.abs(traj.samples[-1].state.phi - expected).max() <= 1e-13
     # the flow moves the potential, so the agreement is not vacuous
     assert np.abs(expected - traj.samples[0].state.phi).max() > 1e-3
 
 
 def test_volume_is_conserved(bg96):
-    phi0 = generate_probe(bg96, seed=1, scenario="krf_monotone", index=0)
-    traj = run_flow(bg96, phi0, dt=1e-3, steps=500, sample_every=100)
+    start = generate_probe(bg96, seed=1, scenario="krf_monotone", index=0)
+    traj = run_flow(start, dt=1e-3, steps=500, sample_every=100)
     assert max(s.volume_defect for s in traj.samples) <= 1e-12
 
 
 def test_near_boundary_start_halves_step_stickily(bg48):
     phi0 = near_boundary_start(bg48)
-    traj = run_flow(bg48, phi0, dt=1e-3, steps=50, sample_every=10)
+    traj = run_flow(make_metric(bg48, phi0), dt=1e-3, steps=50, sample_every=10)
     assert traj.status == "completed" and traj.steps == 50
     assert traj.halvings > 0
     assert traj.dt_final == 1e-3 / 2 ** traj.halvings
@@ -101,7 +101,7 @@ def test_near_boundary_start_halves_step_stickily(bg48):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_collapsed_step_truncates_with_reason(bg48, sign):
     phi0 = sign * near_boundary_start(bg48)
-    traj = run_flow(bg48, phi0, dt=1e-3, steps=50, max_halvings=0)
+    traj = run_flow(make_metric(bg48, phi0), dt=1e-3, steps=50, max_halvings=0)
     assert traj.status == "truncated"
     assert traj.steps == 0
     assert [s.t for s in traj.samples] == [0.0, 0.0]
@@ -113,17 +113,18 @@ def test_collapsed_step_truncates_with_reason(bg48, sign):
 
 
 def test_inadmissible_start_raises(bg48):
+    # the flow starts from a state, and an inadmissible potential has none
     with pytest.raises(NotKahlerError):
-        run_flow(bg48, 1.01 * bg48.x, steps=10)
+        run_flow(make_metric(bg48, 1.01 * bg48.x), steps=10)
 
 
 def test_parameter_and_model_errors(bg48):
     with pytest.raises(ParameterError):
-        run_flow(bg48, np.zeros(bg48.size), dt=2e-3, steps=10)
+        run_flow(bg48.reference, dt=2e-3, steps=10)
     with pytest.raises(ParameterError):
-        run_flow(bg48, np.zeros(bg48.size), dt=1e-3, steps=20_000)
+        run_flow(bg48.reference, dt=1e-3, steps=20_000)
     with pytest.raises(ParameterError):
-        run_flow(bg48, np.full(bg48.size, np.nan), steps=10)
+        run_flow(make_metric(bg48, np.full(bg48.size, np.nan)), steps=10)
     torus = fs_background("torus", 1, 32)
     with pytest.raises(UnsupportedModelError):
-        run_flow(torus, np.zeros(torus.size), steps=10)
+        run_flow(torus.reference, steps=10)

@@ -136,8 +136,8 @@ def _fd_ricci_oracle(bg, phi, t_grid):
 @pytest.mark.parametrize("fixture", ["bg_cp1", "bg_cp2", "bg_cp3", "bg_cp4"])
 def test_ricci_eigenvalues_match_finite_difference_oracle(fixture, request):
     bg = request.getfixturevalue(fixture)
-    phi = generate_probe(bg, seed=11, scenario="oracle", index=2)
-    state = make_metric(bg, phi)
+    state = generate_probe(bg, seed=11, scenario="oracle", index=2)
+    phi = state.phi
 
     t_grid = np.arange(-4.5, 4.5 + 1e-9, 0.01)
     xq, lam_r_o, lam_s_o = _fd_ricci_oracle(bg, phi, t_grid)
@@ -161,7 +161,7 @@ def test_torus_curvature_matches_periodic_finite_differences(bg_torus, probe_tor
     # five-point stencil at the native spacing is too coarse; refine by
     # trigonometric zero-padding (plain numpy FFT, no package machinery)
     # before differencing
-    state = make_metric(bg_torus, probe_torus)
+    state = probe_torus
     N = bg_torus.size
     K = 16 * N
     h = 1.0 / K
@@ -188,7 +188,7 @@ def test_torus_curvature_matches_periodic_finite_differences(bg_torus, probe_tor
 
 
 def test_moment_profile_endpoints_pinned(bg_cp2, probe_cp2):
-    state = make_metric(bg_cp2, probe_cp2)
+    state = probe_cp2
     L = bg_cp2.length
     assert abs(state.m[0]) < 1e-12
     assert abs(state.m[-1] - L) < 1e-12
@@ -200,14 +200,14 @@ def test_moment_profile_endpoints_pinned(bg_cp2, probe_cp2):
 def test_constant_shift_leaves_state_unchanged(bg_cp2, probe_cp2):
     # the differentiation matrix annihilates constants to ~1e-12; two more
     # derivative passes amplify that roundoff into the curvature fields
-    a = make_metric(bg_cp2, probe_cp2)
-    b = make_metric(bg_cp2, probe_cp2 + 17.25)
+    a = probe_cp2
+    b = make_metric(bg_cp2, probe_cp2.phi + 17.25)
     assert np.abs(a.rho - b.rho).max() < 1e-10
     assert np.abs(a.lam_r - b.lam_r).max() < 1e-6
 
 
 def test_n1_transverse_eigenvalue_mirrors_radial(bg_cp1, probe_cp1):
-    state = make_metric(bg_cp1, probe_cp1)
+    state = probe_cp1
     assert np.array_equal(state.lam_r, state.lam_s)
 
 
@@ -265,7 +265,7 @@ def test_wedge_of_references_is_unit_density(bg_cp3):
 
 
 def test_wedge_of_metric_slots_is_volume_density(bg_cp2, probe_cp2):
-    state = make_metric(bg_cp2, probe_cp2)
+    state = probe_cp2
     density = wedge_density(bg_cp2, [slot_metric(state)] * bg_cp2.n)
     assert np.abs(density - state.rho).max() < 1e-12
 
@@ -284,8 +284,8 @@ def test_hessian_slot_closed_form_on_moment_coordinate(bg_cp2):
 
 
 def test_gradsq_slot_structure(bg_cp2, probe_cp2):
-    slot = slot_gradsq(bg_cp2, probe_cp2)
-    phi_x = bg_cp2.D @ probe_cp2
+    slot = slot_gradsq(bg_cp2, probe_cp2.phi)
+    phi_x = bg_cp2.D @ probe_cp2.phi
     assert np.abs(slot.ar - bg_cp2.w0 * phi_x ** 2).max() < 1e-12
     assert np.abs(slot.as_).max() == 0.0
 
@@ -303,8 +303,7 @@ def test_ricci_slot_of_round_metric_is_reference(bg_cp2):
 @pytest.mark.parametrize("fixture", ["bg_cp2", "bg_cp3", "bg_cp4"])
 def test_sigma_k_matches_subset_enumeration(fixture, request):
     bg = request.getfixturevalue(fixture)
-    phi = generate_probe(bg, seed=4, scenario="sigma", index=1)
-    state = make_metric(bg, phi)
+    state = generate_probe(bg, seed=4, scenario="sigma", index=1)
     n = bg.n
     for idx in (3, bg.size // 2, bg.size - 4):
         eigs = [state.lam_r[idx]] + [state.lam_s[idx]] * (n - 1)
@@ -334,7 +333,7 @@ def test_round_scalar_curvature_is_n(bg_cp3):
 
 def test_laplacian_self_adjoint_in_state_volume(bg_cp2, probe_cp2):
     bg = bg_cp2
-    state = make_metric(bg, probe_cp2)
+    state = probe_cp2
     weight = bg.ref_measure * state.rho
     u = bg.x ** 2
     v = np.sin(bg.x)
@@ -344,21 +343,21 @@ def test_laplacian_self_adjoint_in_state_volume(bg_cp2, probe_cp2):
 
 
 def test_laplacian_annihilates_constants(bg_cp2, probe_cp2):
-    state = make_metric(bg_cp2, probe_cp2)
+    state = probe_cp2
     assert np.abs(laplacian(state, np.ones(bg_cp2.size))).max() < 1e-11
 
 
 def test_laplacian_integrates_to_zero(bg_cp2, probe_cp2):
     # divergence structure: the Laplacian of anything has zero mean in the
     # state's own volume form
-    state = make_metric(bg_cp2, probe_cp2)
+    state = probe_cp2
     u = np.cos(bg_cp2.x)
     total = bg_cp2.integrate(laplacian(state, u) * state.rho)
     assert abs(total) < 1e-9
 
 
 def test_laplacian_matrix_agrees_with_apply(bg_cp2, probe_cp2):
-    state = make_metric(bg_cp2, probe_cp2)
+    state = probe_cp2
     u = bg_cp2.x ** 3 - bg_cp2.x
     A = laplacian_matrix(state)
     assert np.abs(A @ u - laplacian(state, u)).max() < 1e-10
@@ -367,8 +366,7 @@ def test_laplacian_matrix_agrees_with_apply(bg_cp2, probe_cp2):
 @pytest.mark.parametrize("name", ["bg_cp1", "bg_cp2", "bg_torus"])
 def test_laplacian_matrix_matches_uncached_formula(name, request):
     bg = request.getfixturevalue(name)
-    phi = generate_probe(bg, seed=5, scenario="unit", index=0)
-    state = make_metric(bg, phi)
+    state = generate_probe(bg, seed=5, scenario="unit", index=0)
     if bg.model == "torus":
         expected = bg.D2 / state.rho[:, None]
     else:
@@ -380,7 +378,7 @@ def test_laplacian_matrix_matches_uncached_formula(name, request):
 
 def test_torus_laplacian_is_flat_second_derivative_over_density(
         bg_torus, probe_torus):
-    state = make_metric(bg_torus, probe_torus)
+    state = probe_torus
     u = np.sin(2.0 * np.pi * bg_torus.x)
     expected = (bg_torus.D2 @ u) / state.rho
     assert np.abs(laplacian(state, u) - expected).max() < 1e-12
@@ -391,17 +389,17 @@ def test_torus_laplacian_is_flat_second_derivative_over_density(
 
 
 def test_density_inversion_round_trip(bg_cp2, probe_cp2):
-    state = make_metric(bg_cp2, probe_cp2)
+    state = probe_cp2
     recovered = potential_from_density(bg_cp2, state.rho)
-    target = probe_cp2 - bg_cp2.mean(probe_cp2)
+    target = state.phi - bg_cp2.mean(state.phi)
     assert np.abs(recovered - target).max() < 1e-8
 
 
 def test_density_inversion_polish_tightens_curvature(bg_cp2, probe_cp2):
-    state = make_metric(bg_cp2, probe_cp2)
+    state = probe_cp2
     raw = potential_from_density(bg_cp2, state.rho)
     polished = potential_from_density(bg_cp2, state.rho, polish=2)
-    target = probe_cp2 - bg_cp2.mean(probe_cp2)
+    target = state.phi - bg_cp2.mean(state.phi)
     err_raw = np.abs(make_metric(bg_cp2, raw).lam_r
                      - state.lam_r).max()
     err_pol = np.abs(make_metric(bg_cp2, polished).lam_r
@@ -413,9 +411,9 @@ def test_density_inversion_polish_tightens_curvature(bg_cp2, probe_cp2):
 
 def test_density_inversion_rescales_mass(bg_cp2, probe_cp2):
     # a mis-normalized target is projected back into the class
-    state = make_metric(bg_cp2, probe_cp2)
+    state = probe_cp2
     recovered = potential_from_density(bg_cp2, 3.7 * state.rho)
-    target = probe_cp2 - bg_cp2.mean(probe_cp2)
+    target = state.phi - bg_cp2.mean(state.phi)
     assert np.abs(recovered - target).max() < 1e-8
 
 
@@ -426,9 +424,9 @@ def test_density_inversion_rejects_sign_changing_target(bg_cp2):
 
 
 def test_torus_density_inversion_round_trip(bg_torus, probe_torus):
-    state = make_metric(bg_torus, probe_torus)
+    state = probe_torus
     recovered = potential_from_density(bg_torus, state.rho)
-    target = probe_torus - probe_torus.mean()
+    target = state.phi - state.phi.mean()
     assert np.abs(recovered - recovered.mean()
                   - (target - target.mean())).max() < 1e-10
 
