@@ -61,21 +61,17 @@ GAUSS_TOL = 1e-10                       # relative change that stops it
 
 @dataclass
 class EnergyValue:
-    value: float
-    k: int
-    method: str
-    intervals: int = 0
-    est_error: float = 0.0
+    """Energy by time quadrature: converged Gauss order and error estimate."""
 
-    def __float__(self) -> float:
-        return self.value
+    value: float
+    intervals: int
+    est_error: float
 
 
 def mu_k(bg: Background, k: int) -> float:
     """Class constant: (1/V) integral of k+1 Ricci factors wedged against
     n-k-1 metric factors.  Computed once per background from the reference."""
-    if not 0 <= k <= bg.n:
-        raise ParameterError(f"mu index must lie in [0, {bg.n}], got {k}")
+    _check_k(bg, k)
     return bg.mu[k]
 
 
@@ -147,7 +143,7 @@ def e_k_path(state: MetricState, k: int, path: str = "linear") -> EnergyValue:
         return _ek_integrand(bg, make_metric(bg, phi_t), dot_t, k, mu)
 
     total, order, err = _gauss_adaptive(integrand)
-    return EnergyValue(total, k, f"path:{path}", order, err)
+    return EnergyValue(total, order, err)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +258,7 @@ def critical_residual(state: MetricState, k: int) -> Array:
     # sigma_k of a smooth admissible state is analytic; truncating its
     # coefficient tail keeps the Laplacian from amplifying the roundoff
     # floor of the pointwise curvature eigenvalues
-    smooth = bg.lowpass(sigma_k(state, k), min(64, bg.size // 2))
+    smooth = bg.lowpass(sigma_k(state, k), bg.band)
     lap_s = laplacian(state, smooth)
     const = comb(n, k + 1) * mu_k(bg, k) if k < n else 0.0
     return s_next - lap_s - const

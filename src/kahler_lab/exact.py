@@ -135,9 +135,6 @@ def verify_sigma_expansion(max_n: int = 4) -> ExactResult:
     return ExactResult("sigma_expansion", cases, failures)
 
 
-def run_all(max_n: int = 12, max_k: int = 30, max_sigma_n: int = 4) -> list[ExactResult]:
-    return [
-        verify_zero_identity(max_n),
-        verify_binomial_identity(max_k),
-        verify_sigma_expansion(max_sigma_n),
-    ]
+def run_all() -> list[ExactResult]:
+    """All three families over their default index ranges."""
+    return [verify_zero_identity(), verify_binomial_identity(), verify_sigma_expansion()]

@@ -11,8 +11,8 @@ class volume identically.
 Explicit time stepping at full collocation resolution is hopeless -- the
 spectral Laplacian carries eigenvalues growing like the fourth power of
 the grid size -- so the flow lives in a fixed low-order subspace: the
-state is the vector of the leading Chebyshev coefficients of phi, and
-each explicit Euler step updates those coefficients directly,
+state is the vector of the FLOW_MODES leading Chebyshev coefficients of
+phi, and each explicit Euler step updates those coefficients directly,
 
     c'  =  (1 + dt) c + dt C_m log(rho),    c'[0] -= <reference mean of c'>,
 
@@ -29,8 +29,7 @@ admissible cone is retried with a halved (sticky) step size.
 
 `run_flow` takes the MetricState of the start metric and reads the
 background from it.  Only the samples build a full metric state on the
-grid; a sample keeps that state and its volume defect, and the energy
-series are evaluated on the sample states when asked for.
+grid; a sample keeps that state and its volume defect.
 """
 
 from __future__ import annotations
@@ -40,10 +39,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotKahlerError, ParameterError, UnsupportedModelError
-from .geometry import Background, MetricState, make_metric
-from .energies import e_k_closed
+from .geometry import Background, MetricState, check_moment_profile, make_metric
 
 Array = np.ndarray
+
+FLOW_MODES = 24  # Chebyshev coefficients the flow steps
 
 
 @dataclass
@@ -67,22 +67,17 @@ class FlowTrajectory:
     def times(self) -> Array:
         return np.array([s.t for s in self.samples])
 
-    def energy_series(self, k: int) -> Array:
-        """E_k of every sample state, relative to the background reference."""
-        return np.array([e_k_closed(s.state, k) for s in self.samples])
-
 
 def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
-             modes: int = 24, sample_every: int = 25,
-             max_halvings: int = 12) -> FlowTrajectory:
+             sample_every: int = 25, max_halvings: int = 12) -> FlowTrajectory:
     """Integrate the normalized flow from the metric of `start` for `steps`
     accepted steps of size dt.
 
-    The start potential is projected onto the first `modes` Chebyshev modes
-    and re-centered to zero reference mean.  Samples (metric state, volume
-    defect) every `sample_every` accepted steps and at both endpoints.  If
-    the step size collapses entirely the trajectory is returned truncated,
-    with the reason recorded, rather than raising.
+    The start potential is projected onto the first FLOW_MODES Chebyshev
+    modes and re-centered to zero reference mean.  Samples (metric state,
+    volume defect) every `sample_every` accepted steps and at both
+    endpoints.  If the step size collapses entirely the trajectory is
+    returned truncated, with the reason recorded, rather than raising.
     """
     bg = start.bg
     if bg.model != "cpn":
@@ -93,8 +88,8 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
         raise ParameterError("total flow time must not exceed 10")
 
     n, size = bg.n, bg.size
-    analysis = bg.cheb_analysis[:modes]
-    synthesis = np.ascontiguousarray(bg.cheb_synthesis[:, :modes])
+    analysis = bg.cheb_analysis[:FLOW_MODES]
+    synthesis = np.ascontiguousarray(bg.cheb_synthesis[:, :FLOW_MODES])
     # the first `size` rows map c to m_x - 1 = (w0 phi_x)_x, the rest to
     # m/x - 1 = w0 phi_x / x
     profiles = np.vstack([bg.D_w0_D @ synthesis,
@@ -111,11 +106,7 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
             raise ParameterError("potential contains non-finite values")
         q = 1.0 + profiles @ c
         if q.min() <= 0.0:
-            m_x, m_over_x = q[:size], q[size:]
-            bad, what = ((m_x, "increasing") if m_x.min() <= 0.0
-                         else (m_over_x, "positive"))
-            node = int(np.argmin(bad))
-            raise NotKahlerError(f"moment profile not {what}", node, float(bad[node]))
+            check_moment_profile(q[:size], q[size:])
         log_q = np.log(q)
         return log_q[:size] + (n - 1) * log_q[size:]
 

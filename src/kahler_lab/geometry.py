@@ -4,7 +4,11 @@ Rotation-invariant metrics on CP^n (1 <= n <= 4) are encoded by potentials
 phi(x) in the background moment coordinate x in [0, n+1]; every curvature
 quantity and wedge-product integrand collapses to one-dimensional algebra in
 x.  A flat-torus branch (n = 1, periodic unit cell) provides the
-zero-first-Chern-class model behind the same interface.
+zero-first-Chern-class model.  It supports `fs_background`, `make_metric`,
+`slot_metric`, `slot_ricci`, `wedge_density`, `sigma_k`, `laplacian` and
+`spectral_tail`; every other call here is for the projective model only,
+and `ricci_potential` and `potential_from_density` raise
+UnsupportedModelError on the torus.
 
 Conventions, all pinned by the round-metric anchor:
 
@@ -44,13 +48,9 @@ Array = np.ndarray
 MODELS = ("cpn", "torus")
 MAX_N = {"cpn": 4, "torus": 1}
 MIN_GRID = 16
-
-_SLOT_KINDS = (
-    "perturbed_metric",
-    "ricci_of_perturbed",
-    "hessian_of",
-    "gradient_square_of",
-)
+# resolved Chebyshev modes: where derivative consumers truncate, and the
+# Ritz trial space of the first eigenvalue
+BAND_MODES = 64
 
 
 @dataclass
@@ -98,12 +98,12 @@ class Background:
         return float(w @ values) / float(w.sum())
 
     def interp(self, values: Array, xq):
-        if self.model != "cpn":
-            raise UnsupportedModelError("interpolation helper is for the projective grid")
         return spectral.bary_interp(self.x, self.bary_w, values, xq)
 
-    def cheb_coeffs(self, values: Array) -> Array:
-        return self.cheb_analysis @ values
+    @property
+    def band(self) -> int:
+        """Resolved Chebyshev modes on this grid."""
+        return min(BAND_MODES, self.size // 2)
 
     def lowpass(self, values: Array, modes: int) -> Array:
         """Project onto the first `modes` Chebyshev coefficients."""
@@ -122,7 +122,6 @@ class FormSlot:
     when n = 1).
     """
 
-    kind: str
     ar: Array
     as_: Array
 
@@ -218,7 +217,8 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
     ref = make_metric(bg, np.zeros(bg.size))
     bg.reference = ref
 
-    dev = max(abs(ref.lam_r - _ref_lam(bg)).max(), abs(ref.lam_s - _ref_lam(bg)).max())
+    lam = 1.0 if model == "cpn" else 0.0
+    dev = max(abs(ref.lam_r - lam).max(), abs(ref.lam_s - lam).max())
     if dev > 1e-8:
         raise RuntimeError(
             f"reference curvature anchor failed: eigenvalue deviation {dev:.3e}"
@@ -226,10 +226,6 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
 
     bg.mu = tuple(_mu_from_reference(bg, k) for k in range(n + 1))
     return bg
-
-
-def _ref_lam(bg: Background) -> float:
-    return 1.0 if bg.model == "cpn" else 0.0
 
 
 def _mu_from_reference(bg: Background, k: int) -> float:
@@ -297,13 +293,8 @@ def make_metric(bg: Background, phi) -> MetricState:
     delta = bg.w0 * phi_x
     delta_x = bg.D @ delta
     m_x = 1.0 + delta_x
-    if m_x.min() <= 0.0:
-        node = int(np.argmin(m_x))
-        raise NotKahlerError("moment profile not increasing", node, float(m_x[node]))
     m_over_x = 1.0 + bg.w0_over_x * phi_x
-    if m_over_x.min() <= 0.0:
-        node = int(np.argmin(m_over_x))
-        raise NotKahlerError("moment profile not positive", node, float(m_over_x[node]))
+    check_moment_profile(m_x, m_over_x)
 
     m = bg.x + delta
     rho = m_x * m_over_x ** (n - 1)
@@ -335,6 +326,14 @@ def make_metric(bg: Background, phi) -> MetricState:
     return state
 
 
+def check_moment_profile(m_x: Array, m_over_x: Array) -> None:
+    """Raise NotKahlerError where a moment profile fails to increase or be positive."""
+    for values, what in ((m_x, "increasing"), (m_over_x, "positive")):
+        if values.min() <= 0.0:
+            node = int(np.argmin(values))
+            raise NotKahlerError(f"moment profile not {what}", node, float(values[node]))
+
+
 def _make_metric_torus(bg: Background, values: Array) -> MetricState:
     phi_xx = bg.D2 @ values
     rho = 1.0 + phi_xx
@@ -359,48 +358,37 @@ def _make_metric_torus(bg: Background, values: Array) -> MetricState:
 
 def slot_metric(state: MetricState) -> FormSlot:
     if state.bg.model == "torus":
-        return FormSlot("perturbed_metric", state.rho, np.zeros(state.bg.size))
-    return FormSlot("perturbed_metric", state.m_x, state.m_over_x)
+        return FormSlot(state.rho, np.zeros(state.bg.size))
+    return FormSlot(state.m_x, state.m_over_x)
 
 
 def slot_ricci(state: MetricState) -> FormSlot:
     if state.bg.model == "torus":
-        return FormSlot("ricci_of_perturbed", state.ric_flat, np.zeros(state.bg.size))
-    return FormSlot("ricci_of_perturbed", state.G_x, state.G_over_x)
+        return FormSlot(state.ric_flat, np.zeros(state.bg.size))
+    return FormSlot(state.G_x, state.G_over_x)
 
 
 def slot_hessian(bg: Background, u) -> FormSlot:
     """Complex Hessian of a radial function as a (1,1)-form slot."""
-    vals = _potential_values(u)
-    u_x = bg.D @ vals
-    if bg.model == "torus":
-        return FormSlot("hessian_of", bg.D2 @ vals, np.zeros(bg.size))
-    return FormSlot("hessian_of", bg.D @ (bg.w0 * u_x), bg.w0_over_x * u_x)
+    u_x = bg.D @ _potential_values(u)
+    return FormSlot(bg.D @ (bg.w0 * u_x), bg.w0_over_x * u_x)
 
 
 def slot_gradsq(bg: Background, u) -> FormSlot:
     """The rank-one form  i du ^ dubar  of a radial function."""
-    vals = _potential_values(u)
-    u_x = bg.D @ vals
-    if bg.model == "torus":
-        return FormSlot("gradient_square_of", u_x * u_x, np.zeros(bg.size))
-    return FormSlot("gradient_square_of", bg.w0 * u_x * u_x, np.zeros(bg.size))
+    u_x = bg.D @ _potential_values(u)
+    return FormSlot(bg.w0 * u_x * u_x, np.zeros(bg.size))
 
 
 def wedge_density(bg: Background, slots: list[FormSlot]) -> Array:
     """Density of an n-fold wedge of radial (1,1)-forms against omega^n.
 
     With simultaneous eigenpairs (a_r, a_s) the normalized density is
-    (1/n) sum_j a_r^j prod_{l != j} a_s^l.  At most one rank-one
-    (gradient-square) slot is meaningful; two or more are rejected.
+    (1/n) sum_j a_r^j prod_{l != j} a_s^l.  A rank-one (gradient-square)
+    slot has a_s = 0, so a wedge of two of them is correctly zero.
     """
     if len(slots) != bg.n:
         raise ParameterError(f"wedge of degree {len(slots)} on an n = {bg.n} model")
-    for s in slots:
-        if s.kind not in _SLOT_KINDS:
-            raise ParameterError(f"unknown slot kind {s.kind!r}")
-    if sum(s.kind == "gradient_square_of" for s in slots) > 1:
-        raise ParameterError("a wedge admits at most one gradient-square slot")
 
     n = bg.n
     if n == 1:
@@ -451,8 +439,6 @@ def laplacian(state: MetricState, u) -> Array:
 def laplacian_matrix(state: MetricState) -> Array:
     """Dense matrix of the Laplacian acting on grid samples."""
     bg = state.bg
-    if bg.model == "torus":
-        return bg.D2 / state.rho[:, None]
     A = bg.D_w0_D / state.m_x[:, None]
     if bg.n > 1:
         A = A + (bg.n - 1) * state.r[:, None] * bg.D
@@ -501,16 +487,12 @@ def potential_from_density(bg: Background, rho_target: Array,
     exactly to the Laplacian), scrubbing the pole noise down to the
     interior floor.  Callers that only integrate the result can skip it.
     """
+    if bg.model != "cpn":
+        raise UnsupportedModelError("density inversion requires the projective model")
     rho_arr = np.asarray(rho_target, dtype=float)
     if rho_arr.min() <= 0.0:
         node = int(np.argmin(rho_arr))
         raise NotKahlerError("target density not positive", node, float(rho_arr[node]))
-
-    if bg.model == "torus":
-        src = rho_arr - 1.0
-        src = src - src.mean()
-        phi = spectral.fourier_antiderivative(spectral.fourier_antiderivative(src))
-        return phi - phi.mean()
 
     n = bg.n
     mass = bg.integrate(rho_arr)
@@ -549,7 +531,7 @@ def spectral_tail(bg: Background, values) -> float:
     if bg.model == "torus":
         coeffs = np.abs(np.fft.rfft(vals))
     else:
-        coeffs = np.abs(bg.cheb_coeffs(vals))
+        coeffs = np.abs(bg.cheb_analysis @ vals)
     scale = coeffs.max()
     if scale == 0.0:
         return 0.0

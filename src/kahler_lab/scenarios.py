@@ -56,24 +56,6 @@ from .geometry import (
 from . import energies as _energies
 from . import spectral
 
-SCENARIO_NAMES = (
-    "exact_identities",
-    "fs_anchors",
-    "ek_path_independence",
-    "prop21_agreement",
-    "cocycle",
-    "theorem1",
-    "theorem2",
-    "lemma32_34",
-    "lemma41",
-    "futaki",
-    "section5",
-    "orbit_flatness",
-    "properness_probe",
-    "krf_monotone",
-    "cy_torus",
-)
-
 _CONFIG_KEYS = {"scenario", "model", "n", "grid_size", "seed", "modes",
                 "amplitude", "count", "tolerances", "out_dir"}
 
@@ -104,6 +86,14 @@ def parse_config(raw: dict) -> ScenarioConfig:
     name = raw["scenario"]
     if name not in SCENARIO_NAMES:
         raise ParameterError(f"unknown scenario {name!r}")
+    tols = raw.get("tolerances", {})
+    if not isinstance(tols, dict):
+        raise ParameterError("tolerances must be an object")
+    # JSON true/false would pass every integer and number test below
+    flags = sorted(key for key, value in [*raw.items(), *tols.items()]
+                   if isinstance(value, bool))
+    if flags:
+        raise ParameterError(f"config values must not be booleans: {flags}")
 
     spec = _REGISTRY[name]
     cfg = ScenarioConfig(scenario=name)
@@ -133,9 +123,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(cfg.count, int) or cfg.count < 1:
         raise ParameterError("count must be a positive integer")
 
-    tols = raw.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ParameterError("tolerances must be an object")
     unknown_tols = set(tols) - set(spec.tolerances)
     if unknown_tols:
         raise ParameterError(
@@ -185,7 +172,7 @@ def _suffixed(items: list[CheckItem], idx: int) -> list[CheckItem]:
 
 def _run_exact_identities(cfg, bg, report, art):
     start = time.perf_counter()
-    for result in run_exact(max_n=12, max_k=30, max_sigma_n=4):
+    for result in run_exact():
         report.add(CheckItem.exact(
             result.name,
             "combinatorial identity holds exactly over the full index range",
@@ -491,6 +478,14 @@ def _run_orbit_flatness(cfg, bg, report, art):
 
 def _run_properness_probe(cfg, bg, report, art):
     t = cfg.tolerances
+    report.note(
+        "The polynomial-properness lower bound is existential in its "
+        "constants and fails outright on the rotation orbit (energy flat, J "
+        "unbounded), so it is not checkable as stated on this symmetric "
+        "model.  This scenario reports only the empirical growth exponent "
+        "on a fixed-direction scaling family, plus nonnegativity and "
+        "monotone growth; orbit flatness is quantified by the companion "
+        "orbit scenario.")
     base = generate_probe(bg, cfg.seed, cfg.scenario, 0, cfg.modes, cfg.amplitude)
     scales = np.geomspace(0.25, 2.5, 12)
 
@@ -515,13 +510,19 @@ def _run_properness_probe(cfg, bg, report, art):
         float(diffs.min()), 0.0, t["monotone_slack"]))
 
     usable = [(e1, j) for _, e1, j in rows if e1 > 1e-12 and j > 1e-12]
+    if len(usable) < 3:
+        report.add(CheckItem.lower_bound(
+            "exponent_fit_rows",
+            "scaling rows with energy and J above 1e-12, enough to fit an "
+            "exponent", len(usable), 3, 0.0))
+        return
     x = np.log([j for _, j in usable])
     y = np.log([e1 for e1, _ in usable])
     A = np.vstack([x, np.ones_like(x)]).T
     coef, res_, *_ = np.linalg.lstsq(A, y, rcond=None)
     slope = float(coef[0])
     resid = y - A @ coef
-    dof = max(1, len(x) - 2)
+    dof = len(x) - 2
     se = float(np.sqrt(resid @ resid / dof / ((x - x.mean()) @ (x - x.mean()))))
     from scipy.special import stdtrit
     half = float(stdtrit(dof, 0.975)) * se
@@ -532,14 +533,6 @@ def _run_properness_probe(cfg, bg, report, art):
         "exponent_ci_low", "95% confidence lower bound", slope - half))
     report.add(CheckItem.info(
         "exponent_ci_high", "95% confidence upper bound", slope + half))
-    report.note(
-        "The polynomial-properness lower bound is existential in its "
-        "constants and fails outright on the rotation orbit (energy flat, J "
-        "unbounded), so it is not checkable as stated on this symmetric "
-        "model.  This scenario reports only the empirical growth exponent "
-        "on a fixed-direction scaling family, plus nonnegativity and "
-        "monotone growth; orbit flatness is quantified by the companion "
-        "orbit scenario.")
 
 
 def _run_krf_monotone(cfg, bg, report, art):
@@ -553,8 +546,14 @@ def _run_krf_monotone(cfg, bg, report, art):
 
     for idx, start in enumerate(_probes(bg, cfg)):
         traj = run_flow(start, dt=1e-3, steps=1000)
-        e0 = traj.energy_series(0)
-        e1 = traj.energy_series(1)
+        if idx == 0:
+            rows = [monitor_row(s.t, 0.0, s.state) for s in traj.samples]
+            art.write("trajectory_flow_0.csv", trajectory_csv(bg, rows))
+        else:
+            rows = [{f"E_{k}": e_k_closed(s.state, k) for k in (0, 1)}
+                    for s in traj.samples]
+        e0 = np.array([row["E_0"] for row in rows])
+        e1 = np.array([row["E_1"] for row in rows])
         flags = np.array([s.state.min_ricci >= -1.0 for s in traj.samples])
         e1_incr = -np.inf
         for a in range(len(e1) - 1):
@@ -575,9 +574,6 @@ def _run_krf_monotone(cfg, bg, report, art):
             f"volume_conserved_s{idx}",
             "class volume conserved along the flow",
             vol, 0.0, t["volume"]))
-        if idx == 0:
-            rows = [monitor_row(s.t, 0.0, s.state) for s in traj.samples]
-            art.write("trajectory_flow_0.csv", trajectory_csv(bg, rows))
 
     small = generate_probe(bg, cfg.seed, cfg.scenario, 10_000, cfg.modes, 0.03)
     long_run = run_flow(small, dt=1e-3, steps=10_000, sample_every=2000)
@@ -722,6 +718,8 @@ _REGISTRY: dict[str, ScenarioSpec] = {
         models=("torus",),
         tolerances={"floor": 1e-10, "agreement": 1e-9, "path": 1e-8}),
 }
+
+SCENARIO_NAMES = tuple(_REGISTRY)
 
 
 class _Artifacts:

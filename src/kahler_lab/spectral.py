@@ -53,8 +53,6 @@ def clenshaw_curtis(size: int, length: float) -> Array:
     Exact for polynomials up to the grid order; all weights positive.
     """
     n = size - 1
-    if n < 1:
-        raise ValueError("quadrature needs at least two nodes")
     w = np.zeros(size)
     theta = np.pi * np.arange(1, n) / n
     v = np.ones(n - 1)
@@ -135,16 +133,6 @@ def fourier_diff(size: int, order: int = 1) -> Array:
         mult[size // 2] = 0.0  # odd derivative of the sawtooth mode
     eye = np.eye(size)
     return np.real(np.fft.ifft(mult[:, None] * np.fft.fft(eye, axis=0), axis=0))
-
-
-def fourier_antiderivative(values: Array) -> Array:
-    """Mean-zero periodic antiderivative of a mean-zero sample vector."""
-    size = len(values)
-    k = np.fft.fftfreq(size, d=1.0 / size)
-    coef = np.fft.fft(values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(k == 0, 0.0, coef / (2j * np.pi * k))
-    return np.real(np.fft.ifft(coef))
 
 
 def fd_derivative(series: Array, h: float) -> Array:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from kahler_lab import cli
 from kahler_lab.errors import SolverError
 
@@ -64,3 +66,26 @@ def test_run_overrides_are_validated(tmp_path):
     for flag, value in (("--seed", -1), ("--seed", 2 ** 64), ("--grid", 8)):
         assert cli.main(["run", "--config", path, "--out", str(tmp_path),
                          flag, str(value)]) == 2
+
+
+def test_boolean_config_values_are_config_errors(tmp_path):
+    # JSON true is an int to isinstance; "n": true would run as n = 1
+    for key in ("n", "grid_size", "seed", "count", "amplitude", "modes"):
+        path = _config(tmp_path, {"scenario": "fs_anchors", key: True})
+        assert cli.main(["validate", "--config", path]) == 2, key
+    path = _config(tmp_path, {"scenario": "fs_anchors",
+                              "tolerances": {"residual": True}})
+    assert cli.main(["validate", "--config", path]) == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_properness_probe_without_a_fit_fails_in_valid_json(tmp_path):
+    # at this amplitude no scaling row has E_1 above 1e-12, so there is
+    # nothing to fit the growth exponent to
+    path = _config(tmp_path, {"scenario": "properness_probe", "amplitude": 1e-7})
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path)]) == 1
+    text = (tmp_path / "properness_probe" / "report.json").read_text()
+    assert "NaN" not in text
+    report = json.loads(text)
+    failed = [row["name"] for row in report["checks"] if not row["pass"]]
+    assert failed == ["exponent_fit_rows"]

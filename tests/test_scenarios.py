@@ -10,9 +10,11 @@ failure disappear would hide that defect.
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+from kahler_lab import energies
 from kahler_lab.scenarios import SCENARIO_NAMES, parse_config, run_scenario
 
 # rows per scenario at grid_size 48, count 2, seed 0, in SCENARIO_NAMES order
@@ -47,3 +49,25 @@ def test_scenario_runs_and_writes_consistent_artifacts(name, tmp_path):
 
     written = sorted(p.name for p in out.glob("trajectory_*.csv"))
     assert written == TRAJECTORIES.get(name, [])
+
+
+def test_flow_scenario_evaluates_each_sample_energy_once(monkeypatch, tmp_path):
+    # trajectory 0's monitor rows already hold E_0 and E_1 of every sample
+    calls = []
+    original = energies.e_k_closed
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module that imported the function by name holds its own binding
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("kahler_lab")
+                and getattr(module, "e_k_closed", None) is original):
+            monkeypatch.setattr(module, "e_k_closed", counting)
+    cfg = parse_config({"scenario": "krf_monotone", "grid_size": 48, "count": 1})
+    report = run_scenario(cfg, out_dir=str(tmp_path))
+    assert report.items
+    samples = len((tmp_path / "krf_monotone" / "trajectory_flow_0.csv")
+                  .read_text().splitlines()) - 1
+    assert len(calls) == (cfg.n + 1) * samples

@@ -177,16 +177,6 @@ def test_fourier_second_derivative_matches_squared_symbol():
     assert np.abs(D2 @ f + (4.0 * np.pi) ** 2 * f).max() < 1e-9
 
 
-def test_fourier_antiderivative_inverts_derivative_on_mean_zero_input():
-    size = 64
-    x = spectral.fourier_nodes(size)
-    D = spectral.fourier_diff(size, 1)
-    f = np.sin(2.0 * np.pi * x) + 0.3 * np.cos(4.0 * np.pi * x)
-    F = spectral.fourier_antiderivative(f)
-    assert abs(F.mean()) < 1e-14
-    assert np.abs(D @ F - f).max() < 1e-11
-
-
 # ---------------------------------------------------------------------------
 # finite differences in an external parameter
 
