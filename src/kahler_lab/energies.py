@@ -12,7 +12,10 @@ and mu_k the class constant normalizing k+1 Ricci factors.  The value is
 path independent; this module evaluates it along two different segments
 (linear and quadratic time reparametrizations) plus through an equivalent
 closed-form expression with no time integration, so independence is a
-checkable claim rather than an assumption.
+checkable claim rather than an assumption.  The segment route returns all
+of E_0 .. E_n at once: the metrics at one Gauss order's nodes are built as
+one stacked state shared by every k, and the order escalates per k, each
+k keeping the first order at which it converges.
 
 Every functional takes metric states, never bare potentials.  `state` is the
 MetricState of the metric w_phi being measured and `ref` the MetricState of
@@ -35,6 +38,7 @@ closed form the k = 1 energy reduces to on the Ricci-flat torus model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -60,12 +64,18 @@ GAUSS_TOL = 1e-10                       # relative change that stops it
 
 
 @dataclass
-class EnergyValue:
-    """Energy by time quadrature: converged Gauss order and error estimate."""
+class PathEnergies:
+    """E_0 .. E_n by time quadrature along one segment: for each k its
+    value, the Gauss order it converged at and that order's error estimate."""
 
-    value: float
-    intervals: int
-    est_error: float
+    values: tuple[float, ...]
+    orders: tuple[int, ...]
+    est_errors: tuple[float, ...]
+
+    @property
+    def intervals(self) -> int:
+        """The highest Gauss order any k needed."""
+        return max(self.orders)
 
 
 def mu_k(bg: Background, k: int) -> float:
@@ -84,66 +94,83 @@ def _check_k(bg: Background, k: int) -> None:
 # path-integral route
 
 
-def _path_point(path: str, t: float, phi: Array) -> tuple[Array, Array]:
-    """(phi_t, d/dt phi_t) for the named segment."""
+@cache
+def _gauss_rule(order: int) -> tuple[Array, Array]:
+    """Gauss-Legendre nodes and weights on [0, 1], built on first use."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes = 0.5 * (nodes + 1.0)
+    weights = 0.5 * weights
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _path_stack(path: str, t: Array, phi: Array) -> tuple[Array, Array]:
+    """(phi_t, d/dt phi_t) at the times t of the named segment, one row
+    per time (the linear segment's constant rate is a single row)."""
     if path == "linear":
-        return t * phi, phi
-    if path == "quadratic":
-        return (t * t) * phi, (2.0 * t) * phi
-    raise ParameterError(f"unknown path {path!r}; expected one of {PATHS}")
+        return t[:, None] * phi, phi
+    return (t * t)[:, None] * phi, (2.0 * t)[:, None] * phi
 
 
-def _ek_integrand(bg: Background, state: MetricState, dot: Array, k: int,
-                  mu: float) -> float:
+def _ek_integrands(state: MetricState, dot: Array, ks: list[int]) -> list[Array]:
+    """The E_k integrand at every node of a stacked state, for each k in ks."""
+    bg = state.bg
     n = bg.n
     lap_dot = laplacian(state, dot)
     ric = slot_ricci(state)
     met = slot_metric(state)
-    d1 = wedge_density(bg, [ric] * k + [met] * (n - k))
-    first = (k + 1) * bg.integrate(lap_dot * d1)
-    if k == n:
-        return first / bg.volume
-    d2 = wedge_density(bg, [ric] * (k + 1) + [met] * (n - k - 1))
-    second = (n - k) * bg.integrate(dot * (d2 - mu * state.rho))
-    return (first - second) / bg.volume
+    # wedge[j]: j Ricci factors against n-j metric factors
+    wedge = [wedge_density(bg, [ric] * j + [met] * (n - j)) for j in range(n + 1)]
+    out = []
+    for k in ks:
+        first = (k + 1) * bg.integrate(lap_dot * wedge[k])
+        if k == n:
+            out.append(first / bg.volume)
+            continue
+        second = (n - k) * bg.integrate(dot * (wedge[k + 1] - mu_k(bg, k) * state.rho))
+        out.append((first - second) / bg.volume)
+    return out
 
 
-def _gauss_adaptive(f) -> tuple[float, int, float]:
-    """Gauss-Legendre on [0, 1] with order escalation.
+def e_k_path(state: MetricState, path: str = "linear") -> PathEnergies:
+    """Energies E_0 .. E_n of the state's metric relative to the background
+    reference, through the time integral along the named segment.
 
-    The integrands here are analytic in the segment parameter, so the
-    rule converges geometrically; successive orders act as the error
-    estimate.
+    Gauss-Legendre on [0, 1] with order escalation: the integrands are
+    analytic in the segment parameter, so the rule converges geometrically
+    and successive orders act as the error estimate.  Every order's nodes
+    are one stacked `make_metric` build shared by all k; each k stops at
+    the first order whose change from the previous one is within
+    GAUSS_TOL, and later orders evaluate only the k still open.
     """
-    prev = None
-    err = float("inf")
-    for m in GAUSS_ORDERS:
-        nodes, weights = np.polynomial.legendre.leggauss(m)
-        nodes = 0.5 * (nodes + 1.0)
-        weights = 0.5 * weights
-        s = float(sum(w * f(t) for t, w in zip(nodes, weights)))
-        if prev is not None:
-            err = abs(s - prev)
-            if err <= GAUSS_TOL * max(1.0, abs(s)):
-                return s, m, err
-        prev = s
-    raise SolverError("time quadrature failed to converge", residual=err)
-
-
-def e_k_path(state: MetricState, k: int, path: str = "linear") -> EnergyValue:
-    """Energy E_k of the state's metric relative to the background
-    reference, through the time integral along the named segment."""
+    if path not in PATHS:
+        raise ParameterError(f"unknown path {path!r}; expected one of {PATHS}")
     bg = state.bg
-    _check_k(bg, k)
     values = state.phi - bg.reference.phi
-    mu = mu_k(bg, k)
-
-    def integrand(t: float) -> float:
-        phi_t, dot_t = _path_point(path, t, values)
-        return _ek_integrand(bg, make_metric(bg, phi_t), dot_t, k, mu)
-
-    total, order, err = _gauss_adaptive(integrand)
-    return EnergyValue(total, order, err)
+    ks = range(bg.n + 1)
+    done: dict[int, tuple[float, int, float]] = {}   # k -> (value, order, error)
+    prev: dict[int, float] = {}
+    err = dict.fromkeys(ks, float("inf"))
+    for order in GAUSS_ORDERS:
+        pending = [k for k in ks if k not in done]
+        if not pending:
+            break
+        nodes, weights = _gauss_rule(order)
+        phi_t, dot_t = _path_stack(path, nodes, values)
+        integrands = _ek_integrands(make_metric(bg, phi_t), dot_t, pending)
+        for k, f in zip(pending, integrands):
+            s = float(weights @ f)
+            if k in prev:
+                err[k] = abs(s - prev[k])
+                if err[k] <= GAUSS_TOL * max(1.0, abs(s)):
+                    done[k] = (s, order, err[k])
+            prev[k] = s
+    if len(done) < len(ks):
+        raise SolverError("time quadrature failed to converge",
+                          residual=max(err[k] for k in ks if k not in done))
+    energies, orders, errors = zip(*(done[k] for k in ks))
+    return PathEnergies(energies, orders, errors)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,16 @@ Conventions, all pinned by the round-metric anchor:
 On the round reference all of lam_r, lam_s equal 1 and the moment function
 x has Laplacian n - x; both facts are validated at construction time.
 
+`make_metric` takes one potential of shape (N,) or a stack of B potentials
+of shape (B, N) and returns a MetricState whose fields have the same
+leading shape.  Stacks are batch-first: the grid is the last axis,
+derivatives act row by row and background fields broadcast against it,
+so a single potential is the B = 1 case of the same code, and each row of
+a stacked state is bitwise the state of that row alone.
+`laplacian`, `wedge_density`, the `slot_*` builders and
+`Background.integrate` accept stacked fields too; integrals of a single
+density stay Python floats, and a stack integrates to one value per row.
+
 The computations are arranged in perturbation form (differentiating only
 phi-dependent quantities, never the identity profile) so the reference
 state is exact to rounding and endpoint 0/0 ratios are removable without
@@ -86,9 +96,13 @@ class Background:
     def length(self) -> float:
         return float(self.n + 1) if self.model == "cpn" else 1.0
 
-    def integrate(self, density: Array) -> float:
-        """Integral of a density (relative to the reference volume form)."""
-        return float(self.ref_measure @ np.asarray(density, dtype=float))
+    def integrate(self, density: Array) -> float | Array:
+        """Integral of a density (relative to the reference volume form);
+        one value per row of a (B, N) stack."""
+        density = np.asarray(density, dtype=float)
+        if density.ndim == 1:
+            return float(self.ref_measure @ density)
+        return density @ self.ref_measure
 
     def mean(self, values: Array, density: Array | None = None) -> float:
         """Average against the reference (or a supplied) volume density."""
@@ -257,11 +271,23 @@ def _potential_values(phi) -> Array:
     return arr
 
 
+def _rows(M: Array, v: Array) -> Array:
+    """M applied to v, or to each row of a (B, N) stack v.
+
+    numpy runs a stack of vector-matrix products one matrix-vector product
+    per row, so each row comes out bitwise equal to the product of that
+    row alone.  One matrix-matrix product over the stack sums in another
+    order, and the three derivatives of a metric state amplify that last
+    bit to about 1e-9 relative in lam_s at N = 96.
+    """
+    return (v[..., None, :] @ M.T)[..., 0, :]
+
+
 def _div_by_x(bg: Background, v: Array) -> Array:
     """v/x for vectors vanishing at x = 0, with the spectral limit at the pole."""
     out = np.empty_like(v)
-    out[1:] = v[1:] / bg.x[1:]
-    out[0] = float(bg.D[0] @ v)
+    out[..., 1:] = v[..., 1:] / bg.x[1:]
+    out[..., :1] = _rows(bg.D[:1], v)
     return out
 
 
@@ -275,23 +301,26 @@ def _div_by_w0(bg: Background, v: Array) -> Array:
 
 
 def make_metric(bg: Background, phi) -> MetricState:
-    """Validate a potential and assemble the full metric state.
+    """Validate a potential, or a (B, N) stack of them, and assemble the
+    full metric state; a stack gives a state whose fields are (B, N).
 
-    Raises NotKahlerError at the first node where positivity fails.  Adding
-    a constant to phi returns an identical state (the differentiation
-    matrix annihilates constants exactly).
+    Raises NotKahlerError at the first node where positivity fails (in a
+    stack, at the first failing row, with the node index within it).
+    Adding a constant to phi returns an identical state (the
+    differentiation matrix annihilates constants exactly).
     """
     values = _potential_values(phi)
-    if values.shape != (bg.size,):
-        raise ParameterError(f"potential shape {values.shape} != ({bg.size},)")
+    if values.ndim not in (1, 2) or values.shape[-1] != bg.size:
+        raise ParameterError(
+            f"potential shape {values.shape} is neither ({bg.size},) nor (B, {bg.size})")
 
     if bg.model == "torus":
         return _make_metric_torus(bg, values)
 
     n = bg.n
-    phi_x = bg.D @ values
+    phi_x = _rows(bg.D, values)
     delta = bg.w0 * phi_x
-    delta_x = bg.D @ delta
+    delta_x = _rows(bg.D, delta)
     m_x = 1.0 + delta_x
     m_over_x = 1.0 + bg.w0_over_x * phi_x
     check_moment_profile(m_x, m_over_x)
@@ -301,9 +330,9 @@ def make_metric(bg: Background, phi) -> MetricState:
     log_rho = np.log(m_x) + (n - 1) * np.log(m_over_x)
     r = bg.w0_over_x / m_over_x
 
-    delta_xx = bg.D @ delta_x
+    delta_xx = _rows(bg.D, delta_x)
     G = n - bg.w0_x - bg.w0 * delta_xx / m_x - (n - 1) * m_x * r
-    G_x = bg.D @ G
+    G_x = _rows(bg.D, G)
     G_over_x = 1.0 + _div_by_x(bg, G - bg.x)
 
     lam_r = G_x / m_x
@@ -327,21 +356,31 @@ def make_metric(bg: Background, phi) -> MetricState:
 
 
 def check_moment_profile(m_x: Array, m_over_x: Array) -> None:
-    """Raise NotKahlerError where a moment profile fails to increase or be positive."""
-    for values, what in ((m_x, "increasing"), (m_over_x, "positive")):
-        if values.min() <= 0.0:
-            node = int(np.argmin(values))
-            raise NotKahlerError(f"moment profile not {what}", node, float(values[node]))
+    """Raise NotKahlerError where a moment profile fails to increase or be
+    positive; for a (B, N) stack, at the first row that fails."""
+    _check_positive(((m_x, "moment profile not increasing"),
+                     (m_over_x, "moment profile not positive")))
+
+
+def _check_positive(fields) -> None:
+    """Raise NotKahlerError at the first nonpositive node of the first
+    failing row, testing each row's (values, message) pairs in order."""
+    if min(values.min() for values, _ in fields) > 0.0:
+        return
+    stacks = [(np.atleast_2d(values), message) for values, message in fields]
+    for row in range(len(stacks[0][0])):
+        for values, message in stacks:
+            if values[row].min() <= 0.0:
+                node = int(np.argmin(values[row]))
+                raise NotKahlerError(message, node, float(values[row, node]))
 
 
 def _make_metric_torus(bg: Background, values: Array) -> MetricState:
-    phi_xx = bg.D2 @ values
+    phi_xx = _rows(bg.D2, values)
     rho = 1.0 + phi_xx
-    if rho.min() <= 0.0:
-        node = int(np.argmin(rho))
-        raise NotKahlerError("flat-frame density not positive", node, float(rho[node]))
+    _check_positive(((rho, "flat-frame density not positive"),))
     log_rho = np.log(rho)
-    ric_flat = -(bg.D2 @ log_rho)
+    ric_flat = -_rows(bg.D2, log_rho)
     lam = ric_flat / rho
     state = MetricState(
         bg=bg, phi=values.copy(), rho=rho, log_rho=log_rho,
@@ -358,26 +397,26 @@ def _make_metric_torus(bg: Background, values: Array) -> MetricState:
 
 def slot_metric(state: MetricState) -> FormSlot:
     if state.bg.model == "torus":
-        return FormSlot(state.rho, np.zeros(state.bg.size))
+        return FormSlot(state.rho, np.zeros_like(state.rho))
     return FormSlot(state.m_x, state.m_over_x)
 
 
 def slot_ricci(state: MetricState) -> FormSlot:
     if state.bg.model == "torus":
-        return FormSlot(state.ric_flat, np.zeros(state.bg.size))
+        return FormSlot(state.ric_flat, np.zeros_like(state.ric_flat))
     return FormSlot(state.G_x, state.G_over_x)
 
 
 def slot_hessian(bg: Background, u) -> FormSlot:
     """Complex Hessian of a radial function as a (1,1)-form slot."""
-    u_x = bg.D @ _potential_values(u)
-    return FormSlot(bg.D @ (bg.w0 * u_x), bg.w0_over_x * u_x)
+    u_x = _rows(bg.D, _potential_values(u))
+    return FormSlot(_rows(bg.D, bg.w0 * u_x), bg.w0_over_x * u_x)
 
 
 def slot_gradsq(bg: Background, u) -> FormSlot:
     """The rank-one form  i du ^ dubar  of a radial function."""
-    u_x = bg.D @ _potential_values(u)
-    return FormSlot(bg.w0 * u_x * u_x, np.zeros(bg.size))
+    u_x = _rows(bg.D, _potential_values(u))
+    return FormSlot(bg.w0 * u_x * u_x, np.zeros_like(u_x))
 
 
 def wedge_density(bg: Background, slots: list[FormSlot]) -> Array:
@@ -393,13 +432,13 @@ def wedge_density(bg: Background, slots: list[FormSlot]) -> Array:
     n = bg.n
     if n == 1:
         return slots[0].ar.copy()
-    total = np.zeros(bg.size)
+    total = 0.0
     for j in range(n):
-        term = slots[j].ar.copy()
+        term = slots[j].ar
         for l in range(n):
             if l != j:
                 term = term * slots[l].as_
-        total += term
+        total = total + term
     return total / n
 
 
@@ -426,13 +465,14 @@ def sigma_k(state: MetricState, k: int) -> Array:
 
 
 def laplacian(state: MetricState, u) -> Array:
-    """Complex Laplacian of a radial function in the metric of `state`."""
+    """Complex Laplacian of a radial function in the metric of `state`;
+    either may be a (B, N) stack, and a single function broadcasts."""
     bg = state.bg
     vals = _potential_values(u)
-    u_x = bg.D @ vals
     if bg.model == "torus":
-        return (bg.D2 @ vals) / state.rho
-    q_x = bg.D @ (bg.w0 * u_x)
+        return _rows(bg.D2, vals) / state.rho
+    u_x = _rows(bg.D, vals)
+    q_x = _rows(bg.D, bg.w0 * u_x)
     return q_x / state.m_x + (bg.n - 1) * u_x * state.r
 
 

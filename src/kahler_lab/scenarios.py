@@ -122,6 +122,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ParameterError("amplitude must be a nonnegative number")
     if not isinstance(cfg.count, int) or cfg.count < 1:
         raise ParameterError("count must be a positive integer")
+    if cfg.out_dir is not None and not isinstance(cfg.out_dir, str):
+        raise ParameterError(f"out_dir must be a string, got {cfg.out_dir!r}")
 
     unknown_tols = set(tols) - set(spec.tolerances)
     if unknown_tols:
@@ -234,19 +236,19 @@ def _run_fs_anchors(cfg, bg, report, art):
 def _run_ek_path_independence(cfg, bg, report, art):
     t = cfg.tolerances
     for idx, state in enumerate(_probes(bg, cfg)):
+        lin = e_k_path(state, "linear").values
+        quad = e_k_path(state, "quadratic").values
         for k in range(bg.n + 1):
-            lin = e_k_path(state, k, "linear")
-            quad = e_k_path(state, k, "quadratic")
             closed = e_k_closed(state, k)
-            scale = max(abs(lin.value), abs(closed))
+            scale = max(abs(lin[k]), abs(closed))
             report.add(CheckItem.identity(
                 f"path_independence_s{idx}_k{k}",
                 "energy value agrees along two admissible segments",
-                lin.value, quad.value, t["path"], relative_to=scale))
+                lin[k], quad[k], t["path"], relative_to=scale))
             report.add(CheckItem.identity(
                 f"path_vs_closed_s{idx}_k{k}",
                 "segment integral agrees with the closed-form expression",
-                lin.value, closed, t["closed"], relative_to=scale))
+                lin[k], closed, t["closed"], relative_to=scale))
 
 
 def _run_prop21_agreement(cfg, bg, report, art):
@@ -263,14 +265,14 @@ def _run_prop21_agreement(cfg, bg, report, art):
 
     for idx, state in enumerate(probes):
         shifted_state = make_metric(bg, state.phi + shifts[idx])
+        path = e_k_path(state, "linear").values
         for k in range(bg.n + 1):
             closed = e_k_closed(state, k)
-            path = e_k_path(state, k, "linear")
-            scale = max(abs(closed), abs(path.value))
+            scale = max(abs(closed), abs(path[k]))
             report.add(CheckItem.identity(
                 f"definition_agreement_s{idx}_k{k}",
                 "closed-form expression reproduces the defining integral",
-                path.value, closed, t["closed"], relative_to=scale))
+                path[k], closed, t["closed"], relative_to=scale))
             shifted = e_k_closed(shifted_state, k)
             report.add(CheckItem.identity(
                 f"shift_invariance_s{idx}_k{k}",
@@ -609,14 +611,14 @@ def _run_cy_torus(cfg, bg, report, art):
                 "general energy formula reduces to the squared-slope integral",
                 closed, cy, t["agreement"], relative_to=max(1.0, cy)))
         if idx < 3:
+            lin = e_k_path(state, "linear").values
+            quad = e_k_path(state, "quadratic").values
             for k in range(bg.n + 1):
-                lin = e_k_path(state, k, "linear")
-                quad = e_k_path(state, k, "quadratic")
                 report.add(CheckItem.identity(
                     f"path_independence_s{idx}_k{k}",
                     "flat-model energy agrees along two admissible segments",
-                    lin.value, quad.value, t["path"],
-                    relative_to=max(1.0, abs(lin.value))))
+                    lin[k], quad[k], t["path"],
+                    relative_to=max(1.0, abs(lin[k]))))
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,13 @@ def test_run_overrides_are_validated(tmp_path):
                          flag, str(value)]) == 2
 
 
+def test_non_string_out_dir_is_a_config_error(tmp_path):
+    for out_dir in (5, ["out"], {"path": "out"}):
+        path = _config(tmp_path, {"scenario": "exact_identities", "out_dir": out_dir})
+        assert cli.main(["validate", "--config", path]) == 2, out_dir
+        assert cli.main(["run", "--config", path]) == 2, out_dir
+
+
 def test_boolean_config_values_are_config_errors(tmp_path):
     # JSON true is an int to isinstance; "n": true would run as n = 1
     for key in ("n", "grid_size", "seed", "count", "amplitude", "modes"):

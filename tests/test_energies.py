@@ -8,7 +8,9 @@ Oracles:
 * the first size functional is recomputed through the integration-by-parts
   identity  I = (1/V) int phi (1 - rho);
 * rotation-field invariants are compared against finite differences of the
-  energy along the pullback orbit.
+  energy along the pullback orbit;
+* the all-k segment quadrature is compared against the per-k loop it
+  replaced: one 1-D metric build per Gauss node, escalating each k alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 
 from kahler_lab import spectral
-from kahler_lab.energies import (EnergyValue, critical_residual, e1_cy,
+from kahler_lab.energies import (GAUSS_ORDERS, GAUSS_TOL, PathEnergies,
+                                 _gauss_rule, critical_residual, e1_cy,
                                  e_k_closed, e_k_path, futaki_k, i_and_j,
                                  mu_k, orbit_potential)
 from kahler_lab.errors import ParameterError, UnsupportedModelError
@@ -36,25 +39,29 @@ def _fd5(f, t0: float, h: float) -> float:
 # defining first variation as the derivative of the closed form
 
 
-def _first_variation(bg, phi, t0: float, k: int) -> float:
-    """Rate of the energy along t -> t phi, straight from its definition:
+def _energy_rate(state, dot, k: int) -> float:
+    """Rate of E_k at the metric of `state` moving with potential rate
+    `dot`, straight from its definition:
 
-        (1/V) [ (k+1) int (Lap phi) Ric^k ^ w^{n-k}
-                - (n-k) int phi (Ric^{k+1} ^ w^{n-k-1} - mu w^n) ]
-
-    evaluated at the metric of t0 phi.
+        (1/V) [ (k+1) int (Lap dot) Ric^k ^ w^{n-k}
+                - (n-k) int dot (Ric^{k+1} ^ w^{n-k-1} - mu w^n) ]
     """
+    bg = state.bg
     n = bg.n
-    state = make_metric(bg, t0 * phi)
     ric = slot_ricci(state)
     met = slot_metric(state)
-    lap = laplacian(state, phi)
+    lap = laplacian(state, dot)
     d1 = wedge_density(bg, [ric] * k + [met] * (n - k))
     total = (k + 1) * bg.integrate(lap * d1)
     if k < n:
         d2 = wedge_density(bg, [ric] * (k + 1) + [met] * (n - k - 1))
-        total -= (n - k) * bg.integrate(phi * (d2 - mu_k(bg, k) * state.rho))
+        total -= (n - k) * bg.integrate(dot * (d2 - mu_k(bg, k) * state.rho))
     return total / bg.volume
+
+
+def _first_variation(bg, phi, t0: float, k: int) -> float:
+    """Rate of the energy along t -> t phi at the metric of t0 phi."""
+    return _energy_rate(make_metric(bg, t0 * phi), phi, k)
 
 
 @pytest.mark.parametrize("fixture,k", [
@@ -86,27 +93,76 @@ def test_torus_closed_form_derivative_matches_first_variation(bg_torus,
 def test_path_routes_and_closed_form_agree(fixture, request):
     bg = request.getfixturevalue(fixture)
     state = generate_probe(bg, seed=21, scenario="routes", index=3)
+    lin = e_k_path(state, "linear").values
+    quad = e_k_path(state, "quadratic").values
+    assert len(lin) == len(quad) == bg.n + 1
     for k in range(bg.n + 1):
-        lin = e_k_path(state, k, "linear")
-        quad = e_k_path(state, k, "quadratic")
         closed = e_k_closed(state, k)
         scale = max(1.0, abs(closed))
-        assert abs(lin.value - quad.value) < 1e-10 * scale
-        assert abs(lin.value - closed) < 1e-9 * scale
+        assert abs(lin[k] - quad[k]) < 1e-10 * scale
+        assert abs(lin[k] - closed) < 1e-9 * scale
 
 
 def test_energy_of_zero_potential_vanishes(bg_cp2):
     zero = make_metric(bg_cp2, np.zeros(bg_cp2.size))
     for k in range(3):
         assert e_k_closed(zero, k) == pytest.approx(0.0, abs=1e-12)
-        assert e_k_path(zero, k).value == pytest.approx(0.0, abs=1e-12)
+    assert e_k_path(zero).values == pytest.approx([0.0] * 3, abs=1e-12)
 
 
 def test_energy_value_carries_metadata(probe_cp1):
-    out = e_k_path(probe_cp1, 1)
-    assert isinstance(out, EnergyValue)
-    assert out.intervals >= 24
-    assert out.est_error < 1e-10 * max(1.0, abs(out.value))
+    out = e_k_path(probe_cp1)
+    assert isinstance(out, PathEnergies)
+    assert len(out.values) == len(out.orders) == len(out.est_errors) == 2
+    # escalation needs two orders before it can stop
+    assert all(order in GAUSS_ORDERS[1:] for order in out.orders)
+    assert isinstance(out.intervals, int)
+    assert out.intervals == max(out.orders)
+    for value, err in zip(out.values, out.est_errors):
+        assert err < 1e-10 * max(1.0, abs(value))
+
+
+def test_gauss_rules_are_cached_and_frozen():
+    nodes, weights = _gauss_rule(24)
+    assert _gauss_rule(24)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert 0.0 < nodes.min() and nodes.max() < 1.0
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def _path_oracle(state, k: int, path: str) -> tuple[float, int]:
+    """(E_k, converged order) by the per-k loop: each Gauss node is one
+    1-D metric build, and the order escalates for this k alone."""
+    bg = state.bg
+    values = state.phi - bg.reference.phi
+    prev = None
+    for order in GAUSS_ORDERS:
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        total = 0.0
+        for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+            if path == "linear":
+                phi_t, dot = t * values, values
+            else:
+                phi_t, dot = (t * t) * values, (2.0 * t) * values
+            total += w * _energy_rate(make_metric(bg, phi_t), dot, k)
+        if prev is not None and abs(total - prev) <= GAUSS_TOL * max(1.0, abs(total)):
+            return total, order
+        prev = total
+    raise AssertionError(f"oracle quadrature did not converge for k = {k}")
+
+
+@pytest.mark.parametrize("path", ["linear", "quadratic"])
+@pytest.mark.parametrize("fixture", ["bg_cp1", "bg_cp2", "bg_cp3", "bg_cp4",
+                                     "bg_torus"])
+def test_all_k_path_quadrature_matches_per_k_oracle(fixture, path, request):
+    bg = request.getfixturevalue(fixture)
+    state = generate_probe(bg, seed=7, scenario="unit", index=0)
+    out = e_k_path(state, path)
+    assert len(out.values) == bg.n + 1
+    for k in range(bg.n + 1):
+        value, order = _path_oracle(state, k, path)
+        assert out.orders[k] == order, k
+        assert abs(out.values[k] - value) <= 1e-14 * abs(value), k
 
 
 def test_constant_shift_invariance(bg_cp2, probe_cp2):
@@ -148,9 +204,7 @@ def test_bad_indices_and_paths_raise(bg_cp2, probe_cp2):
     with pytest.raises(ParameterError):
         e_k_closed(state, 3)
     with pytest.raises(ParameterError):
-        e_k_path(state, -1)
-    with pytest.raises(ParameterError):
-        e_k_path(state, 1, path="cubic")
+        e_k_path(state, path="cubic")
     with pytest.raises(ParameterError):
         mu_k(bg_cp2, 5)
 

@@ -9,6 +9,7 @@ closed forms of the round reference or to brute-force enumeration.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -226,6 +227,102 @@ def test_torus_inadmissible_potential_raises(bg_torus):
     bad = 0.2 * np.cos(2.0 * np.pi * bg_torus.x)  # rho dips below zero
     with pytest.raises(NotKahlerError):
         make_metric(bg_torus, bad)
+
+
+# ---------------------------------------------------------------------------
+# stacked builds: a (B, N) potential is B states in one call
+
+MODELS = ["bg_cp1", "bg_cp2", "bg_cp3", "bg_cp4", "bg_torus"]
+
+
+def _stack(bg) -> np.ndarray:
+    """Rows like an energy segment's nodes (scalings of one probe,
+    including zero), plus two other probes."""
+    probes = [generate_probe(bg, seed=7, scenario="stack", index=i).phi
+              for i in range(3)]
+    return np.stack([t * probes[0] for t in (0.0, 0.2, 0.7, 1.0)] + probes[1:])
+
+
+def _close(a, b) -> bool:
+    return np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("fixture", MODELS)
+def test_stacked_build_rows_match_single_builds(fixture, request):
+    bg = request.getfixturevalue(fixture)
+    rows = _stack(bg)
+    stacked = make_metric(bg, rows)
+    for i, row in enumerate(rows):
+        single = make_metric(bg, row)
+        for f in dataclasses.fields(single):
+            want = getattr(single, f.name)
+            if not isinstance(want, np.ndarray):
+                continue  # the background, and fields the model leaves None
+            got = getattr(stacked, f.name)
+            assert got.shape == rows.shape, f.name
+            assert _close(got[i], want), (i, f.name)
+
+
+@pytest.mark.parametrize("fixture", MODELS)
+def test_stacked_consumers_match_single_calls(fixture, request):
+    bg = request.getfixturevalue(fixture)
+    rows = _stack(bg)
+    stacked = make_metric(bg, rows)
+    u = np.cos(bg.x)
+    lap = laplacian(stacked, u)
+    slots = [slot_ricci(stacked)] + [slot_metric(stacked)] * (bg.n - 1)
+    density = wedge_density(bg, slots)
+    total = bg.integrate(density)
+    assert lap.shape == density.shape == rows.shape
+    assert total.shape == (len(rows),)
+    for i, row in enumerate(rows):
+        single = make_metric(bg, row)
+        assert _close(lap[i], laplacian(single, u))
+        want = wedge_density(bg, [slot_ricci(single)] + [slot_metric(single)] * (bg.n - 1))
+        assert _close(density[i], want)
+        # one dot per row against a matrix-vector product: the sums differ
+        # in order, so compare on the scale of the integrand's magnitude
+        assert abs(total[i] - bg.integrate(want)) <= 1e-14 * bg.integrate(np.abs(want))
+        assert isinstance(bg.integrate(want), float)
+    if bg.model == "cpn":  # the slot builders are projective-only
+        for build in (slot_hessian, slot_gradsq):
+            stacked_slot = build(bg, rows)
+            for i, row in enumerate(rows):
+                single_slot = build(bg, row)
+                assert _close(stacked_slot.ar[i], single_slot.ar)
+                assert _close(stacked_slot.as_[i], single_slot.as_)
+
+
+def _inadmissible(bg):
+    """Two inadmissible potentials failing at different nodes; the second
+    has the more negative value, so a stack-wide minimum would pick it."""
+    if bg.model == "torus":
+        return (0.2 * np.cos(2.0 * np.pi * bg.x), 0.3 * np.sin(2.0 * np.pi * bg.x))
+    s = 2.0 * bg.x / bg.length - 1.0
+    return -5.0 * s ** 2, 8.0 * s ** 3
+
+
+@pytest.mark.parametrize("fixture", ["bg_cp2", "bg_torus"])
+def test_stack_raises_the_error_of_its_first_inadmissible_row(fixture, request):
+    bg = request.getfixturevalue(fixture)
+    good = generate_probe(bg, seed=7, scenario="stack", index=0).phi
+    first, later = _inadmissible(bg)
+    with pytest.raises(NotKahlerError) as single:
+        make_metric(bg, first)
+    want = (str(single.value), single.value.node, single.value.value)
+    with pytest.raises(NotKahlerError) as other:
+        make_metric(bg, later)
+    assert (other.value.node, other.value.value) != want[1:]
+    for rows in ([good, first], [good, first, later], [first, good, later]):
+        with pytest.raises(NotKahlerError) as stacked:
+            make_metric(bg, np.stack(rows))
+        assert (str(stacked.value), stacked.value.node, stacked.value.value) == want
+
+
+def test_stack_of_wrong_shape_raises(bg_cp2):
+    for shape in ((2, bg_cp2.size + 1), (2, 2, bg_cp2.size)):
+        with pytest.raises(ParameterError):
+            make_metric(bg_cp2, np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
