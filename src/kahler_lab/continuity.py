@@ -11,14 +11,14 @@ potential f, and are parametrized by t in [0, 1]:
   which needs no iteration at all (each t is a monotone moment inversion)
   and ends at the metric whose Ricci form equals w.
 
-The bending path is solved by damped fixed-point sweeps with a Newton
-finisher on (Lap + t I).  At t = 1 that linearization has a one-dimensional
-kernel, the rotation potential u = m - n of the endpoint metric, so the
-t = 1 equation alone leaves the solution free along u.  The endpoint solve
-fixes that direction by the gauge  int phi_1 u w_1^n = 0 : differentiating
-the path equation gives (Lap_t + t) d/dt phi = -phi_t, which at t = 1 is
-solvable only when phi_1 is orthogonal to u, so the gauge selects the limit
-of the path.  Failed steps trigger internal substepping; reported points
+The bending path is solved by Newton's method on (Lap + t I) from a linear
+extrapolation of the last solved points.  At t = 1 that linearization has
+a one-dimensional kernel, the rotation potential u = m - n of the endpoint
+metric, so the t = 1 equation alone leaves the solution free along u.  The
+endpoint solve fixes that direction by the gauge  int phi_1 u w_1^n = 0 :
+differentiating the path equation gives (Lap_t + t) d/dt phi = -phi_t,
+which at t = 1 is solvable only when phi_1 is orthogonal to u, so the gauge
+selects the limit of the path.  Failed steps trigger internal substepping; reported points
 always stay on the requested uniform grid, and a path that cannot reach the
 requested end is returned truncated with a stall record rather than raising.
 
@@ -68,9 +68,8 @@ from . import spectral
 
 Array = np.ndarray
 
-# bending solve: fixed-point sweeps, Newton iterations, residual and gauge
-# tolerance, and the smallest internal substep before a path stalls
-PICARD_ITERS = 50
+# bending solve: Newton iterations, residual and gauge tolerance, and the
+# smallest internal substep before a path stalls
 NEWTON_ITERS = 40
 NEWTON_TOL = 1e-11
 MIN_SUBSTEP = 1e-4
@@ -103,7 +102,6 @@ class PathPoint:
 @dataclass
 class Termination:
     status: str           # "completed" | "stalled"
-    t_last: float
     reason: str = ""
 
 
@@ -134,7 +132,10 @@ class PathTrajectory:
         return np.stack([p.phi_exact for p in self.points])
 
     def exact_rate(self) -> Array:
-        """Time derivative of the equation-exact potential on the grid."""
+        """Time derivative of the equation-exact potential on the grid, by
+        the five-point stencil; a path of fewer points raises SolverError."""
+        if len(self.points) < 5:
+            raise SolverError("trajectory has fewer than five points")
         return spectral.fd_derivative(self.stacked_exact(), self.dt)
 
 
@@ -203,16 +204,17 @@ def solve_yau_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
         psi = psi - _ref_mean(bg, psi, ref_state.rho)
         state = make_metric(bg, theta + psi)
         traj.points.append(PathPoint(t, psi, float(c_t), state))
-    traj.termination = Termination("completed", traj.points[-1].t)
+    traj.termination = Termination("completed")
     return traj
 
 
 # ---------------------------------------------------------------------------
-# the bending path (fixed point + Newton, with substepping)
+# the bending path (Newton, with substepping)
 
 
 def _solve_bending_t(ref_state: MetricState, f: Array, t: float, guess: Array):
-    """Solve the bending equation at fixed t > 0 from a warm start.
+    """Solve the bending equation at fixed t > 0 by Newton's method on
+    Lap + t I from the warm start `guess`.
 
     At t = 1, Lap + I is singular along u = m - n, and the Newton step
     solves the bordered system  [J u; l^T 0] [delta; mu] = [-R; -l.phi]
@@ -223,39 +225,18 @@ def _solve_bending_t(ref_state: MetricState, f: Array, t: float, guess: Array):
 
     Each accepted Newton iterate's state is the one its admissibility test
     built.  Returns (phi_tilde, state, iterations, residual), where the
-    iterations count the fixed-point sweeps plus the Newton steps, or raises
-    SolverError.
+    iterations count the Newton steps taken, or raises SolverError.
     """
     bg = ref_state.bg
     theta = ref_state.phi
     log_rho_ref = ref_state.log_rho
-    phi = guess.copy()
-    iters = 0
-    beta = 0.5
-    prev_step = np.inf
-    for _ in range(PICARD_ITERS):
-        iters += 1
-        density = np.exp(f + log_rho_ref - t * phi)
-        density *= bg.volume / float(bg.ref_measure @ density)
-        total = potential_from_density(bg, density)
-        candidate = total - theta
-        # re-attach the constant the mass normalization absorbed
-        mass = float(bg.ref_measure @ (np.exp(f - t * candidate) * ref_state.rho))
-        candidate = candidate + np.log(mass / bg.volume) / t
-        step = float(np.abs(candidate - phi).max())
-        if step > prev_step:
-            beta = max(0.05, 0.5 * beta)
-        prev_step = step
-        phi = (1.0 - beta) * phi + beta * candidate
-        if step < 1e-4:
-            break
-
+    phi = guess
     endpoint = abs(t - 1.0) < 1e-12
     try:
         state = make_metric(bg, theta + phi)
     except NotKahlerError as exc:
         raise SolverError(f"left the admissible cone during solve: {exc}", t=t)
-    for _ in range(NEWTON_ITERS):
+    for iters in range(NEWTON_ITERS):
         R = state.log_rho - log_rho_ref - f + t * phi
         res = float(np.abs(R).max())
         gauge = 0.0
@@ -265,7 +246,6 @@ def _solve_bending_t(ref_state: MetricState, f: Array, t: float, guess: Array):
             gauge = float(ell @ phi)
         if res <= NEWTON_TOL and abs(gauge) <= NEWTON_TOL:
             return phi, state, iters, res
-        iters += 1
         J = laplacian_matrix(state) + t * np.eye(bg.size)
         if endpoint:
             # J is singular along u: border it with u as an extra unknown
@@ -338,8 +318,7 @@ def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory
                 sub *= 0.5
                 if sub < MIN_SUBSTEP:
                     traj.termination = Termination(
-                        "stalled", traj.points[-1].t,
-                        f"no progress past t = {t_a:.6f}: {exc}")
+                        "stalled", f"no progress past t = {t_a:.6f}: {exc}")
                     return traj
                 continue
             t_b, tilde_b = t_a, tilde_a
@@ -349,7 +328,7 @@ def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory
         phi = tilde_a - c_t
         traj.points.append(PathPoint(t_target, phi, float(c_t), state, iters, res))
 
-    traj.termination = Termination("completed", traj.points[-1].t)
+    traj.termination = Termination("completed")
     return traj
 
 
@@ -666,6 +645,7 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
         # decay bound from a late time onward, and oscillation control
         end = aubin.points[-1]
         imj_end = imj[-1]
+        gap_osc = [osc(p.phi_exact - end.phi_exact) for p in aubin.points]
         worst_decay = -np.inf
         worst_tail = -np.inf
         ratio = 0.0
@@ -679,9 +659,8 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
             worst_decay = max(
                 worst_decay,
                 e_between - 2.0 * n * (1.0 - p.t) * imj_end)
-            o = osc(p.phi_exact - end.phi_exact)
             j_between = i_and_j(p.state, end.state)[1]
-            ratio = max(ratio, o / (1.0 + j_between))
+            ratio = max(ratio, gap_osc[idx] / (1.0 + j_between))
         items.append(CheckItem.upper_bound(
             "late_energy_vs_tail",
             "late-time energy to the endpoint bounded by the tail integral",
@@ -701,11 +680,9 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
 
         # accumulated integral versus endpoint I - J and oscillation
         worst_gap = -np.inf
-        full = _simpson_uniform(imj, dt)
         for idx, p in enumerate(aubin.points):
-            o = osc(p.phi_exact - end.phi_exact)
-            bound = (1.0 - p.t) * imj_end - 2.0 * n * (1.0 - p.t) * o
-            worst_gap = max(worst_gap, bound - full)
+            bound = (1.0 - p.t) * imj_end - 2.0 * n * (1.0 - p.t) * gap_osc[idx]
+            worst_gap = max(worst_gap, bound - partial)
         items.append(CheckItem.upper_bound(
             "integral_vs_endpoint",
             "accumulated I - J dominates its endpoint lower bound",

@@ -526,6 +526,11 @@ def potential_from_density(bg: Background, rho_target: Array,
     the log-density equation afterwards (the log-determinant linearizes
     exactly to the Laplacian), scrubbing the pole noise down to the
     interior floor.  Callers that only integrate the result can skip it.
+    At n = 1 no root is taken (M = A), so there is nothing to polish and
+    the sweeps are skipped; they would also fail there, because the pinned
+    Newton matrix is singular to working precision (condition ~1e17): D
+    diag(w0) D has rank at most N - 2, and only the (n - 1) r D term of the
+    Laplacian removes its second null vector.
     """
     if bg.model != "cpn":
         raise UnsupportedModelError("density inversion requires the projective model")
@@ -547,7 +552,7 @@ def potential_from_density(bg: Background, rho_target: Array,
     phi = bg.antider(phi_x)
     phi = phi - bg.mean(phi)
 
-    if polish > 0:
+    if n >= 2 and polish > 0:
         target_log = np.log(rho_n)
         weight = bg.ref_measure / bg.volume
         for _ in range(polish):

@@ -376,7 +376,7 @@ def _run_lemma32_34(cfg, bg, report, art):
         monitors = path_monitors(traj)
         report.extend(_suffixed(check_lemma_3_4(traj, monitors=monitors), idx))
         if not traj.completed:
-            report.note(f"probe {idx}: path stalled at t = {traj.termination.t_last}"
+            report.note(f"probe {idx}: path stalled at t = {traj.points[-1].t}"
                         f" ({traj.termination.reason})")
         art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, monitors))
 
@@ -433,7 +433,7 @@ def _run_section5(cfg, bg, report, art):
         report.extend(_suffixed(check_section5(aubin, yau, monitors=monitors), idx))
         if not aubin.completed:
             report.note(f"probe {idx}: bending path stalled at "
-                        f"t = {aubin.termination.t_last}")
+                        f"t = {aubin.points[-1].t}")
         art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, monitors))
 
 

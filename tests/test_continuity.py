@@ -19,7 +19,8 @@ from kahler_lab.continuity import (PathTrajectory, Termination, _solve_bending_t
                                    check_section5, lambda1_radial,
                                    path_monitors, ricci_positive_generator,
                                    solve_aubin_path, solve_yau_path)
-from kahler_lab.errors import NotKahlerError, ParameterError, UnsupportedModelError
+from kahler_lab.errors import (NotKahlerError, ParameterError, SolverError,
+                               UnsupportedModelError)
 from kahler_lab.families import generate_probe
 from kahler_lab.flow import run_flow
 from kahler_lab.geometry import (fs_background, laplacian_matrix, make_metric,
@@ -178,9 +179,13 @@ def test_trajectory_helpers_and_termination_semantics(bg_cp2, yau_cp2):
     rate = traj.exact_rate()
     assert rate.shape == stacked.shape
     stalled = PathTrajectory("bending", bg_cp2, traj.ref_state, traj.f,
-                             points=list(traj.points),
-                             termination=Termination("stalled", 0.4, "test"))
+                             points=traj.points[:3],
+                             termination=Termination("stalled", "test"))
     assert not stalled.completed
+    # the rate stencil needs five points: a short stalled path is a solver
+    # failure, not a crash inside the stencil
+    with pytest.raises(SolverError):
+        check_lemma_3_4(stalled, monitors=path_monitors(stalled))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +257,15 @@ def test_bending_path_endpoint_is_the_limit_of_the_path(bg_cp2_fine,
     # ... and the endpoint potential is orthogonal to it
     gauge = bg.integrate(tilde[-1] * u * end.rho)
     assert abs(gauge) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_bending_path_completes_in_extreme_dimensions(n):
+    # the production grid and probe of lemma32_34 at seed 0
+    bg = fs_background("cpn", n, 96)
+    traj = solve_aubin_path(generate_probe(bg, seed=0, scenario="lemma32_34", index=0))
+    assert traj.completed, traj.termination.reason
+    assert traj.points[-1].t == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prescribed_suite_passes_on_solved_path(path_pair_fine):
@@ -330,21 +344,22 @@ def test_solvers_and_flow_never_rebuild_the_state_they_were_handed(monkeypatch):
 
 def test_bending_solve_builds_each_newton_iterate_once(monkeypatch):
     # every successful build but the first is a Newton iterate the
-    # backtracking loop accepted, and the next step reuses its state
+    # backtracking loop accepted, and the next step reuses its state; the
+    # solve is Newton alone, with no density inversion
     bg = fs_background("cpn", 2, 48)
     probe = generate_probe(bg, seed=3, scenario="paths", index=0)
     f, _ = ricci_potential(probe)
     calls = _record_builds(monkeypatch, continuity)
-    sweeps = []
+    inversions = []
     original = continuity.potential_from_density
 
     def counting(*args, **kwargs):
-        sweeps.append(1)
+        inversions.append(1)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(continuity, "potential_from_density", counting)
-    phi, state, iterations, _ = _solve_bending_t(probe, f, 0.5, np.zeros(bg.size))
-    steps = iterations - len(sweeps)
+    phi, state, steps, _ = _solve_bending_t(probe, f, 0.5, np.zeros(bg.size))
+    assert not inversions
     assert steps >= 1
     assert sum(ok for _, ok in calls) == 1 + steps
     assert np.array_equal(state.phi, probe.phi + phi)

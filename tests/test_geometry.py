@@ -501,6 +501,18 @@ def test_density_inversion_polish_tightens_curvature(bg_cp2, probe_cp2):
     assert err_pol < 1e-7
 
 
+@pytest.mark.parametrize("size", [48, 96, 192])
+def test_density_inversion_round_trip_at_n1_for_any_polish(size):
+    # at n = 1 the inversion takes no root, so the polish must not touch
+    # the exact raw result (its pinned Newton matrix is numerically singular)
+    bg = fs_background("cpn", 1, size)
+    state = generate_probe(bg, seed=7, scenario="unit", index=0)
+    target = state.phi - bg.mean(state.phi)
+    for polish in (0, 1, 2):
+        recovered = potential_from_density(bg, state.rho, polish=polish)
+        assert np.abs(recovered - target).max() <= 1e-12, polish
+
+
 def test_density_inversion_rescales_mass(bg_cp2, probe_cp2):
     # a mis-normalized target is projected back into the class
     state = probe_cp2

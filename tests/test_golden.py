@@ -61,3 +61,19 @@ def test_moved_csv_cell_is_a_mismatch_with_its_movement(tmp_path):
     code, out = _diff(a, c)
     assert code == 1, out
     assert "trajectory_demo.csv differs (header or shape differs)" in out
+
+
+def test_error_against_report_is_a_mismatch(tmp_path):
+    a = _report_set(tmp_path / "a")
+    b = tmp_path / "b"
+    run = b / "default" / "seed0" / "demo"
+    run.mkdir(parents=True)
+    (run / "error.txt").write_text("SolverError: stalled\n")
+    code, out = _diff(a, b)
+    assert code == 1, out
+    assert "report -> SolverError: stalled" in out
+    # the same error on both sides matches
+    shutil.copytree(b, tmp_path / "c")
+    code, out = _diff(b, tmp_path / "c")
+    assert code == 0, out
+    assert "both raise SolverError: stalled" in out

@@ -51,6 +51,14 @@ def test_scenario_runs_and_writes_consistent_artifacts(name, tmp_path):
     assert written == TRAJECTORIES.get(name, [])
 
 
+@pytest.mark.parametrize("name", ["lemma32_34", "lemma41", "section5",
+                                  "theorem1", "theorem2"])
+def test_path_scenarios_pass_at_n1(name, tmp_path):
+    cfg = parse_config({"scenario": name, "n": 1, "count": 1})
+    report = run_scenario(cfg, out_dir=str(tmp_path))
+    assert report.all_passed, [i.name for i in report.items if not i.passed]
+
+
 def test_flow_scenario_evaluates_each_sample_energy_once(monkeypatch, tmp_path):
     # trajectory 0's monitor rows already hold E_0 and E_1 of every sample
     calls = []

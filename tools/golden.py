@@ -5,16 +5,23 @@ compare two such sets.
     python3 tools/golden.py diff A B
 
 `write` runs, at seeds 0, 1 and 2 and through
-`kahler_lab.scenarios.run_scenario` of this checkout, two sets:
+`kahler_lab.scenarios.run_scenario` of this checkout, three sets:
 
-* DIR/default/seed<s>/<scenario>/ -- all 15 scenarios at default configs;
-* DIR/n384/seed<s>/<scenario>/    -- lemma41, lemma32_34, section5 and
-  krf_monotone at grid_size 384 with count 1.
+* DIR/default/seed<s>/<scenario>/   -- all 15 scenarios at default configs;
+* DIR/n384/seed<s>/<scenario>/      -- lemma41, lemma32_34, section5 and
+  krf_monotone at grid_size 384 with count 1;
+* DIR/dims/seed<s>/n<n>/<scenario>/ -- lemma32_34, lemma41, section5,
+  theorem1 and theorem2 at n = 1, 3 and 4 with count 1.
+
+A run that raises leaves error.txt (exception type and message) in its
+scenario directory in place of a report, prints its traceback to stderr,
+and `write` carries on.
 
 `diff` compares every scenario directory of A with the same one in B and
-prints one line per scenario: mismatches of check-row names, order, kinds
-and pass flags (and of the report's config, notes and aggregate), the
-largest lhs/rhs movement |a - b| / max(1, |a|), and trajectory CSVs that
+prints one line per scenario: an error on either side (differing errors,
+or an error against a report, are mismatches), mismatches of check-row
+names, order, kinds and pass flags (and of the report's config, notes and
+aggregate), the largest lhs/rhs movement |a - b| / max(1, |a|), and trajectory CSVs that
 differ byte for byte, each with its largest cell movement (or a note that
 its header or shape differs).  A CSV that differs counts as a mismatch
 however small the movement.  The wall-clock row `exact_runtime` and the report
@@ -34,11 +41,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
 PATH_SCENARIOS = ("lemma41", "lemma32_34", "section5", "krf_monotone")
+DIM_SCENARIOS = ("lemma32_34", "lemma41", "section5", "theorem1", "theorem2")
+DIMS = (1, 3, 4)
 MAX_MOVE = 1e-12
 IGNORED_ROWS = {"exact_runtime"}
 IGNORED_FIELDS = {"runtime_seconds", "timestamp"}
@@ -48,18 +58,29 @@ def write(out: Path) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from kahler_lab import scenarios
 
+    # each set's runs: (subdirectory, scenario, config overrides)
     sets = {
-        "default": [(name, {}) for name in scenarios.SCENARIO_NAMES],
-        "n384": [(name, {"grid_size": 384, "count": 1}) for name in PATH_SCENARIOS],
+        "default": [("", name, {}) for name in scenarios.SCENARIO_NAMES],
+        "n384": [("", name, {"grid_size": 384, "count": 1}) for name in PATH_SCENARIOS],
+        "dims": [(f"n{n}", name, {"n": n, "count": 1})
+                 for n in DIMS for name in DIM_SCENARIOS],
     }
     for set_name, runs in sets.items():
         for seed in SEEDS:
-            base = out / set_name / f"seed{seed}"
-            for name, extra in runs:
+            for sub, name, extra in runs:
+                base = out / set_name / f"seed{seed}" / sub
+                label = base.relative_to(out) / name
                 cfg = scenarios.parse_config({"scenario": name, "seed": seed, **extra})
-                report = scenarios.run_scenario(cfg, out_dir=str(base))
-                print(f"{set_name}/seed{seed}/{name}: {len(report.items)} rows",
-                      flush=True)
+                try:
+                    report = scenarios.run_scenario(cfg, out_dir=str(base))
+                except Exception as exc:  # recorded as the run's outcome
+                    traceback.print_exc()
+                    error = f"{type(exc).__name__}: {exc}"
+                    (base / name).mkdir(parents=True, exist_ok=True)
+                    (base / name / "error.txt").write_text(error + "\n")
+                    print(f"{label}: {error}", flush=True)
+                    continue
+                print(f"{label}: {len(report.items)} rows", flush=True)
     return 0
 
 
@@ -71,8 +92,18 @@ def _move(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a))
 
 
+def _error(run_dir: Path) -> str | None:
+    path = run_dir / "error.txt"
+    return path.read_text().strip() if path.exists() else None
+
+
 def _compare(a_dir: Path, b_dir: Path) -> tuple[list[str], float]:
     """Mismatches and the largest lhs/rhs movement of one scenario."""
+    errors = [_error(a_dir), _error(b_dir)]
+    if errors != [None, None]:
+        if errors[0] == errors[1]:
+            return [], 0.0
+        return [f"{errors[0] or 'report'} -> {errors[1] or 'report'}"], 0.0
     a = json.loads((a_dir / "report.json").read_text())
     b = json.loads((b_dir / "report.json").read_text())
     # the check rows are compared one by one below
@@ -118,9 +149,14 @@ def _csv_change(a: Path, b: Path) -> str:
     return f"largest cell movement {move:.2e}"
 
 
+def _run_dirs(root: Path) -> set[Path]:
+    return {p.parent.relative_to(root)
+            for pattern in ("report.json", "error.txt") for p in root.rglob(pattern)}
+
+
 def diff(a_root: Path, b_root: Path) -> int:
-    dirs_a = {p.parent.relative_to(a_root) for p in a_root.rglob("report.json")}
-    dirs_b = {p.parent.relative_to(b_root) for p in b_root.rglob("report.json")}
+    dirs_a = _run_dirs(a_root)
+    dirs_b = _run_dirs(b_root)
     bad = 0
     for rel in sorted(dirs_a - dirs_b) + sorted(dirs_b - dirs_a):
         print(f"{rel}: present in only one set")
@@ -131,7 +167,8 @@ def diff(a_root: Path, b_root: Path) -> int:
         worst = max(worst, move)
         ok = not problems and move <= MAX_MOVE
         bad += not ok
-        print(f"{rel}: max move {move:.2e} {'ok' if ok else 'MISMATCH'}")
+        both = f" (both raise {_error(a_root / rel)})" if ok and _error(a_root / rel) else ""
+        print(f"{rel}: max move {move:.2e} {'ok' if ok else 'MISMATCH'}{both}")
         for problem in problems:
             print(f"    {problem}")
     print(f"{len(dirs_a | dirs_b)} scenario runs, {bad} mismatched, "
