@@ -8,18 +8,21 @@ potential f, and are parametrized by t in [0, 1]:
   it reaches t = 1, at an Einstein metric;
 
 * the prescribed-volume path  w_psi_t^n = e^{t f + c_t} w^n,
-  which needs no iteration at all (each t is a monotone moment inversion)
-  and ends at the metric whose Ricci form equals w.
+  whose points are independent and which ends at the metric whose Ricci
+  form equals w.
 
-The bending path is solved by Newton's method on (Lap + t I) from a linear
-extrapolation of the last solved points.  At t = 1 that linearization has
-a one-dimensional kernel, the rotation potential u = m - n of the endpoint
-metric, so the t = 1 equation alone leaves the solution free along u.  The
-endpoint solve fixes that direction by the gauge  int phi_1 u w_1^n = 0 :
-differentiating the path equation gives (Lap_t + t) d/dt phi = -phi_t,
-which at t = 1 is solvable only when phi_1 is orthogonal to u, so the gauge
-selects the limit of the path.  Failed steps trigger internal substepping; reported points
-always stay on the requested uniform grid, and a path that cannot reach the
+One Newton solve of  log(w_phi^n / w^n) + t phi = target  on (Lap + t I)
+serves both: warm-started from the moment inversion at t = 0 (the
+prescribed-volume points, the bending path's start), and from a linear
+extrapolation of the last solved points at t > 0.  At t = 0 the
+linearization has the constants as its kernel, at t = 1 the rotation
+potential u = m - n of the endpoint metric; there the solve fixes the free
+direction by the gauge  int phi u w_phi^n = 0 .  At t = 0 that is the
+constant which continues the path smoothly.  At t = 1, differentiating the
+path equation gives (Lap_t + t) d/dt phi = -phi_t, solvable only when
+phi_1 is orthogonal to u, so the gauge selects the limit of the path.
+Failed bending steps trigger internal substepping; reported points always
+stay on the requested uniform grid, and a path that cannot reach the
 requested end is returned truncated with a stall record rather than raising.
 
 The solvers take the MetricState of the reference metric (a probe, say)
@@ -162,9 +165,7 @@ def lambda1_radial(state: MetricState) -> float:
         raise UnsupportedModelError("the radial eigenvalue is for the projective model")
     wdiag = bg.ref_measure * bg.w0 * state.m_over_x ** (bg.n - 1)
     mass = bg.ref_measure * state.rho
-    s = np.clip(2.0 * bg.x / bg.length - 1.0, -1.0, 1.0)
-    B = np.cos(np.arccos(s)[:, None] * np.arange(bg.band)[None, :])
-    dB = bg.D @ B
+    B, dB = bg.ritz_basis
     A_m = dB.T @ (wdiag[:, None] * dB)
     M_m = B.T @ (mass[:, None] * B)
     evals = scipy.linalg.eigh(
@@ -173,85 +174,52 @@ def lambda1_radial(state: MetricState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the prescribed-volume path (direct inversion at every t)
+# the Monge-Ampere solve
 
 
-def _ref_mean(bg: Background, values: Array, rho_ref: Array) -> float:
-    return float((bg.ref_measure * rho_ref) @ values) / bg.volume
+def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array):
+    """Solve  log(w_phi^n / w^n) + t phi = target  for the potential phi
+    over the metric w of `ref_state` by Newton's method on J = Lap + t I
+    from the warm start `guess`.
 
-
-def solve_yau_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
-    """Solve the prescribed-volume path from the metric of `ref_state` on a
-    uniform grid in t over [0, 1].
-
-    Every point is a single monotone moment inversion; the path always
-    completes.  Stored potentials have zero reference mean; the recorded
-    c_t makes the volume identity exact.
-    """
-    bg = ref_state.bg
-    theta = ref_state.phi
-    f, _ = ricci_potential(ref_state)
-
-    traj = PathTrajectory("prescribed", bg, ref_state, f)
-    steps = int(round(1.0 / dt))
-    for i in range(steps + 1):
-        t = i * dt
-        mass = float(bg.ref_measure @ (np.exp(t * f) * ref_state.rho))
-        c_t = -np.log(mass / bg.volume)
-        density = np.exp(t * f + c_t) * ref_state.rho
-        total = potential_from_density(bg, density, polish=1)
-        psi = total - theta
-        psi = psi - _ref_mean(bg, psi, ref_state.rho)
-        state = make_metric(bg, theta + psi)
-        traj.points.append(PathPoint(t, psi, float(c_t), state))
-    traj.termination = Termination("completed")
-    return traj
-
-
-# ---------------------------------------------------------------------------
-# the bending path (Newton, with substepping)
-
-
-def _solve_bending_t(ref_state: MetricState, f: Array, t: float, guess: Array):
-    """Solve the bending equation at fixed t > 0 by Newton's method on
-    Lap + t I from the warm start `guess`.
-
-    At t = 1, Lap + I is singular along u = m - n, and the Newton step
-    solves the bordered system  [J u; l^T 0] [delta; mu] = [-R; -l.phi]
-    with l = u w^n, imposing  int phi u w^n = 0 : the solvability condition
-    of the differentiated equation at t = 1, which makes the solution the
-    limit of the path.  The solve returns only once both the residual and
-    that gauge defect are within NEWTON_TOL.
+    At t = 0 and t = 1, J is singular along its kernel u (1, resp. m - n),
+    and the step solves the bordered system
+    [J u; l^T 0] [delta; mu] = [-R; -l.phi] with l = u w_phi^n, imposing
+    the gauge  int phi u w_phi^n = 0.  The solve returns only once both the
+    residual and the gauge defect are within NEWTON_TOL.
 
     Each accepted Newton iterate's state is the one its admissibility test
-    built.  Returns (phi_tilde, state, iterations, residual), where the
+    built.  Returns (phi, state, iterations, residual), where the
     iterations count the Newton steps taken, or raises SolverError.
     """
     bg = ref_state.bg
     theta = ref_state.phi
-    log_rho_ref = ref_state.log_rho
+    size = bg.size
     phi = guess
-    endpoint = abs(t - 1.0) < 1e-12
+    bordered = t == 0.0 or abs(t - 1.0) < 1e-12
+    # the bordered matrix, built in place around J
+    K = np.zeros((size + 1, size + 1))
+    J = K[:size, :size]
     try:
         state = make_metric(bg, theta + phi)
     except NotKahlerError as exc:
         raise SolverError(f"left the admissible cone during solve: {exc}", t=t)
     for iters in range(NEWTON_ITERS):
-        R = state.log_rho - log_rho_ref - f + t * phi
+        R = state.log_rho - ref_state.log_rho - target + t * phi
         res = float(np.abs(R).max())
         gauge = 0.0
-        if endpoint:
-            u = state.m - bg.moment_mean
+        if bordered:
+            u = state.m - bg.moment_mean if t else np.ones(size)
             ell = bg.ref_measure * state.rho * u
             gauge = float(ell @ phi)
         if res <= NEWTON_TOL and abs(gauge) <= NEWTON_TOL:
             return phi, state, iters, res
-        J = laplacian_matrix(state) + t * np.eye(bg.size)
-        if endpoint:
-            # J is singular along u: border it with u as an extra unknown
-            # and the gauge ell . phi = 0 as an extra equation
-            K = np.block([[J, u[:, None]], [ell[None, :], np.zeros((1, 1))]])
-            delta = np.linalg.solve(K, np.append(-R, -gauge))[:-1]
+        J[:] = laplacian_matrix(state)
+        J[np.diag_indices(size)] += t
+        if bordered:
+            K[:size, size] = u
+            K[size, :size] = ell
+            delta = np.linalg.solve(K, np.append(-R, -gauge))[:size]
         else:
             delta = np.linalg.solve(J, -R)
         # backtrack if the full step leaves the admissible cone
@@ -270,37 +238,83 @@ def _solve_bending_t(ref_state: MetricState, f: Array, t: float, guess: Array):
     raise SolverError("Newton did not converge", t=t, residual=res)
 
 
+def _solve_density(ref_state: MetricState, target: Array):
+    """Solve  w_phi^n = e^target w^n  over the metric w of `ref_state`: the
+    t = 0 Newton solve, warm-started from the moment inversion shifted to
+    its gauge.  Returns what `_newton_solve` returns.
+
+    At n = 1 the inversion takes no root and is exact, while the t = 0
+    Newton matrix is singular: the metric does not see a potential's top
+    Chebyshev mode (w0 D T_{N-1} vanishes at every node).  There the
+    inversion is returned as it is.
+    """
+    bg = ref_state.bg
+    density = np.exp(target) * ref_state.rho
+    guess = potential_from_density(bg, density) - ref_state.phi
+    guess = guess - bg.mean(guess, density)
+    if bg.n > 1:
+        return _newton_solve(ref_state, target, 0.0, guess)
+    state = make_metric(bg, ref_state.phi + guess)
+    res = float(np.abs(state.log_rho - ref_state.log_rho - target).max())
+    return guess, state, 0, res
+
+
+# ---------------------------------------------------------------------------
+# the prescribed-volume path
+
+
+def solve_yau_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
+    """Solve the prescribed-volume path from the metric of `ref_state` on a
+    uniform grid in t over [0, 1].
+
+    Every point is its own density solve; one that fails raises
+    SolverError.  Stored potentials have zero reference mean; the recorded
+    c_t makes the volume identity exact.
+    """
+    bg = ref_state.bg
+    f, _ = ricci_potential(ref_state)
+
+    traj = PathTrajectory("prescribed", bg, ref_state, f)
+    steps = int(round(1.0 / dt))
+    for i in range(steps + 1):
+        t = i * dt
+        mass = float(bg.ref_measure @ (np.exp(t * f) * ref_state.rho))
+        c_t = -np.log(mass / bg.volume)
+        psi, state, iters, res = _solve_density(ref_state, t * f + c_t)
+        psi = psi - bg.mean(psi, ref_state.rho)
+        traj.points.append(PathPoint(t, psi, float(c_t), state, iters, res))
+    traj.termination = Termination("completed")
+    return traj
+
+
+# ---------------------------------------------------------------------------
+# the bending path (Newton, with substepping)
+
+
 def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
     """March the bending path from the metric of `ref_state` over a uniform
     reported grid in t over [0, 1].
 
-    Internal substeps (not reported) bridge hard stretches; if progress
-    stalls below MIN_SUBSTEP the trajectory is returned truncated with a
-    stall record.
+    The t = 0 point is a density solve; a failure there raises
+    SolverError.  Internal substeps (not reported) bridge hard stretches;
+    if progress stalls below MIN_SUBSTEP the trajectory is returned
+    truncated with a stall record.
     """
     bg = ref_state.bg
-    theta = ref_state.phi
     f, _ = ricci_potential(ref_state)
-    rho_ref = ref_state.rho
-
     traj = PathTrajectory("bending", bg, ref_state, f)
 
-    # t = 0: direct inversion; the constant is fixed by smooth continuation
-    # (zero weighted mean of the exact potential against e^f w^n)
-    density0 = np.exp(f) * rho_ref
-    total0 = potential_from_density(bg, density0, polish=1)
-    phi0 = total0 - theta
-    phi0 = phi0 - _ref_mean(bg, phi0, rho_ref)
-    weight = bg.ref_measure * np.exp(f) * rho_ref
-    c0 = -float(weight @ phi0) / float(weight.sum())
-    state0 = make_metric(bg, theta + phi0)
-    traj.points.append(PathPoint(0.0, phi0, c0, state0))
+    def record(t, tilde, state, iters, res):
+        c_t = bg.mean(tilde, ref_state.rho)
+        traj.points.append(PathPoint(t, tilde - c_t, c_t, state, iters, res))
+
+    tilde_a, state, iters, res = _solve_density(ref_state, f)
+    record(0.0, tilde_a, state, iters, res)
 
     steps = int(round(1.0 / dt))
     # (t_a, tilde_a) is the most recent solved point, (t_b, tilde_b) the one
     # before it; both feed the linear warm-start extrapolation
-    t_a, tilde_a = 0.0, phi0 + c0
-    t_b = tilde_b = None
+    t_a, t_b, tilde_b = 0.0, None, None
     for i in range(1, steps + 1):
         t_target = i * dt
         sub = t_target - t_a
@@ -312,7 +326,7 @@ def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory
             else:
                 guess = tilde_a
             try:
-                tilde_new, state, iters, res = _solve_bending_t(
+                tilde_new, state, iters, res = _newton_solve(
                     ref_state, f, t_try, guess)
             except SolverError as exc:
                 sub *= 0.5
@@ -323,10 +337,7 @@ def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory
                 continue
             t_b, tilde_b = t_a, tilde_a
             t_a, tilde_a = t_try, tilde_new
-
-        c_t = _ref_mean(bg, tilde_a, rho_ref)
-        phi = tilde_a - c_t
-        traj.points.append(PathPoint(t_target, phi, float(c_t), state, iters, res))
+        record(t_target, tilde_a, state, iters, res)
 
     traj.termination = Termination("completed")
     return traj
@@ -345,9 +356,8 @@ def ricci_positive_generator(state: MetricState) -> MetricState:
     admissible input.  Raises GeneratorError if the output curvature is
     not positive.
     """
-    bg = state.bg
     f, _ = ricci_potential(state)
-    out = make_metric(bg, potential_from_density(bg, np.exp(f) * state.rho, polish=2))
+    _, out, _, _ = _solve_density(state, f)
     if out.min_ricci <= 0.0:
         raise GeneratorError("transport step failed to reach positive curvature",
                              out.min_ricci)

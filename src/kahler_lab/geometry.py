@@ -46,6 +46,7 @@ L'Hopital gymnastics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -118,6 +119,15 @@ class Background:
     def band(self) -> int:
         """Resolved Chebyshev modes on this grid."""
         return min(BAND_MODES, self.size // 2)
+
+    @cached_property
+    def ritz_basis(self) -> tuple[Array, Array]:
+        """The resolved band's Chebyshev polynomials on the grid and their
+        derivatives: the first eigenvalue's Ritz basis, built on first use."""
+        B = np.ascontiguousarray(self.cheb_synthesis[:, :self.band])
+        dB = self.D @ B
+        _freeze(B, dB)
+        return B, dB
 
     def lowpass(self, values: Array, modes: int) -> Array:
         """Project onto the first `modes` Chebyshev coefficients."""
@@ -511,26 +521,17 @@ def ricci_potential(state: MetricState) -> tuple[Array, float]:
     return f, defect
 
 
-def potential_from_density(bg: Background, rho_target: Array,
-                           polish: int = 0) -> Array:
-    """Solve the prescribed-density problem  omega_phi^n = rho omega^n.
+def potential_from_density(bg: Background, rho_target: Array) -> Array:
+    """Invert the prescribed-density problem  omega_phi^n = rho omega^n
+    by moment inversion: the new moment profile is
+    M = (n int_0^x rho s^{n-1} ds)^{1/n}, one spectral quadrature.  The
+    target is renormalized to unit mass, and the returned potential has
+    reference average zero.
 
-    In the radial reduction this is monotone moment inversion: the new
-    moment profile is M = (n int_0^x rho s^{n-1} ds)^{1/n}, obtained by a
-    single spectral quadrature, no iteration.  The target is renormalized
-    to unit mass, and the returned potential has reference average zero.
-
-    The n-th-root extraction loses ~eps/x^n relative digits next to the
-    coordinate pole, which pointwise curvature consumers then amplify
-    through two derivatives.  `polish` runs that many Newton sweeps on
-    the log-density equation afterwards (the log-determinant linearizes
-    exactly to the Laplacian), scrubbing the pole noise down to the
-    interior floor.  Callers that only integrate the result can skip it.
-    At n = 1 no root is taken (M = A), so there is nothing to polish and
-    the sweeps are skipped; they would also fail there, because the pinned
-    Newton matrix is singular to working precision (condition ~1e17): D
-    diag(w0) D has rank at most N - 2, and only the (n - 1) r D term of the
-    Laplacian removes its second null vector.
+    At n = 1 no root is taken and the inversion is exact.  For n >= 2 the
+    root loses ~eps/x^n relative digits next to the coordinate pole, which
+    curvature amplifies through two derivatives; the continuity solvers'
+    Newton solve, warm-started here, recovers them.
     """
     if bg.model != "cpn":
         raise UnsupportedModelError("density inversion requires the projective model")
@@ -550,20 +551,7 @@ def potential_from_density(bg: Background, rho_target: Array,
     M[-1] = bg.length
     phi_x = _div_by_w0(bg, M - bg.x)
     phi = bg.antider(phi_x)
-    phi = phi - bg.mean(phi)
-
-    if n >= 2 and polish > 0:
-        target_log = np.log(rho_n)
-        weight = bg.ref_measure / bg.volume
-        for _ in range(polish):
-            state = make_metric(bg, phi)
-            res = state.log_rho - target_log
-            K = laplacian_matrix(state)
-            # pin the constant nullspace with the volume-mean functional
-            K = K + np.outer(np.ones(bg.size), weight * state.rho)
-            phi = phi - np.linalg.solve(K, res)
-            phi = phi - bg.mean(phi)
-    return phi
+    return phi - bg.mean(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
-import inspect
+from collections import defaultdict
 from pathlib import Path
 
 from kahler_lab import scenarios
@@ -23,24 +23,29 @@ from kahler_lab.geometry import fs_background, potential_from_density
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
-def _tracer_targets() -> dict:
+def _tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_tracer_target_is_a_callable():
-    targets = _tracer_targets()
+    targets = _tracer().TARGETS
     assert targets
     for span, (module_name, attr) in targets.items():
         assert callable(getattr(importlib.import_module(module_name), attr, None)), span
 
 
 def test_fields_the_tracer_hooks_read():
-    assert list(inspect.signature(potential_from_density).parameters)[2] == "polish"
     bg = fs_background("cpn", 2, 24)
     probe = generate_probe(bg, seed=0, scenario="bench", index=0)
+    # the density hook counts calls with a positive third argument as
+    # polished; the inversion takes two, so a real call counts none
+    totals = defaultdict(float)
+    args = (bg, probe.rho)
+    _tracer()._polish_hook(totals, args, {}, potential_from_density(*args))
+    assert totals["polished_calls"] == 0
     # the hook adds `intervals` to a float total: the highest order any k needed
     intervals = e_k_path(probe).intervals
     assert isinstance(intervals, int) and intervals > 0

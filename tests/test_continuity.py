@@ -14,8 +14,9 @@ import pytest
 
 from kahler_lab import continuity, energies
 from kahler_lab import flow as flow_module
-from kahler_lab.continuity import (PathTrajectory, Termination, _solve_bending_t,
-                                   _simpson_uniform, check_lemma_3_4, check_lemma_4_1,
+from kahler_lab.continuity import (NEWTON_TOL, PathTrajectory, Termination,
+                                   _newton_solve, _simpson_uniform, _solve_density,
+                                   check_lemma_3_4, check_lemma_4_1,
                                    check_section5, lambda1_radial,
                                    path_monitors, ricci_positive_generator,
                                    solve_aubin_path, solve_yau_path)
@@ -24,7 +25,7 @@ from kahler_lab.errors import (NotKahlerError, ParameterError, SolverError,
 from kahler_lab.families import generate_probe
 from kahler_lab.flow import run_flow
 from kahler_lab.geometry import (fs_background, laplacian_matrix, make_metric,
-                                 ricci_potential)
+                                 potential_from_density, ricci_potential)
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,13 @@ def test_prescribed_path_satisfies_its_equation_pointwise(bg_cp2, yau_cp2):
         state = make_metric(bg_cp2, theta.phi + p.phi)
         res = state.log_rho - (p.t * f + p.c_t) - theta.log_rho
         assert np.abs(res).max() < 1e-9, f"t = {p.t}"
+
+
+def test_prescribed_path_points_are_converged_newton_solves(yau_cp2):
+    _, traj = yau_cp2
+    for p in traj.points:
+        assert p.iterations >= 1, f"t = {p.t}"
+        assert p.residual <= NEWTON_TOL, f"t = {p.t}"
 
 
 def test_prescribed_path_constant_matches_mass_normalization(bg_cp2, yau_cp2):
@@ -186,6 +194,38 @@ def test_trajectory_helpers_and_termination_semantics(bg_cp2, yau_cp2):
     # failure, not a crash inside the stencil
     with pytest.raises(SolverError):
         check_lemma_3_4(stalled, monitors=path_monitors(stalled))
+
+
+# ---------------------------------------------------------------------------
+# density solve
+
+
+def test_density_solve_round_trip_tightens_curvature(bg_cp2, probe_cp2):
+    # a probe's own density over the background: the Newton solve recovers
+    # the probe at every node, pole included, where the moment inversion
+    # alone loses digits
+    state = probe_cp2
+    phi, out, steps, res = _solve_density(bg_cp2.reference, state.log_rho)
+    target = state.phi - bg_cp2.mean(state.phi)
+    assert steps >= 1 and res <= NEWTON_TOL
+    assert np.abs(phi - bg_cp2.mean(phi) - target).max() <= 1e-12
+    raw = make_metric(bg_cp2, potential_from_density(bg_cp2, state.rho))
+    err_raw = np.abs(raw.lam_r - state.lam_r).max()
+    err = np.abs(out.lam_r - state.lam_r).max()
+    assert err <= err_raw + 1e-12
+    assert err < 1e-7
+
+
+@pytest.mark.parametrize("size", [48, 96, 192])
+def test_density_solve_at_n1_is_the_inversion(size):
+    # at n = 1 the inversion takes no root and is exact, and the t = 0
+    # Newton matrix is singular, so the solve takes no step
+    bg = fs_background("cpn", 1, size)
+    state = generate_probe(bg, seed=7, scenario="unit", index=0)
+    phi, _, steps, _ = _solve_density(bg.reference, state.log_rho)
+    target = state.phi - bg.mean(state.phi)
+    assert steps == 0
+    assert np.abs(phi - bg.mean(phi) - target).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +398,7 @@ def test_bending_solve_builds_each_newton_iterate_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(continuity, "potential_from_density", counting)
-    phi, state, steps, _ = _solve_bending_t(probe, f, 0.5, np.zeros(bg.size))
+    phi, state, steps, _ = _newton_solve(probe, f, 0.5, np.zeros(bg.size))
     assert not inversions
     assert steps >= 1
     assert sum(ok for _, ok in calls) == 1 + steps

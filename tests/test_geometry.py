@@ -487,32 +487,6 @@ def test_density_inversion_round_trip(bg_cp2, probe_cp2):
     assert np.abs(recovered - target).max() < 1e-8
 
 
-def test_density_inversion_polish_tightens_curvature(bg_cp2, probe_cp2):
-    state = probe_cp2
-    raw = potential_from_density(bg_cp2, state.rho)
-    polished = potential_from_density(bg_cp2, state.rho, polish=2)
-    target = state.phi - bg_cp2.mean(state.phi)
-    err_raw = np.abs(make_metric(bg_cp2, raw).lam_r
-                     - state.lam_r).max()
-    err_pol = np.abs(make_metric(bg_cp2, polished).lam_r
-                     - state.lam_r).max()
-    assert np.abs(polished - target).max() < 1e-9
-    assert err_pol <= err_raw + 1e-12
-    assert err_pol < 1e-7
-
-
-@pytest.mark.parametrize("size", [48, 96, 192])
-def test_density_inversion_round_trip_at_n1_for_any_polish(size):
-    # at n = 1 the inversion takes no root, so the polish must not touch
-    # the exact raw result (its pinned Newton matrix is numerically singular)
-    bg = fs_background("cpn", 1, size)
-    state = generate_probe(bg, seed=7, scenario="unit", index=0)
-    target = state.phi - bg.mean(state.phi)
-    for polish in (0, 1, 2):
-        recovered = potential_from_density(bg, state.rho, polish=polish)
-        assert np.abs(recovered - target).max() <= 1e-12, polish
-
-
 def test_density_inversion_rescales_mass(bg_cp2, probe_cp2):
     # a mis-normalized target is projected back into the class
     state = probe_cp2

@@ -59,6 +59,21 @@ def test_path_scenarios_pass_at_n1(name, tmp_path):
     assert report.all_passed, [i.name for i in report.items if not i.passed]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["lemma32_34", "lemma41"])
+def test_path_scenarios_pass_at_n4(name, seed, tmp_path):
+    cfg = parse_config({"scenario": name, "n": 4, "count": 1, "seed": seed})
+    report = run_scenario(cfg, out_dir=str(tmp_path))
+    assert report.all_passed, [i.name for i in report.items if not i.passed]
+
+
+def test_bending_scenario_passes_at_n3_on_the_fine_grid(tmp_path):
+    cfg = parse_config({"scenario": "lemma32_34", "n": 3, "grid_size": 192,
+                        "count": 1, "seed": 0})
+    report = run_scenario(cfg, out_dir=str(tmp_path))
+    assert report.all_passed, [i.name for i in report.items if not i.passed]
+
+
 def test_flow_scenario_evaluates_each_sample_energy_once(monkeypatch, tmp_path):
     # trajectory 0's monitor rows already hold E_0 and E_1 of every sample
     calls = []
