@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-import scipy.linalg
 
 from .checks import CheckItem
 from .errors import (
@@ -157,8 +156,9 @@ def lambda1_radial(state: MetricState) -> float:
     weight-degenerate directions -- the full-grid form is rank deficient
     near the coordinate pole -- while the smooth eigenfunctions of the
     reduced problem converge spectrally.  Constants lie in the trial
-    space, so the projected pencil has exactly one zero eigenvalue and the
-    first physical one is next.  Projective model only.
+    space, so the projected pencil (A, M) has exactly one zero eigenvalue
+    and the first physical one is next.  The Cholesky factor M = L L^T
+    reduces the pencil to the symmetric L^-1 A L^-T.  Projective model only.
     """
     bg = state.bg
     if bg.model != "cpn":
@@ -168,9 +168,8 @@ def lambda1_radial(state: MetricState) -> float:
     B, dB = bg.ritz_basis
     A_m = dB.T @ (wdiag[:, None] * dB)
     M_m = B.T @ (mass[:, None] * B)
-    evals = scipy.linalg.eigh(
-        0.5 * (A_m + A_m.T), 0.5 * (M_m + M_m.T), eigvals_only=True)
-    return float(evals[1])
+    L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (M_m + M_m.T)))
+    return float(np.linalg.eigvalsh(L_inv @ A_m @ L_inv.T)[1])
 
 
 # ---------------------------------------------------------------------------

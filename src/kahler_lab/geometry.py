@@ -502,15 +502,17 @@ def laplacian_matrix(state: MetricState) -> Array:
 def ricci_potential(state: MetricState) -> tuple[Array, float]:
     """Potential f with Ric - omega = i ddbar f, e^f averaging to one.
 
-    Returns (f, defect) where the defect is the max-node residual of the
-    defining identity across both eigenvalue components.  Only the
-    positive-first-Chern-class model carries such a potential.
+    The round background is Kahler-Einstein, Ric(omega) = omega, so
+    Ric(omega_phi) - omega_phi = -i ddbar(log rho + phi): f is -(log rho +
+    phi) plus the normalizing constant, in closed form.  Returns (f, defect)
+    where the defect is the max-node residual of the defining identity
+    across both eigenvalue components.  Only the positive-first-Chern-class
+    model carries such a potential.
     """
     bg = state.bg
     if bg.model != "cpn":
         raise UnsupportedModelError("Ricci potentials require the positive model")
-    f_x = _div_by_w0(bg, state.G - state.m)
-    f_raw = bg.antider(f_x)
+    f_raw = -(state.log_rho + state.phi)
     mass = float(bg.ref_measure @ (state.rho * np.exp(f_raw)))
     f = f_raw - np.log(mass / bg.volume)
 
@@ -543,11 +545,8 @@ def potential_from_density(bg: Background, rho_target: Array) -> Array:
     n = bg.n
     mass = bg.integrate(rho_arr)
     rho_n = rho_arr * (bg.volume / mass)
-    A = bg.antider(rho_n * bg.x ** (n - 1))
-    A[0] = 0.0
-    A = np.maximum(A, 0.0)
+    A = np.maximum(bg.antider(rho_n * bg.x ** (n - 1)), 0.0)
     M = (n * A) ** (1.0 / n)
-    M[0] = 0.0
     M[-1] = bg.length
     phi_x = _div_by_w0(bg, M - bg.x)
     phi = bg.antider(phi_x)

@@ -11,6 +11,7 @@ unknown in a config is rejected up front.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -45,6 +46,7 @@ from .families import DEFAULT_MODES, generate_probe
 from .flow import run_flow
 from .geometry import (
     MAX_N,
+    MIN_GRID,
     fs_background,
     laplacian,
     make_metric,
@@ -111,15 +113,17 @@ def parse_config(raw: dict) -> ScenarioConfig:
             f"scenario {name!r} supports models {spec.models}, got {cfg.model!r}")
     if not isinstance(cfg.n, int) or not 1 <= cfg.n <= MAX_N.get(cfg.model, 0):
         raise ParameterError(f"invalid dimension n = {cfg.n!r} for model {cfg.model!r}")
-    if not isinstance(cfg.grid_size, int) or cfg.grid_size < 16:
-        raise ParameterError(f"grid_size must be an integer >= 16, got {cfg.grid_size!r}")
+    if not isinstance(cfg.grid_size, int) or cfg.grid_size < MIN_GRID:
+        raise ParameterError(
+            f"grid_size must be an integer >= {MIN_GRID}, got {cfg.grid_size!r}")
     if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2 ** 64:
         raise ParameterError("seed must be an integer in [0, 2^64)")
     if not isinstance(cfg.modes, int) or cfg.modes < 1:
         raise ParameterError("modes must be a positive integer")
-    if cfg.amplitude is not None and not (
-            isinstance(cfg.amplitude, (int, float)) and cfg.amplitude >= 0):
-        raise ParameterError("amplitude must be a nonnegative number")
+    # json.load parses NaN and Infinity: numbers must be finite, here and below
+    if cfg.amplitude is not None and not (isinstance(cfg.amplitude, (int, float))
+                                          and 0 <= cfg.amplitude <= sys.float_info.max):
+        raise ParameterError("amplitude must be a finite nonnegative number")
     if not isinstance(cfg.count, int) or cfg.count < 1:
         raise ParameterError("count must be a positive integer")
     if cfg.out_dir is not None and not isinstance(cfg.out_dir, str):
@@ -132,8 +136,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
             f"known: {sorted(spec.tolerances)}")
     merged = dict(spec.tolerances)
     for key, value in tols.items():
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ParameterError(f"tolerance {key!r} must be a nonnegative number")
+        if not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
+            raise ParameterError(f"tolerance {key!r} must be a finite nonnegative number")
         merged[key] = float(value)
     cfg.tolerances = merged
     return cfg
@@ -478,6 +482,12 @@ def _run_orbit_flatness(cfg, bg, report, art):
             relative_to=max(1.0, abs(base_e1))))
 
 
+# 95% two-sided t quantiles stdtrit(dof, 0.975); the fit has 3..12 rows, dof 1..10
+_T975 = (12.706204736174694, 4.302652729749462, 3.1824463052837078,
+         2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+         2.364624251592784, 2.306004135204166, 2.262157162798205, 2.228138851986274)
+
+
 def _run_properness_probe(cfg, bg, report, art):
     t = cfg.tolerances
     report.note(
@@ -526,8 +536,7 @@ def _run_properness_probe(cfg, bg, report, art):
     resid = y - A @ coef
     dof = len(x) - 2
     se = float(np.sqrt(resid @ resid / dof / ((x - x.mean()) @ (x - x.mean()))))
-    from scipy.special import stdtrit
-    half = float(stdtrit(dof, 0.975)) * se
+    half = _T975[dof - 1] * se
     report.add(CheckItem.info(
         "empirical_exponent",
         "least-squares growth exponent of log-energy against log-J", slope))

@@ -11,7 +11,6 @@ barycentric interpolation, and high-order finite differences in an external
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 Array = np.ndarray
 
@@ -72,19 +71,18 @@ def clenshaw_curtis(size: int, length: float) -> Array:
 class Antiderivative:
     """Spectral antiderivative F(x) = int_0^x f on a Lobatto grid.
 
-    Solves D F = f with F(x_0) = 0.  The square subsystem obtained by
-    pinning the first node is nonsingular, and the construction is exact
-    whenever f is a polynomial of degree below the grid order.
+    The discrete inverse of D: F(x_0) = 0 and D F = f on every other node,
+    by the inverse of the nonsingular block left by pinning x_0, built once.
+    Unlike a coefficient-space integral, F returns f under D to rounding,
+    as a state that differences it again needs.  Exact whenever f is a
+    polynomial of degree below the grid order.
     """
 
     def __init__(self, D: Array):
-        self._lu = lu_factor(D[1:, 1:])
+        self._inv = np.linalg.inv(D[1:, 1:])
 
     def __call__(self, f: Array) -> Array:
-        F = np.empty_like(np.asarray(f, dtype=float))
-        F[0] = 0.0
-        F[1:] = lu_solve(self._lu, np.asarray(f, dtype=float)[1:])
-        return F
+        return np.concatenate(([0.0], self._inv @ np.asarray(f, dtype=float)[1:]))
 
 
 def cheb_transform(size: int) -> tuple[Array, Array]:

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from kahler_lab import cli
-from kahler_lab.errors import SolverError
+from kahler_lab.errors import ParameterError, SolverError
+from kahler_lab.scenarios import parse_config
 
 
 def _config(tmp_path, raw) -> str:
@@ -83,6 +84,18 @@ def test_boolean_config_values_are_config_errors(tmp_path):
     path = _config(tmp_path, {"scenario": "fs_anchors",
                               "tolerances": {"residual": True}})
     assert cli.main(["validate", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "9" * 400],
+                         ids=["nan", "inf", "minus_inf", "float_overflow", "int_overflow"])
+def test_non_finite_config_numbers_are_config_errors(tmp_path, literal):
+    # json.loads parses these literals; a tolerance of Infinity would pass
+    # any check, and report.json would carry a bare NaN or Infinity
+    for raw in (f'{{"scenario": "fs_anchors", "tolerances": {{"residual": {literal}}}}}',
+                f'{{"scenario": "fs_anchors", "amplitude": {literal}}}'):
+        with pytest.raises(ParameterError):
+            parse_config(json.loads(raw))
+        assert cli.main(["validate", "--config", _config(tmp_path, raw)]) == 2, raw
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

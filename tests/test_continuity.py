@@ -90,6 +90,21 @@ def test_first_eigenvalue_grid_convergence():
     assert values[0] == pytest.approx(values[1], rel=1e-7)
 
 
+@pytest.mark.parametrize("size", [96, 384])
+def test_first_eigenvalue_matches_scipy_generalized_eigh(size):
+    from scipy.linalg import eigh
+    bg = fs_background("cpn", 2, size)
+    B, dB = bg.ritz_basis
+    for seed in range(3):
+        probe = generate_probe(bg, seed=seed, scenario="unit", index=0)
+        wdiag = bg.ref_measure * bg.w0 * probe.m_over_x ** (bg.n - 1)
+        mass = bg.ref_measure * probe.rho
+        A = dB.T @ (wdiag[:, None] * dB)
+        M = B.T @ (mass[:, None] * B)
+        ref = eigh(0.5 * (A + A.T), 0.5 * (M + M.T), eigvals_only=True)[1]
+        assert lambda1_radial(probe) == pytest.approx(ref, rel=1e-12, abs=0.0), seed
+
+
 # ---------------------------------------------------------------------------
 # prescribed-volume path
 

@@ -19,7 +19,7 @@ import pytest
 from kahler_lab.errors import (NotKahlerError, ParameterError,
                                UnsupportedModelError)
 from kahler_lab.families import generate_probe
-from kahler_lab.geometry import (FormSlot, fs_background,
+from kahler_lab.geometry import (FormSlot, _div_by_w0, fs_background,
                                  laplacian, laplacian_matrix, make_metric,
                                  osc, potential_from_density,
                                  ricci_potential, sigma_k, slot_gradsq,
@@ -474,6 +474,42 @@ def test_torus_laplacian_is_flat_second_derivative_over_density(
     u = np.sin(2.0 * np.pi * bg_torus.x)
     expected = (bg_torus.D2 @ u) / state.rho
     assert np.abs(laplacian(state, u) - expected).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Ricci potential: closed form against the integrated oracle
+
+
+def _integrated_ricci_potential(state):
+    # f_x = (G - m)/w0 integrated from the pole, then normalized: the route
+    # that holds on any background, not only a Kahler-Einstein one
+    bg = state.bg
+    f = bg.antider(_div_by_w0(bg, state.G - state.m))
+    return f - np.log(bg.integrate(state.rho * np.exp(f)) / bg.volume)
+
+
+@pytest.mark.parametrize("size,tol", [(96, 1e-12), (384, 5e-11)])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_ricci_potential_closed_form_matches_integrated_oracle(n, size, tol):
+    bg = fs_background("cpn", n, size)
+    for seed in range(3):
+        state = generate_probe(bg, seed=seed, scenario="unit", index=0)
+        f, _ = ricci_potential(state)
+        assert np.abs(f - _integrated_ricci_potential(state)).max() < tol, seed
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_antiderivative_is_the_inverse_of_d_on_probes(n):
+    # a state built from the moment inversion differences its potential
+    # again, so D must give the integrand back to rounding
+    bg = fs_background("cpn", n, 384)
+    for seed in range(3):
+        state = generate_probe(bg, seed=seed, scenario="unit", index=0)
+        f_x = _div_by_w0(bg, state.G - state.m)
+        F = bg.antider(f_x)
+        assert F[0] == 0.0
+        resid = np.abs(bg.D[1:] @ F - f_x[1:]).max() / np.abs(f_x).max()
+        assert resid <= 5e-11, seed
 
 
 # ---------------------------------------------------------------------------

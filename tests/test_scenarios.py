@@ -10,12 +10,16 @@ failure disappear would hide that defect.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kahler_lab
 from kahler_lab import energies
-from kahler_lab.scenarios import SCENARIO_NAMES, parse_config, run_scenario
+from kahler_lab.scenarios import _T975, SCENARIO_NAMES, parse_config, run_scenario
 
 # rows per scenario at grid_size 48, count 2, seed 0, in SCENARIO_NAMES order
 ROW_COUNTS = dict(zip(SCENARIO_NAMES, (4, 12, 12, 15, 12, 15, 8, 22, 8, 9, 22,
@@ -27,6 +31,25 @@ TRAJECTORIES = {
     "lemma41": ["trajectory_volume_0.csv"],
     "krf_monotone": ["trajectory_flow_0.csv"],
 }
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as a reference
+    src = str(Path(kahler_lab.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, kahler_lab; "
+         "print([m for m in sys.modules if m.split('.')[0].startswith('scipy')])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_t_quantile_table_matches_scipy():
+    from scipy.special import stdtrit
+    assert len(_T975) == 10
+    for dof, value in enumerate(_T975, start=1):
+        assert value == float(stdtrit(dof, 0.975)), dof
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -59,10 +82,17 @@ def test_path_scenarios_pass_at_n1(name, tmp_path):
     assert report.all_passed, [i.name for i in report.items if not i.passed]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("name", ["lemma32_34", "lemma41"])
-def test_path_scenarios_pass_at_n4(name, seed, tmp_path):
-    cfg = parse_config({"scenario": name, "n": 4, "count": 1, "seed": seed})
+# the default grid for two scenarios, and the fine grid on which the
+# prescribed-path scenarios once left the cone at the pole
+N4_CASES = ([pytest.param(name, seed, {}, id=f"{name}-{seed}")
+             for name in ("lemma32_34", "lemma41") for seed in (0, 1, 2)]
+            + [pytest.param(name, 0, {"grid_size": 192}, id=f"{name}-0-N192")
+               for name in ("lemma41", "section5", "theorem2")])
+
+
+@pytest.mark.parametrize("name,seed,extra", N4_CASES)
+def test_path_scenarios_pass_at_n4(name, seed, extra, tmp_path):
+    cfg = parse_config({"scenario": name, "n": 4, "count": 1, "seed": seed, **extra})
     report = run_scenario(cfg, out_dir=str(tmp_path))
     assert report.all_passed, [i.name for i in report.items if not i.passed]
 
