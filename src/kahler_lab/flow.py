@@ -27,19 +27,29 @@ the grid.  Those give the right-hand side log(rho) and the positivity
 tests of `make_metric`, with its errors.  A candidate that leaves the
 admissible cone is retried with a halved (sticky) step size.
 
-`run_flow` takes the MetricState of the start metric and reads the
-background from it.  Only the samples build a full metric state on the
-grid; a sample keeps that state and its volume defect.
+`run_flow` takes the MetricState of one start metric, or a (B, N) stack
+of them, and reads the background from it.  All rows step through one
+loop, in lockstep groups: a group shares its step size, time, step count
+and halving count.  A group's coefficients are a (b, 1, K) stack (a
+single start keeps its (K,) vector), and each product takes it against a
+transposed view of a skinny operator, which numpy evaluates as one
+matrix-vector product per row, the product a single start makes.  In a
+step, the rows whose candidate stays in the cone accept it; the rows
+whose candidate leaves it split off into a new group with half the step
+size and one more halving, and do not advance.  So every row of a
+stacked run is bitwise the run of that row alone, halvings and
+truncation included.  Only the samples build full metric states on the
+grid, every sample of every row in one stacked `make_metric` at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotKahlerError, ParameterError, UnsupportedModelError
-from .geometry import Background, MetricState, check_moment_profile, make_metric
+from .geometry import MetricState, check_moment_profile, make_metric
 
 Array = np.ndarray
 
@@ -47,37 +57,57 @@ FLOW_MODES = 24  # Chebyshev coefficients the flow steps
 
 
 @dataclass
-class FlowSample:
-    t: float
-    state: MetricState
-    volume_defect: float
-
-
-@dataclass
 class FlowTrajectory:
-    bg: Background
-    samples: list[FlowSample] = field(default_factory=list)
-    dt_final: float = 0.0
-    halvings: int = 0
-    steps: int = 0
+    """One row's flow: its samples as a stacked metric state with their
+    times and volume defects, and how the stepping ended."""
+
+    times: Array
+    states: MetricState
+    volume_defects: Array
+    dt_final: float
+    halvings: int
+    steps: int
     status: str = "completed"
     reason: str = ""
 
+
+@dataclass
+class FlowStack:
+    """The flows of a stacked start, one trajectory per row.  Row r's
+    samples are rows offsets[r]:offsets[r + 1] of `states`."""
+
+    rows: list[FlowTrajectory]
+    states: MetricState
+    offsets: Array
+
     @property
-    def times(self) -> Array:
-        return np.array([s.t for s in self.samples])
+    def steps(self) -> int:
+        return sum(row.steps for row in self.rows)
+
+    @property
+    def halvings(self) -> int:
+        return sum(row.halvings for row in self.rows)
 
 
 def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
-             sample_every: int = 25, max_halvings: int = 12) -> FlowTrajectory:
-    """Integrate the normalized flow from the metric of `start` for `steps`
-    accepted steps of size dt.
+             sample_every: int = 25, max_halvings: int = 12
+             ) -> FlowTrajectory | FlowStack:
+    """Integrate the normalized flow from the metric of `start`, or from
+    each row of a stacked `start`, for `steps` accepted steps of size dt.
 
     The start potential is projected onto the first FLOW_MODES Chebyshev
     modes and re-centered to zero reference mean.  Samples (metric state,
     volume defect) every `sample_every` accepted steps and at both
     endpoints.  If the step size collapses entirely the trajectory is
     returned truncated, with the reason recorded, rather than raising.
+
+    The rows of a stacked start step in lockstep groups, and a row whose
+    candidate leaves the cone splits off into a group of its own with the
+    halved step, so rows halve and truncate independently (a truncated
+    row's reason quotes its own cone error).  A stack returns a FlowStack
+    whose steps and halvings are the sums over its rows; each row's
+    trajectory equals, field by field and bitwise, the FlowTrajectory of
+    that row run alone.
     """
     bg = start.bg
     if bg.model != "cpn":
@@ -88,65 +118,103 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
         raise ParameterError("total flow time must not exceed 10")
 
     n, size = bg.n, bg.size
-    analysis = bg.cheb_analysis[:FLOW_MODES]
+    analysis_t = bg.cheb_analysis[:FLOW_MODES].T
     synthesis = np.ascontiguousarray(bg.cheb_synthesis[:, :FLOW_MODES])
     # the first `size` rows map c to m_x - 1 = (w0 phi_x)_x, the rest to
     # m/x - 1 = w0 phi_x / x
-    profiles = np.vstack([bg.D_w0_D @ synthesis,
-                          bg.w0_over_x[:, None] * (bg.D @ synthesis)])
+    profiles_t = np.vstack([bg.D_w0_D @ synthesis,
+                            bg.w0_over_x[:, None] * (bg.D @ synthesis)]).T
     mean_row = (bg.ref_measure @ synthesis) / bg.volume
 
-    def log_density(c: Array) -> Array:
-        """log(rho) of the potential with coefficients c, on the grid.
-
-        Applies the positivity tests of `make_metric`, with the same
-        errors, without assembling the rest of the metric state.
-        """
+    def recenter(c: Array) -> Array:
+        c.T[0] -= (c @ mean_row).T  # the constant mode, a scalar for one start
         if not np.isfinite(c).all():
             raise ParameterError("potential contains non-finite values")
-        q = 1.0 + profiles @ c
-        if q.min() <= 0.0:
-            check_moment_profile(q[:size], q[size:])
-        log_q = np.log(q)
-        return log_q[:size] + (n - 1) * log_q[size:]
+        return c
 
-    traj = FlowTrajectory(bg)
+    def log_density(q: Array) -> Array:
+        """log(rho) from the moment profiles q = (m_x, m/x) of admissible
+        rows, overwriting q."""
+        log_q = np.log(q, out=q)
+        if n == 2:  # skip the exact factor n - 1 = 1 on the hot path
+            return log_q[..., :size] + log_q[..., size:]
+        return log_q[..., :size] + (n - 1) * log_q[..., size:]
 
-    def record(t: float, c: Array) -> None:
-        state = make_metric(bg, synthesis @ c)
-        vol = bg.integrate(state.rho)
-        traj.samples.append(FlowSample(t, state, abs(vol - bg.volume) / bg.volume))
+    def by_row(a: Array) -> Array:
+        return a.reshape(-1, a.shape[-1])
 
-    c = analysis @ start.phi
-    c[0] -= mean_row @ c
-    record(0.0, c)
-    log_rho = log_density(c)
+    # coefficients are (K,) for a single start and (B, 1, K) for a stack
+    stacked = start.phi.ndim == 2
+    phi0 = start.phi[:, None, :] if stacked else start.phi
+    c = recenter(phi0 @ analysis_t)
+    q = 1.0 + c @ profiles_t
+    if q.min() <= 0.0:
+        check_moment_profile(by_row(q)[:, :size], by_row(q)[:, size:])
+    # per row: its (t, coefficients) samples and its FlowTrajectory fields
+    rows = [{"samples": [(0.0, coef)]} for coef in by_row(c)]
 
-    t = 0.0
-    halvings = 0
-    accepted = 0
-    while accepted < steps:
-        candidate = (1.0 + dt) * c + dt * (analysis @ log_rho)
-        candidate[0] -= mean_row @ candidate
-        try:
-            new_log_rho = log_density(candidate)
-        except NotKahlerError as exc:
-            halvings += 1
-            if halvings > max_halvings:
-                traj.status = "truncated"
-                traj.reason = f"step size collapsed after {max_halvings} halvings: {exc}"
-                break
-            dt *= 0.5  # sticky: stay at the smaller step from here on
-            continue
-        c, log_rho = candidate, new_log_rho
-        t += dt
-        accepted += 1
-        if accepted % sample_every == 0:
-            record(t, c)
+    # lockstep groups: (rows, coefficients, log rho, dt, t, accepted, halvings)
+    groups = [(np.arange(len(rows)), c, log_density(q), dt, 0.0, 0, 0)]
+    while groups:
+        idx, c, log_rho, dt, t, accepted, halvings = groups.pop()
+        while accepted < steps:
+            candidate = recenter((1.0 + dt) * c + dt * (log_rho @ analysis_t))
+            q = 1.0 + candidate @ profiles_t
+            if q.min() <= 0.0:
+                bad = by_row(q).min(axis=1) <= 0.0
+                if halvings >= max_halvings:
+                    for r, row_q in zip(idx[bad], by_row(q)[bad]):
+                        rows[r].update(status="truncated", reason="step size collapsed "
+                                       f"after {max_halvings} halvings: "
+                                       f"{_cone_error(row_q, size)}")
+                    _finish(rows, idx[bad], by_row(c)[bad], t, dt, accepted,
+                            halvings + 1)
+                elif bad.all():
+                    dt *= 0.5  # sticky: the group stays at the smaller step
+                    halvings += 1
+                    continue
+                else:
+                    groups.append((idx[bad], c[bad], log_rho[bad], 0.5 * dt, t,
+                                   accepted, halvings + 1))
+                if bad.all():
+                    break
+                idx, candidate, q = idx[~bad], candidate[~bad], q[~bad]
+            c, log_rho = candidate, log_density(q)
+            t += dt
+            accepted += 1
+            if accepted % sample_every == 0:
+                for r, coef in zip(idx, by_row(c)):
+                    rows[r]["samples"].append((t, coef))
+        else:
+            _finish(rows, idx, by_row(c), t, dt, accepted, halvings)
 
-    if traj.samples[-1].t < t - 1e-12 or accepted == 0:
-        record(t, c)
-    traj.dt_final = dt
-    traj.halvings = halvings
-    traj.steps = accepted
-    return traj
+    times, coefs = zip(*(sample for row in rows for sample in row["samples"]))
+    # one matrix-vector product per sample, as `synthesis @ c`
+    states = make_metric(bg, (np.array(coefs)[:, None, :] @ synthesis.T)[:, 0, :])
+    defects = np.abs(bg.integrate(states.rho) - bg.volume) / bg.volume
+    offsets = np.cumsum([0] + [len(row["samples"]) for row in rows])
+    times = np.array(times)
+    trajs = [FlowTrajectory(times[a:b], states[a:b], defects[a:b],
+                            **{k: v for k, v in row.items() if k != "samples"})
+             for row, a, b in zip(rows, offsets[:-1], offsets[1:])]
+    return FlowStack(trajs, states, offsets) if stacked else trajs[0]
+
+
+def _finish(rows: list[dict], idx: Array, coefs: Array, t: float, dt: float,
+            accepted: int, halvings: int) -> None:
+    """Close the rows `idx` of a group at time t: the endpoint sample (also
+    when no step was accepted) and the group's step statistics."""
+    for r, coef in zip(idx, coefs):
+        row = rows[r]
+        if row["samples"][-1][0] < t - 1e-12 or accepted == 0:
+            row["samples"].append((t, coef))
+        row.update(dt_final=dt, halvings=halvings, steps=accepted)
+
+
+def _cone_error(q: Array, size: int) -> NotKahlerError:
+    """The error `make_metric` raises for the moment profiles q = (m_x, m/x)
+    of a row that leaves the cone."""
+    try:
+        check_moment_profile(q[:size], q[size:])
+    except NotKahlerError as exc:
+        return exc

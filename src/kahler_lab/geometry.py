@@ -36,6 +36,10 @@ a stacked state is bitwise the state of that row alone.
 `laplacian`, `wedge_density`, the `slot_*` builders and
 `Background.integrate` accept stacked fields too; integrals of a single
 density stay Python floats, and a stack integrates to one value per row.
+A stacked integral takes one dot product per row, never one
+matrix-vector product over the stack (which sums in another order), so
+each value is bitwise the integral of that row alone; indexing a stacked
+state (`state[i]`, `state[a:b]`) gives its rows as views.
 
 The computations are arranged in perturbation form (differentiating only
 phi-dependent quantities, never the identity profile) so the reference
@@ -103,7 +107,8 @@ class Background:
         density = np.asarray(density, dtype=float)
         if density.ndim == 1:
             return float(self.ref_measure @ density)
-        return density @ self.ref_measure
+        # one dot product per row, as for a single density
+        return (density[..., None, :] @ self.ref_measure[:, None])[..., 0, 0]
 
     def mean(self, values: Array, density: Array | None = None) -> float:
         """Average against the reference (or a supplied) volume density."""
@@ -174,6 +179,11 @@ class MetricState:
     @property
     def min_ricci(self) -> float:
         return float(min(self.lam_r.min(), self.lam_s.min()))
+
+    def __getitem__(self, index) -> "MetricState":
+        """A row, or a range of rows, of a stacked state, as views."""
+        return MetricState(**{k: v if k == "bg" or v is None else v[index]
+                              for k, v in vars(self).items()})
 
 
 def _freeze(*arrays: Array | None) -> None:

@@ -549,28 +549,34 @@ def _run_properness_probe(cfg, bg, report, art):
 def _run_krf_monotone(cfg, bg, report, art):
     t = cfg.tolerances
 
-    fs = run_flow(bg.reference, dt=1e-3, steps=400)
-    drift = max(float(np.abs(s.state.phi).max()) for s in fs.samples)
+    # the round metric rides as row 0 of the probe stack
+    probes = _probes(bg, cfg)
+    flows = run_flow(make_metric(bg, np.array([bg.reference.phi]
+                                              + [p.phi for p in probes])),
+                     dt=1e-3, steps=1000)
     report.add(CheckItem.identity(
         "round_stationary", "round metric is an exact fixed point of the flow",
-        drift, 0.0, t["stationary"]))
+        float(np.abs(flows.rows[0].states.phi).max()), 0.0, t["stationary"]))
 
-    for idx, start in enumerate(_probes(bg, cfg)):
-        traj = run_flow(start, dt=1e-3, steps=1000)
+    # E_0 and E_1 of the later probes' samples, one stacked call per k
+    later = flows.states[flows.offsets[2]:]
+    later_e = {k: e_k_closed(later, k) for k in (0, 1)} if len(probes) > 1 else {}
+    for idx, traj in enumerate(flows.rows[1:]):
         if idx == 0:
-            rows = [monitor_row(s.t, 0.0, s.state) for s in traj.samples]
+            rows = [monitor_row(s, 0.0, traj.states[i])
+                    for i, s in enumerate(traj.times.tolist())]
             art.write("trajectory_flow_0.csv", trajectory_csv(bg, rows))
+            e0 = np.array([row["E_0"] for row in rows])
+            e1 = np.array([row["E_1"] for row in rows])
         else:
-            rows = [{f"E_{k}": e_k_closed(s.state, k) for k in (0, 1)}
-                    for s in traj.samples]
-        e0 = np.array([row["E_0"] for row in rows])
-        e1 = np.array([row["E_1"] for row in rows])
-        flags = np.array([s.state.min_ricci >= -1.0 for s in traj.samples])
+            span = slice(*(flows.offsets[idx + 1:idx + 3] - flows.offsets[2]))
+            e0, e1 = later_e[0][span], later_e[1][span]
+        states = traj.states
+        flags = np.minimum(states.lam_r.min(axis=1), states.lam_s.min(axis=1)) >= -1.0
         e1_incr = -np.inf
         for a in range(len(e1) - 1):
             if flags[a] and flags[a + 1]:
                 e1_incr = max(e1_incr, e1[a + 1] - e1[a])
-        vol = max(s.volume_defect for s in traj.samples)
         report.add(CheckItem.upper_bound(
             f"k0_decreasing_s{idx}",
             "k = 0 energy never increases between flow samples",
@@ -584,16 +590,24 @@ def _run_krf_monotone(cfg, bg, report, art):
         report.add(CheckItem.upper_bound(
             f"volume_conserved_s{idx}",
             "class volume conserved along the flow",
-            vol, 0.0, t["volume"]))
+            float(traj.volume_defects.max()), 0.0, t["volume"]))
 
     small = generate_probe(bg, cfg.seed, cfg.scenario, 10_000, cfg.modes, 0.03)
     long_run = run_flow(small, dt=1e-3, steps=10_000, sample_every=2000)
-    final = long_run.samples[-1].state
+    final = long_run.states[-1]
     dev = max(abs(final.lam_r - 1.0).max(), abs(final.lam_s - 1.0).max())
     report.add(CheckItem.identity(
         "long_time_convergence",
         "small data flows to a unit-eigenvalue metric by time ten",
         float(dev), 0.0, t["convergence"]))
+
+    labels = ["flow row 0 (round metric)"] + [
+        f"flow row {idx + 1} (probe {idx})" for idx in range(len(probes))]
+    for label, traj in [*zip(labels, flows.rows), ("long-run flow", long_run)]:
+        if traj.halvings or traj.status != "completed":
+            report.note(f"{label}: {traj.status} after {traj.steps} steps with "
+                        f"{traj.halvings} halvings, dt_final = {traj.dt_final:g}"
+                        + (f" ({traj.reason})" if traj.reason else ""))
 
 
 def _run_cy_torus(cfg, bg, report, art):

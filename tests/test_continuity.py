@@ -391,10 +391,11 @@ def test_solvers_and_flow_never_rebuild_the_state_they_were_handed(monkeypatch):
     assert solve_aubin_path(probe, dt=0.1).ref_state is probe
     assert solve_yau_path(probe, dt=0.1).ref_state is probe
     assert ricci_positive_generator(probe).min_ricci > 0.0
-    assert run_flow(probe, steps=20, sample_every=10).bg is bg
+    assert run_flow(probe, steps=20, sample_every=10).states.bg is bg
     assert calls and flow_calls
     for phi, _ in calls + flow_calls:
-        assert not np.array_equal(phi, probe.phi)
+        # the flow builds its samples as one stack, a potential per row
+        assert not any(np.array_equal(row, probe.phi) for row in np.atleast_2d(phi))
 
 
 def test_bending_solve_builds_each_newton_iterate_once(monkeypatch):

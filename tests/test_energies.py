@@ -25,8 +25,8 @@ from kahler_lab.energies import (GAUSS_ORDERS, GAUSS_TOL, PathEnergies,
                                  mu_k, orbit_potential)
 from kahler_lab.errors import ParameterError, UnsupportedModelError
 from kahler_lab.families import generate_probe
-from kahler_lab.geometry import (laplacian, make_metric, slot_metric,
-                                 slot_ricci, wedge_density)
+from kahler_lab.geometry import (fs_background, laplacian, make_metric,
+                                 slot_metric, slot_ricci, wedge_density)
 
 
 def _fd5(f, t0: float, h: float) -> float:
@@ -335,6 +335,25 @@ def test_rotation_invariant_requires_projective_model(probe_torus):
         futaki_k(probe_torus, 1)
     with pytest.raises(UnsupportedModelError):
         orbit_potential(probe_torus, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# stacked closed form
+
+
+@pytest.mark.parametrize("size", [96, 384])
+def test_stacked_integrals_and_closed_energies_match_rows_bitwise(size):
+    bg = fs_background("cpn", 2, size)
+    phis = [generate_probe(bg, seed=0, scenario="krf_monotone", index=i).phi
+            for i in range(4)]
+    states = make_metric(bg, np.array(phis))
+    rows = [states[i] for i in range(len(phis))]
+    density = states.rho * states.phi
+    assert bg.integrate(density).tolist() == [bg.integrate(d) for d in density]
+    for k in range(bg.n + 1):
+        for ref in (None, rows[0]):
+            assert (e_k_closed(states, k, ref).tolist()
+                    == [e_k_closed(row, k, ref) for row in rows]), (k, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The oracle is the straightforward grid-space loop: every step evaluates
 the right-hand side from a full metric state, projects the update onto
 the leading Chebyshev modes on the grid and re-centers it.  The flow
 proper steps the same recursion on the coefficients, so the two agree to
-rounding.
+rounding.  A stacked start is checked against the runs of its rows one
+at a time, which it must reproduce bitwise.
 """
 
 from __future__ import annotations
@@ -62,10 +63,10 @@ def test_round_metric_is_bitwise_stationary(bg96):
     traj = run_flow(bg96.reference, dt=1e-3, steps=400)
     assert traj.status == "completed" and traj.steps == 400
     assert traj.halvings == 0 and traj.dt_final == 1e-3
-    assert len(traj.samples) == 400 // 25 + 1
-    for s in traj.samples:
-        assert np.all(s.state.phi == 0.0)
-        assert s.state.min_ricci == pytest.approx(1.0, abs=1e-10)
+    assert len(traj.times) == 400 // 25 + 1
+    for i in range(len(traj.times)):
+        assert np.all(traj.states[i].phi == 0.0)
+        assert traj.states[i].min_ricci == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("size", [48, 96])
@@ -76,15 +77,15 @@ def test_coefficient_steps_match_grid_space_loop(size):
     assert traj.status == "completed" and traj.halvings == 0
     assert traj.times[-1] == pytest.approx(0.2, abs=1e-12)
     expected, _, _ = grid_space_flow(bg, start.phi, 1e-3, 200)
-    assert np.abs(traj.samples[-1].state.phi - expected).max() <= 1e-13
+    assert np.abs(traj.states.phi[-1] - expected).max() <= 1e-13
     # the flow moves the potential, so the agreement is not vacuous
-    assert np.abs(expected - traj.samples[0].state.phi).max() > 1e-3
+    assert np.abs(expected - traj.states.phi[0]).max() > 1e-3
 
 
 def test_volume_is_conserved(bg96):
     start = generate_probe(bg96, seed=1, scenario="krf_monotone", index=0)
     traj = run_flow(start, dt=1e-3, steps=500, sample_every=100)
-    assert max(s.volume_defect for s in traj.samples) <= 1e-12
+    assert traj.volume_defects.max() <= 1e-12
 
 
 def test_near_boundary_start_halves_step_stickily(bg48):
@@ -104,7 +105,7 @@ def test_collapsed_step_truncates_with_reason(bg48, sign):
     traj = run_flow(make_metric(bg48, phi0), dt=1e-3, steps=50, max_halvings=0)
     assert traj.status == "truncated"
     assert traj.steps == 0
-    assert [s.t for s in traj.samples] == [0.0, 0.0]
+    assert traj.times.tolist() == [0.0, 0.0]
     # the cone test reports the node and value make_metric reports
     with pytest.raises(NotKahlerError) as grid_exc:
         grid_space_flow(bg48, phi0, 1e-3, 1, max_halvings=0)
@@ -128,3 +129,55 @@ def test_parameter_and_model_errors(bg48):
     torus = fs_background("torus", 1, 32)
     with pytest.raises(UnsupportedModelError):
         run_flow(torus.reference, steps=10)
+
+
+def assert_same_run(row, alone):
+    """Every field of a stacked row's trajectory is bitwise that of the
+    row run alone."""
+    assert row.times.tobytes() == alone.times.tobytes()
+    assert row.volume_defects.tobytes() == alone.volume_defects.tobytes()
+    for name, value in vars(alone.states).items():
+        if isinstance(value, np.ndarray):
+            assert getattr(row.states, name).tobytes() == value.tobytes(), name
+    assert ((row.dt_final, row.halvings, row.steps, row.status, row.reason)
+            == (alone.dt_final, alone.halvings, alone.steps, alone.status,
+                alone.reason))
+
+
+def stack(bg, phis):
+    return make_metric(bg, np.array(phis))
+
+
+def test_stacked_rows_match_their_single_runs(bg48):
+    probe = generate_probe(bg48, seed=3, scenario="krf_monotone", index=0)
+    phis = [probe.phi, near_boundary_start(bg48), bg48.reference.phi]
+    runs = run_flow(stack(bg48, phis), dt=1e-3, steps=50, sample_every=10)
+    assert len(runs.rows) == 3
+    for row, phi in zip(runs.rows, phis):
+        assert_same_run(row, run_flow(make_metric(bg48, phi), dt=1e-3, steps=50,
+                                      sample_every=10))
+    # the boundary row splits off and halves; the other two never do
+    assert [row.halvings > 0 for row in runs.rows] == [False, True, False]
+    assert runs.rows[1].dt_final < runs.rows[0].dt_final == 1e-3
+    # the rows' samples are consecutive slices of one stacked state
+    for row, a, b in zip(runs.rows, runs.offsets[:-1], runs.offsets[1:]):
+        assert row.states.phi.tobytes() == runs.states.phi[a:b].tobytes()
+
+
+def test_stack_with_one_truncating_row(bg48):
+    phis = [near_boundary_start(bg48), bg48.reference.phi]
+    runs = run_flow(stack(bg48, phis), dt=1e-3, steps=50, max_halvings=0)
+    assert [row.status for row in runs.rows] == ["truncated", "completed"]
+    assert [row.steps for row in runs.rows] == [0, 50]
+    for row, phi in zip(runs.rows, phis):
+        assert_same_run(row, run_flow(make_metric(bg48, phi), dt=1e-3, steps=50,
+                                      max_halvings=0))
+
+
+def test_stack_counts_are_row_sums(bg48):
+    phis = [near_boundary_start(bg48), -near_boundary_start(bg48),
+            bg48.reference.phi]
+    runs = run_flow(stack(bg48, phis), dt=1e-3, steps=30)
+    assert type(runs.steps) is int and type(runs.halvings) is int
+    assert runs.steps == sum(row.steps for row in runs.rows) == 90
+    assert runs.halvings == sum(row.halvings for row in runs.rows) > 0

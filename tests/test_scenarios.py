@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import kahler_lab
-from kahler_lab import energies
+from kahler_lab import energies, scenarios
+from kahler_lab.flow import FlowStack
 from kahler_lab.scenarios import _T975, SCENARIO_NAMES, parse_config, run_scenario
 
 # rows per scenario at grid_size 48, count 2, seed 0, in SCENARIO_NAMES order
@@ -124,3 +125,45 @@ def test_flow_scenario_evaluates_each_sample_energy_once(monkeypatch, tmp_path):
     samples = len((tmp_path / "krf_monotone" / "trajectory_flow_0.csv")
                   .read_text().splitlines()) - 1
     assert len(calls) == (cfg.n + 1) * samples
+
+
+def test_flow_scenario_notes_halved_and_truncated_runs(monkeypatch, tmp_path):
+    cfg = parse_config({"scenario": "krf_monotone", "grid_size": 48, "count": 2})
+    assert run_scenario(cfg, out_dir=str(tmp_path / "plain")).notes == []
+
+    # no probe halves at the amplitudes a config can set, so the runs the
+    # scenario gets back are marked as one that halved and one that truncated
+    original = scenarios.run_flow
+
+    def marked(start, **kwargs):
+        result = original(start, **kwargs)
+        if isinstance(result, FlowStack):
+            result.rows[2].halvings, result.rows[2].dt_final = 2, 2.5e-4
+        else:
+            result.status, result.halvings, result.reason = "truncated", 13, "marked"
+        return result
+
+    monkeypatch.setattr(scenarios, "run_flow", marked)
+    report = run_scenario(cfg, out_dir=str(tmp_path / "marked"))
+    assert report.notes == [
+        "flow row 2 (probe 1): completed after 1000 steps with 2 halvings, "
+        "dt_final = 0.00025",
+        "long-run flow: truncated after 10000 steps with 13 halvings, "
+        "dt_final = 0.001 (marked)"]
+    data = json.loads((tmp_path / "marked" / "krf_monotone" / "report.json").read_text())
+    assert data["notes"] == report.notes
+
+
+# cy_torus's closed_form_s* rows are under-resolved at the default grid:
+# at N = 96 the closed form misses by about 3.4e-9 relative against a tol
+# of 1e-9, with a Fourier tail of log rho near 2e-5
+DEFAULT_RUNS = [pytest.param(name, marks=pytest.mark.xfail(
+                    strict=True, reason="closed_form_s* under-resolved at N = 96"))
+                if name == "cy_torus" else name for name in SCENARIO_NAMES]
+
+
+@pytest.mark.parametrize("name", DEFAULT_RUNS)
+def test_scenario_passes_at_defaults(name, tmp_path):
+    report = run_scenario(parse_config({"scenario": name, "seed": 0}),
+                          out_dir=str(tmp_path))
+    assert report.all_passed, [i.name for i in report.items if not i.passed]
