@@ -107,8 +107,7 @@ class Background:
         density = np.asarray(density, dtype=float)
         if density.ndim == 1:
             return float(self.ref_measure @ density)
-        # one dot product per row, as for a single density
-        return (density[..., None, :] @ self.ref_measure[:, None])[..., 0, 0]
+        return _rows(self.ref_measure[None, :], density)[..., 0]
 
     def mean(self, values: Array, density: Array | None = None) -> float:
         """Average against the reference (or a supplied) volume density."""
