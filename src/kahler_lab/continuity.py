@@ -27,19 +27,22 @@ requested end is returned truncated with a stall record rather than raising.
 
 The solvers take the MetricState of the reference metric (a probe, say)
 and read the background from it; the trajectory keeps that same state as
-`ref_state`, and every path point carries the state its solve built.
+`ref_state`, and holds the states its solves built as one stacked state,
+one row per point, as a flow holds its samples.
 `ricci_positive_generator` likewise takes a state and returns the state of
 its output metric.
 
-The verification suites turn the structural facts of these paths --
+`monitors` tabulates the energies, I, J, first eigenvalue and curvature
+minimum of every row of a stacked state, a path's or a flow's.  The
+verification suites turn the structural facts of these paths --
 derivative identities, eigenvalue bounds, monotone quantities, endpoint
 energy identities and inequalities -- into CheckItem rows.  They read the
-states and the per-point `path_monitors` rows the caller already holds.
+stacked states and the `path_monitors` columns the caller already holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -88,17 +91,14 @@ T_PAIR = (0.2, 0.8)     # times of the two-time identity
 
 @dataclass
 class PathPoint:
+    """One point of a path, as `PathTrajectory.points` lists it."""
+
     t: float
     phi: Array          # reference-mean-zero representative
     c_t: float          # constant making phi + c_t solve the equation exactly
     state: MetricState
     iterations: int = 0
     residual: float = 0.0
-
-    @property
-    def phi_exact(self) -> Array:
-        """The equation-exact potential (mean-zero part plus its constant)."""
-        return self.phi + self.c_t
 
 
 @dataclass
@@ -109,34 +109,62 @@ class Termination:
 
 @dataclass
 class PathTrajectory:
+    """A solved path: per point its time, reference-mean-zero potential phi
+    (phi + c_t solves the path equation exactly), Newton iterations and
+    residual, with the points' metric states as one stacked state."""
+
     kind: str             # "bending" | "prescribed"
     bg: Background
     ref_state: MetricState
     f: Array
-    points: list[PathPoint] = field(default_factory=list)
-    termination: Termination | None = None
+    ts: Array
+    phi: Array
+    c_t: Array
+    states: MetricState
+    iterations: list[int]
+    residuals: list[float]
+    termination: Termination
+
+    @classmethod
+    def from_points(cls, kind: str, ref_state: MetricState, f: Array,
+                    points: list[PathPoint], termination: Termination):
+        """The trajectory of solved `points`, their states stacked."""
+        t, phi, c_t, states, iterations, residuals = zip(
+            *((p.t, p.phi, p.c_t, p.state, p.iterations, p.residual) for p in points))
+        return cls(kind, ref_state.bg, ref_state, f, np.array(t), np.array(phi),
+                   np.array(c_t), MetricState.stack(states), list(iterations),
+                   list(residuals), termination)
+
+    @property
+    def points(self) -> list[PathPoint]:
+        """The points one by one, each with its row of `states`."""
+        return [PathPoint(t, self.phi[i], c_t, self.states[i], self.iterations[i],
+                          self.residuals[i])
+                for i, (t, c_t) in enumerate(zip(self.ts.tolist(), self.c_t.tolist()))]
 
     @property
     def completed(self) -> bool:
-        return self.termination is not None and self.termination.status == "completed"
+        return self.termination.status == "completed"
 
     @property
-    def ts(self) -> Array:
-        return np.array([p.t for p in self.points])
+    def reached_end(self) -> bool:
+        """Completed through t = 1, as the endpoint rows need."""
+        return self.completed and abs(self.ts[-1] - 1.0) < 1e-12
 
     @property
     def dt(self) -> float:
-        if len(self.points) < 2:
+        if len(self.ts) < 2:
             raise SolverError("trajectory has fewer than two points")
-        return self.points[1].t - self.points[0].t
+        return float(self.ts[1] - self.ts[0])
 
     def stacked_exact(self) -> Array:
-        return np.stack([p.phi_exact for p in self.points])
+        """The equation-exact potentials phi + c_t, one row per point."""
+        return self.phi + self.c_t[:, None]
 
     def exact_rate(self) -> Array:
         """Time derivative of the equation-exact potential on the grid, by
         the five-point stencil; a path of fewer points raises SolverError."""
-        if len(self.points) < 5:
+        if len(self.ts) < 5:
             raise SolverError("trajectory has fewer than five points")
         return spectral.fd_derivative(self.stacked_exact(), self.dt)
 
@@ -272,8 +300,7 @@ def solve_yau_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
     """
     bg = ref_state.bg
     f, _ = ricci_potential(ref_state)
-
-    traj = PathTrajectory("prescribed", bg, ref_state, f)
+    points = []
     steps = int(round(1.0 / dt))
     for i in range(steps + 1):
         t = i * dt
@@ -281,9 +308,9 @@ def solve_yau_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
         c_t = -np.log(mass / bg.volume)
         psi, state, iters, res = _solve_density(ref_state, t * f + c_t)
         psi = psi - bg.mean(psi, ref_state.rho)
-        traj.points.append(PathPoint(t, psi, float(c_t), state, iters, res))
-    traj.termination = Termination("completed")
-    return traj
+        points.append(PathPoint(t, psi, float(c_t), state, iters, res))
+    return PathTrajectory.from_points("prescribed", ref_state, f, points,
+                                      Termination("completed"))
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +328,11 @@ def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory
     """
     bg = ref_state.bg
     f, _ = ricci_potential(ref_state)
-    traj = PathTrajectory("bending", bg, ref_state, f)
+    points = []
 
     def record(t, tilde, state, iters, res):
         c_t = bg.mean(tilde, ref_state.rho)
-        traj.points.append(PathPoint(t, tilde - c_t, c_t, state, iters, res))
+        points.append(PathPoint(t, tilde - c_t, c_t, state, iters, res))
 
     tilde_a, state, iters, res = _solve_density(ref_state, f)
     record(0.0, tilde_a, state, iters, res)
@@ -330,16 +357,16 @@ def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory
             except SolverError as exc:
                 sub *= 0.5
                 if sub < MIN_SUBSTEP:
-                    traj.termination = Termination(
-                        "stalled", f"no progress past t = {t_a:.6f}: {exc}")
-                    return traj
+                    return PathTrajectory.from_points(
+                        "bending", ref_state, f, points, Termination(
+                            "stalled", f"no progress past t = {t_a:.6f}: {exc}"))
                 continue
             t_b, tilde_b = t_a, tilde_a
             t_a, tilde_a = t_try, tilde_new
         record(t_target, tilde_a, state, iters, res)
 
-    traj.termination = Termination("completed")
-    return traj
+    return PathTrajectory.from_points("bending", ref_state, f, points,
+                                      Termination("completed"))
 
 
 # ---------------------------------------------------------------------------
@@ -367,32 +394,35 @@ def ricci_positive_generator(state: MetricState) -> MetricState:
 # monitors
 
 
-def monitor_row(t: float, c_t: float, state: MetricState,
-                ref: MetricState | None = None) -> dict:
-    """Scalar diagnostics of one metric state: every energy, I, J, first
-    eigenvalue, curvature minimum.  Energies, I and J are relative to the
-    state `ref` (the background reference when None)."""
-    row = {"t": t, "c_t": c_t}
-    for k in range(state.bg.n + 1):
-        row[f"E_{k}"] = e_k_closed(state, k, ref)
-    row["I"], row["J"], row["I_minus_J"] = i_and_j(state, ref)
-    row["lambda1_radial"] = lambda1_radial(state)
-    row["min_ricci"] = state.min_ricci
-    return row
+def monitors(states: MetricState, ref: MetricState | None = None,
+             **columns) -> np.recarray:
+    """Scalar diagnostics of each row of a stacked state, one record per
+    row: the given `columns` (t and c_t, say) first, then every energy, I,
+    J, I - J, the first eigenvalue and the curvature minimum.  Energies, I
+    and J are relative to the state `ref` (the background reference when
+    None), from one stacked evaluation each, bitwise the per-row values."""
+    for k in range(states.bg.n + 1):
+        columns[f"E_{k}"] = e_k_closed(states, k, ref)
+    columns["I"], columns["J"], columns["I_minus_J"] = i_and_j(states, ref)
+    columns["lambda1_radial"] = [lambda1_radial(states[i])
+                                 for i in range(len(states.phi))]
+    columns["min_ricci"] = states.min_ricci
+    return np.rec.fromarrays(list(columns.values()), names=list(columns))
 
 
-def path_monitors(traj: PathTrajectory) -> list[dict]:
-    """Per-point `monitor_row`s, energies relative to the path's own
-    reference."""
-    return [monitor_row(p.t, p.c_t, p.state, traj.ref_state) for p in traj.points]
+def path_monitors(traj: PathTrajectory) -> np.recarray:
+    """The `monitors` of a path's points, energies relative to the path's
+    own reference."""
+    return monitors(traj.states, traj.ref_state, t=traj.ts, c_t=traj.c_t)
 
 
 def _simpson_uniform(values, dt: float) -> float:
     """Composite Simpson on uniform samples, as scipy.integrate.simpson.
 
-    An odd number of points is plain composite Simpson.  Two points use the
-    trapezoid rule.  Any other even number applies Simpson to all points but
-    the last and closes the last interval with the three-point correction
+    An odd number of points is plain composite Simpson (one point gives
+    0.0).  Two points use the trapezoid rule.  Any other even number
+    applies Simpson to all points but the last and closes the last
+    interval with the three-point correction
     h (5/12 y[-1] + 2/3 y[-2] - 1/12 y[-3]).
     """
     y = np.asarray(values, dtype=float)
@@ -406,29 +436,35 @@ def _simpson_uniform(values, dt: float) -> float:
 
 
 def _rate_residual(traj: PathTrajectory, rate: Array, rhs) -> float:
-    """Largest residual of a differentiated path equation  Lap r = rhs(idx, r)
-    over the path's points, with r the time derivative `rate` truncated to the
-    resolved band: the derivative is exact to O(dt^4) but carries the
-    solver's noise floor in its top coefficients, which the smooth rate of
-    an analytic-in-t path does not have."""
+    """Largest residual of a differentiated path equation  Lap r = rhs(r)
+    over the path's points, with r the stacked time derivative `rate`
+    truncated to the resolved band: the derivative is exact to O(dt^4) but
+    carries the solver's noise floor in its top coefficients, which the
+    smooth rate of an analytic-in-t path does not have."""
     bg = traj.bg
-    worst = 0.0
-    for idx, p in enumerate(traj.points):
-        smooth = bg.lowpass(rate[idx], bg.band)
-        lhs = laplacian(p.state, smooth)
-        worst = max(worst, float(np.abs(lhs - rhs(idx, smooth)).max()))
-    return worst
+    smooth = np.array([bg.lowpass(r, bg.band) for r in rate])
+    return float(np.abs(laplacian(traj.states, smooth) - rhs(smooth)).max())
 
 
 def _squared_rate_integral(traj: PathTrajectory, rate: Array) -> float:
     """int_0^1 (1 - t) int (Lap_t d/dt phi_t)^2 w_t^n dt  over the path, by
     Simpson's rule on its grid (not divided by V)."""
-    bg = traj.bg
-    sq = np.empty(len(traj.points))
-    for idx, p in enumerate(traj.points):
-        lap_rate = laplacian(p.state, rate[idx])
-        sq[idx] = (1.0 - p.t) * bg.integrate(lap_rate * lap_rate * p.state.rho)
+    lap_rate = laplacian(traj.states, rate)
+    sq = (1.0 - traj.ts) * traj.bg.integrate(lap_rate * lap_rate * traj.states.rho)
     return _simpson_uniform(sq, traj.dt)
+
+
+def _reference_term(traj: PathTrajectory, k: int) -> float:
+    """The reference-only term of the prescribed path's endpoint identity
+    for E_k (not divided by V): the sum over i = 1 .. k of
+    C(k+1, i+1) int f (i ddbar f)^i ^ w^{n-i}, with w the path's reference
+    metric."""
+    bg = traj.bg
+    f_hess = slot_hessian(bg, traj.f)
+    w_ref = slot_metric(traj.ref_state)
+    return sum(comb(k + 1, i + 1) * bg.integrate(
+        traj.f * wedge_density(bg, [f_hess] * i + [w_ref] * (bg.n - i)))
+        for i in range(1, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -436,27 +472,28 @@ def _squared_rate_integral(traj: PathTrajectory, rate: Array) -> float:
 
 
 def check_lemma_3_4(traj: PathTrajectory, *,
-                    monitors: list[dict]) -> list[CheckItem]:
+                    monitors: np.recarray) -> list[CheckItem]:
     """Structural checks along the bending path.
 
     Covers the differentiated equation, the bent Ricci identity, the
     eigenvalue lower bound, the sign of the pairing integral, monotonicity
     of I - J, and the endpoint energy identity and inequality for every k
-    (the latter two only on a completed path).  `monitors` are the path's
-    `path_monitors`.
+    (the latter two only on a path that reached t = 1).  `monitors` are
+    the path's `path_monitors`.
     """
     if traj.kind != "bending":
         raise ParameterError("this suite applies to the bending path")
     bg = traj.bg
     ref_state = traj.ref_state
+    states = traj.states
     items: list[CheckItem] = []
     ts = traj.ts
-    dt = traj.dt
+    t = ts[:, None]
     tilde = traj.stacked_exact()
     rate = traj.exact_rate()
 
     # differentiated equation:  Lap (d/dt phi) = -t d/dt phi - phi
-    worst = _rate_residual(traj, rate, lambda idx, r: -ts[idx] * r - tilde[idx])
+    worst = _rate_residual(traj, rate, lambda r: -t * r - tilde)
     items.append(CheckItem.identity(
         "rate_equation", "time derivative of the path equation",
         worst, 0.0, RATE_TOL))
@@ -464,46 +501,38 @@ def check_lemma_3_4(traj: PathTrajectory, *,
     # bent Ricci identity:  Ric_t = t w_t + (1-t) w, compared at the level
     # of the curvature moment map (one derivative below the eigenvalues,
     # where the solver residual is not amplified by differentiation)
-    worst = 0.0
-    for p in traj.points:
-        res_r = p.state.G - (p.t * p.state.m + (1.0 - p.t) * ref_state.m)
-        worst = max(worst, float(np.abs(res_r).max()))
-        if bg.n > 1:
-            res_s = p.state.G_over_x - (
-                p.t * p.state.m_over_x + (1.0 - p.t) * ref_state.m_over_x)
-            worst = max(worst, float(np.abs(res_s).max()))
+    worst = float(np.abs(states.G - (t * states.m + (1.0 - t) * ref_state.m)).max())
+    if bg.n > 1:
+        worst = max(worst, float(np.abs(states.G_over_x - (
+            t * states.m_over_x + (1.0 - t) * ref_state.m_over_x)).max()))
     items.append(CheckItem.identity(
         "bent_ricci_identity", "interpolated curvature along the path",
         worst, 0.0, RICCI_TOL))
 
     # eigenvalue bound lambda_1 >= t
-    lam_margin = min(row["lambda1_radial"] - row["t"] for row in monitors)
+    lam_margin = float((monitors["lambda1_radial"] - monitors["t"]).min())
     items.append(CheckItem.lower_bound(
         "eigenvalue_bound", "first eigenvalue dominates the path parameter",
         lam_margin, 0.0, LAMBDA1_SLACK))
 
     # pairing integral nonpositive:  (1/V) int phi (Lap d/dt phi) <= 0; the
     # same integrals, weighted by 1 - t, feed the endpoint identity below
-    pair = np.array([bg.integrate(tilde[idx] * laplacian(p.state, rate[idx])
-                                  * p.state.rho)
-                     for idx, p in enumerate(traj.points)])
+    pair = bg.integrate(tilde * laplacian(states, rate) * states.rho)
     items.append(CheckItem.upper_bound(
         "pairing_sign", "nonpositive pairing of potential with its rate",
         float((pair / bg.volume).max()), 0.0, 1e-8))
 
     # I - J nondecreasing
-    imj = np.array([row["I_minus_J"] for row in monitors])
     items.append(CheckItem.lower_bound(
         "i_minus_j_monotone", "I - J nondecreasing along the path",
-        float(np.diff(imj).min()), 0.0, 1e-9))
+        float(np.diff(monitors["I_minus_J"]).min()), 0.0, 1e-9))
 
-    if traj.completed and abs(ts[-1] - 1.0) < 1e-12:
+    if traj.reached_end:
         # endpoint energy identity, one row per k
-        pairing_integral = _simpson_uniform((1.0 - ts) * pair, dt)
-        q0 = _gradient_wedges(traj.points[0].state, ref_state)
+        pairing_integral = _simpson_uniform((1.0 - ts) * pair, traj.dt)
+        q0 = _gradient_wedges(states[0], ref_state)
         for k in range(bg.n + 1):
-            e_start = monitors[0][f"E_{k}"]
-            e_end = monitors[-1][f"E_{k}"]
+            e_start, e_end = monitors[f"E_{k}"][[0, -1]]
             lhs = e_end - e_start
             time_term = (k + 1) / bg.volume * pairing_integral
             boundary = sum((k - i) * q0[i] for i in range(k))
@@ -523,7 +552,7 @@ def check_lemma_3_4(traj: PathTrajectory, *,
         items.append(CheckItem.info(
             "endpoint_identity_skipped", "path did not complete; endpoint "
             "rows need the full parameter range",
-            traj.points[-1].t, note="stalled" if not traj.completed else "partial"))
+            ts[-1], note="stalled" if not traj.completed else "partial"))
     return items
 
 
@@ -540,34 +569,26 @@ def check_lemma_4_1(traj: PathTrajectory) -> list[CheckItem]:
     bg = traj.bg
     n = bg.n
     items: list[CheckItem] = []
-    dt = traj.dt
     rate = traj.exact_rate()
-    c_rate = spectral.fd_derivative(np.array([p.c_t for p in traj.points]), dt)
+    c_rate = spectral.fd_derivative(traj.c_t, traj.dt)
 
     # differentiated equation:  Lap (d/dt psi) = f + d/dt c_t
-    worst = _rate_residual(traj, rate, lambda idx, r: traj.f + c_rate[idx])
+    worst = _rate_residual(traj, rate, lambda r: traj.f + c_rate[:, None])
     items.append(CheckItem.identity(
         "rate_equation", "time derivative of the prescribed-volume equation",
         worst, 0.0, RATE_TOL))
 
-    w_ref = slot_metric(traj.ref_state)
-    f_hess = slot_hessian(bg, traj.f)
-    end = traj.points[-1]
+    end = traj.states[-1]
     sq_integral = _squared_rate_integral(traj, rate)
-    q_end = _gradient_wedges(end.state, traj.ref_state)
+    q_end = _gradient_wedges(end, traj.ref_state)
 
     for k in range(1, min(n, 2) + 1):
-        lhs = e_k_closed(end.state, k, traj.ref_state)
+        lhs = e_k_closed(end, k, traj.ref_state)
 
         t1 = -sum((n - k) * (i + 1) / (n + 1) * q_end[i] for i in range(k))
         t2 = -sum((k + 1) * (n - i) / (n + 1) * q_end[i] for i in range(k, n))
         t3 = -(k + 1) * sq_integral
-        t4 = 0.0
-        for i in range(1, k + 1):
-            slots = [f_hess] * i + [w_ref] * (n - i)
-            t4 += comb(k + 1, i + 1) * bg.integrate(
-                traj.f * wedge_density(bg, slots))
-        rhs = (t1 + t2 + t3 + t4) / bg.volume
+        rhs = (t1 + t2 + t3 + _reference_term(traj, k)) / bg.volume
 
         items.append(CheckItem.identity(
             f"endpoint_identity_k{k}",
@@ -582,7 +603,7 @@ def check_lemma_4_1(traj: PathTrajectory) -> list[CheckItem]:
 
 
 def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
-                   monitors: list[dict]) -> list[CheckItem]:
+                   monitors: np.recarray) -> list[CheckItem]:
     """Growth-control suite built on both paths from the same reference.
 
     Includes the exact two-time energy identity, the bridge identity
@@ -593,31 +614,31 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
     """
     bg = aubin.bg
     ref_state = aubin.ref_state
+    states = aubin.states
     items: list[CheckItem] = []
     n = bg.n
     ts = aubin.ts
     dt = aubin.dt
-    imj = np.array([row["I_minus_J"] for row in monitors])
-    e1_path = np.array([row["E_1"] for row in monitors])
+    imj = monitors["I_minus_J"]
+    e1_path = monitors["E_1"]
 
     items.append(CheckItem.lower_bound(
         "path_reach", "bending path advances beyond t = 0.9",
-        float(ts[-1]), 0.9, 0.0))
+        ts[-1], 0.9, 0.0))
 
     # gradient-square boundary quantity (1/V) int gradsq(phi_t) ^ w_t^{n-1}
-    def grad_term(p: PathPoint) -> float:
-        return _gradient_wedges(p.state, ref_state)[0] / bg.volume
+    grad = _gradient_wedges(states, ref_state)[0] / bg.volume
 
     # two-time identity for the k = 1 energy
     i1 = int(round(T_PAIR[0] / dt))
     i2 = int(round(T_PAIR[1] / dt))
-    if i2 < len(aubin.points):
-        pa, pb = aubin.points[i1], aubin.points[i2]
+    if i2 < len(ts):
+        ta, tb = ts[i1], ts[i2]
         lhs = e1_path[i2] - e1_path[i1]
-        rhs = (-2.0 * (1.0 - pb.t) * imj[i2] + 2.0 * (1.0 - pa.t) * imj[i1]
+        rhs = (-2.0 * (1.0 - tb) * imj[i2] + 2.0 * (1.0 - ta) * imj[i1]
                - 2.0 * _simpson_uniform(imj[i1:i2 + 1], dt)
-               + (1.0 - pb.t) ** 2 * grad_term(pb)
-               - (1.0 - pa.t) ** 2 * grad_term(pa))
+               + (1.0 - tb) ** 2 * grad[i2]
+               - (1.0 - ta) ** 2 * grad[i1])
         items.append(CheckItem.identity(
             "two_time_identity",
             "energy increment between two path times matches its closed form",
@@ -625,7 +646,7 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
     else:
         items.append(CheckItem.info(
             "two_time_identity_skipped",
-            "path too short for the requested time pair", float(ts[-1])))
+            "path too short for the requested time pair", ts[-1]))
 
     # lower bound by the accumulated I - J integral (valid on any range)
     e1_theta = e_k_closed(ref_state, 1)
@@ -639,48 +660,39 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
         "accumulated_imj", "value of the accumulated I - J integral", partial))
 
     # bridge identity through both paths (needs the complete bending path)
-    if aubin.completed and abs(ts[-1] - 1.0) < 1e-12:
+    if aubin.reached_end:
         sq_integral = _squared_rate_integral(yau, yau.exact_rate())
-        w_ref = slot_metric(ref_state)
-        f_hess = slot_hessian(bg, yau.f)
-        # the k = 1 reference term; its one binomial factor C(2, 2) is 1
-        d_term = bg.integrate(yau.f * wedge_density(bg, [f_hess] + [w_ref] * (n - 1)))
-        rhs = 2.0 * partial + 2.0 * sq_integral / bg.volume - d_term / bg.volume
+        rhs = (2.0 * partial + 2.0 * sq_integral / bg.volume
+               - _reference_term(yau, 1) / bg.volume)
         items.append(CheckItem.identity(
             "bridge_identity",
             "background-relative energy through both paths",
             e1_theta, rhs, IDENTITY_TOL, relative_to=max(1.0, abs(e1_theta))))
 
         # decay bound from a late time onward, and oscillation control
-        end = aubin.points[-1]
+        end = states[-1]
         imj_end = imj[-1]
-        gap_osc = [osc(p.phi_exact - end.phi_exact) for p in aubin.points]
-        worst_decay = -np.inf
-        worst_tail = -np.inf
-        ratio = 0.0
-        for idx, p in enumerate(aubin.points):
-            if p.t < 0.5 - 1e-12:
-                continue
-            # E_1 between the endpoint metric and the time-t metric
-            e_between = e_k_closed(p.state, 1, end.state)
-            tail = 2.0 * _simpson_uniform(imj[idx:], dt) if idx < len(imj) - 1 else 0.0
-            worst_tail = max(worst_tail, e_between - tail)
-            worst_decay = max(
-                worst_decay,
-                e_between - 2.0 * n * (1.0 - p.t) * imj_end)
-            j_between = i_and_j(p.state, end.state)[1]
-            ratio = max(ratio, gap_osc[idx] / (1.0 + j_between))
+        tilde = aubin.stacked_exact()
+        gap_osc = osc(tilde - tilde[-1])
+        late = int(np.searchsorted(ts, 0.5 - 1e-12))
+        # E_1 and J between the endpoint metric and the time-t metrics
+        e_between = e_k_closed(states[late:], 1, end)
+        j_between = i_and_j(states[late:], end)[1]
+        tails = np.array([2.0 * _simpson_uniform(imj[idx:], dt)
+                          for idx in range(late, len(ts))])
         items.append(CheckItem.upper_bound(
             "late_energy_vs_tail",
             "late-time energy to the endpoint bounded by the tail integral",
-            worst_tail, 0.0, BOUND_SLACK))
+            (e_between - tails).max(), 0.0, BOUND_SLACK))
         items.append(CheckItem.upper_bound(
             "late_energy_decay",
             "late-time energy to the endpoint decays linearly in 1 - t",
-            worst_decay, 0.0, BOUND_SLACK))
+            (e_between - 2.0 * n * (1.0 - ts[late:]) * imj_end).max(), 0.0,
+            BOUND_SLACK))
         items.append(CheckItem.info(
             "oscillation_ratio",
-            "largest oscillation of the gap over 1 + J of the gap", ratio))
+            "largest oscillation of the gap over 1 + J of the gap",
+            (gap_osc[late:] / (1.0 + j_between)).max()))
         items.append(CheckItem.info(
             "endpoint_imj_vs_reference_j",
             "I - J at the endpoint minus J of the reference potential "
@@ -688,29 +700,22 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
             imj_end - i_and_j(ref_state)[1]))
 
         # accumulated integral versus endpoint I - J and oscillation
-        worst_gap = -np.inf
-        for idx, p in enumerate(aubin.points):
-            bound = (1.0 - p.t) * imj_end - 2.0 * n * (1.0 - p.t) * gap_osc[idx]
-            worst_gap = max(worst_gap, bound - partial)
+        bound = (1.0 - ts) * imj_end - 2.0 * n * (1.0 - ts) * gap_osc
         items.append(CheckItem.upper_bound(
             "integral_vs_endpoint",
             "accumulated I - J dominates its endpoint lower bound",
-            worst_gap, 0.0, BOUND_SLACK))
+            (bound - partial).max(), 0.0, BOUND_SLACK))
     else:
         items.append(CheckItem.info(
             "bridge_identity_skipped",
             "bending path did not complete; bridge rows need the endpoint",
-            float(ts[-1])))
+            ts[-1]))
 
     # boundedness monitor for the k = 1 energy along the path
-    p0 = aubin.points[0]
-    cap0 = e1_path[0] + 2.0 * imj[0] - grad_term(p0)
-    worst_cap = -np.inf
-    for idx in range(len(aubin.points)):
-        running = _simpson_uniform(imj[:idx + 1], dt) if idx > 0 else 0.0
-        worst_cap = max(worst_cap, e1_path[idx] - (cap0 - 2.0 * running))
+    cap0 = e1_path[0] + 2.0 * imj[0] - grad[0]
+    running = np.array([_simpson_uniform(imj[:idx + 1], dt) for idx in range(len(ts))])
     items.append(CheckItem.upper_bound(
         "energy_bounded_above",
         "k = 1 energy stays under its start-time cap along the path",
-        worst_cap, 0.0, BOUND_SLACK))
+        (e1_path - (cap0 - 2.0 * running)).max(), 0.0, BOUND_SLACK))
     return items

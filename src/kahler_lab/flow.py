@@ -29,17 +29,17 @@ admissible cone is retried with a halved (sticky) step size.
 
 `run_flow` takes the MetricState of one start metric, or a (B, N) stack
 of them, and reads the background from it.  All rows step through one
-loop, in lockstep groups: a group shares its step size, time, step count
-and halving count.  A group's coefficients are a (b, 1, K) stack (a
-single start keeps its (K,) vector), and each product takes it against a
-transposed view of a skinny operator, which numpy evaluates as one
-matrix-vector product per row, the product a single start makes.  In a
-step, the rows whose candidate stays in the cone accept it; the rows
-whose candidate leaves it split off into a new group with half the step
-size and one more halving, and do not advance.  So every row of a
-stacked run is bitwise the run of that row alone, halvings and
-truncation included.  Only the samples build full metric states on the
-grid, every sample of every row in one stacked `make_metric` at the end.
+lockstep loop and share its step size, time, step count and halving
+count.  The coefficients of a stack are a (B, 1, K) stack (a single start
+keeps its (K,) vector), and each product takes it against a transposed
+view of a skinny operator, which numpy evaluates as one matrix-vector
+product per row, the product a single start makes.  The first time any
+row's candidate leaves the cone, every row of the stack is rerun alone
+and the runs are joined, so every row of a stacked run is bitwise the run
+of that row alone, halvings and truncation included.  Rows halve rarely:
+no probe of the flow scenario halved on seeds 0-299, at N = 96 and 384.
+Only the samples build full metric states on the grid, every sample of
+every row in one stacked `make_metric` at the end.
 """
 
 from __future__ import annotations
@@ -101,13 +101,12 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
     endpoints.  If the step size collapses entirely the trajectory is
     returned truncated, with the reason recorded, rather than raising.
 
-    The rows of a stacked start step in lockstep groups, and a row whose
-    candidate leaves the cone splits off into a group of its own with the
-    halved step, so rows halve and truncate independently (a truncated
-    row's reason quotes its own cone error).  A stack returns a FlowStack
-    whose steps and halvings are the sums over its rows; each row's
-    trajectory equals, field by field and bitwise, the FlowTrajectory of
-    that row run alone.
+    The rows of a stacked start step in lockstep until one of them leaves
+    the cone; then each row is rerun alone, so rows halve and truncate
+    independently (a truncated row's reason quotes its own cone error).  A
+    stack returns a FlowStack whose steps and halvings are the sums over
+    its rows; each row's trajectory equals, field by field and bitwise, the
+    FlowTrajectory of that row run alone.
     """
     bg = start.bg
     if bg.model != "cpn":
@@ -140,74 +139,55 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
             return log_q[..., :size] + log_q[..., size:]
         return log_q[..., :size] + (n - 1) * log_q[..., size:]
 
-    def by_row(a: Array) -> Array:
-        return a.reshape(-1, a.shape[-1])
-
     # coefficients are (K,) for a single start and (B, 1, K) for a stack
     stacked = start.phi.ndim == 2
     phi0 = start.phi[:, None, :] if stacked else start.phi
     c = recenter(phi0 @ analysis_t)
     q = 1.0 + c @ profiles_t
     if q.min() <= 0.0:
-        check_moment_profile(by_row(q)[:, :size], by_row(q)[:, size:])
-    # per row: its (t, coefficients) samples and its FlowTrajectory fields
-    rows = [{"samples": [(0.0, coef)]} for coef in by_row(c)]
+        rows_q = q.reshape(-1, 2 * size)
+        check_moment_profile(rows_q[:, :size], rows_q[:, size:])
+    log_rho = log_density(q)
+    samples = [(0.0, c)]
+    t, accepted, halvings, status, reason = 0.0, 0, 0, "completed", ""
+    while accepted < steps:
+        candidate = recenter((1.0 + dt) * c + dt * (log_rho @ analysis_t))
+        q = 1.0 + candidate @ profiles_t
+        if q.min() <= 0.0:
+            if stacked:
+                rows = [run_flow(start[r], dt, steps, sample_every, max_halvings)
+                        for r in range(len(start.phi))]
+                return FlowStack(rows, MetricState.stack([row.states for row in rows]),
+                                 np.cumsum([0] + [len(row.times) for row in rows]))
+            halvings += 1
+            if halvings > max_halvings:
+                status = "truncated"
+                reason = (f"step size collapsed after {max_halvings} halvings: "
+                          f"{_cone_error(q, size)}")
+                break
+            dt *= 0.5  # sticky: the run stays at the smaller step
+            continue
+        c, log_rho = candidate, log_density(q)
+        t += dt
+        accepted += 1
+        if accepted % sample_every == 0:
+            samples.append((t, c))
+    if samples[-1][0] < t - 1e-12 or accepted == 0:
+        samples.append((t, c))
 
-    # lockstep groups: (rows, coefficients, log rho, dt, t, accepted, halvings)
-    groups = [(np.arange(len(rows)), c, log_density(q), dt, 0.0, 0, 0)]
-    while groups:
-        idx, c, log_rho, dt, t, accepted, halvings = groups.pop()
-        while accepted < steps:
-            candidate = recenter((1.0 + dt) * c + dt * (log_rho @ analysis_t))
-            q = 1.0 + candidate @ profiles_t
-            if q.min() <= 0.0:
-                bad = by_row(q).min(axis=1) <= 0.0
-                if halvings >= max_halvings:
-                    for r, row_q in zip(idx[bad], by_row(q)[bad]):
-                        rows[r].update(status="truncated", reason="step size collapsed "
-                                       f"after {max_halvings} halvings: "
-                                       f"{_cone_error(row_q, size)}")
-                    _finish(rows, idx[bad], by_row(c)[bad], t, dt, accepted,
-                            halvings + 1)
-                elif bad.all():
-                    dt *= 0.5  # sticky: the group stays at the smaller step
-                    halvings += 1
-                    continue
-                else:
-                    groups.append((idx[bad], c[bad], log_rho[bad], 0.5 * dt, t,
-                                   accepted, halvings + 1))
-                if bad.all():
-                    break
-                idx, candidate, q = idx[~bad], candidate[~bad], q[~bad]
-            c, log_rho = candidate, log_density(q)
-            t += dt
-            accepted += 1
-            if accepted % sample_every == 0:
-                for r, coef in zip(idx, by_row(c)):
-                    rows[r]["samples"].append((t, coef))
-        else:
-            _finish(rows, idx, by_row(c), t, dt, accepted, halvings)
-
-    times, coefs = zip(*(sample for row in rows for sample in row["samples"]))
-    states = make_metric(bg, _rows(synthesis, np.array(coefs)))
-    defects = np.abs(bg.integrate(states.rho) - bg.volume) / bg.volume
-    offsets = np.cumsum([0] + [len(row["samples"]) for row in rows])
+    times, coefs = zip(*samples)
     times = np.array(times)
-    trajs = [FlowTrajectory(times[a:b], states[a:b], defects[a:b],
-                            **{k: v for k, v in row.items() if k != "samples"})
-             for row, a, b in zip(rows, offsets[:-1], offsets[1:])]
-    return FlowStack(trajs, states, offsets) if stacked else trajs[0]
-
-
-def _finish(rows: list[dict], idx: Array, coefs: Array, t: float, dt: float,
-            accepted: int, halvings: int) -> None:
-    """Close the rows `idx` of a group at time t: the endpoint sample (also
-    when no step was accepted) and the group's step statistics."""
-    for r, coef in zip(idx, coefs):
-        row = rows[r]
-        if row["samples"][-1][0] < t - 1e-12 or accepted == 0:
-            row["samples"].append((t, coef))
-        row.update(dt_final=dt, halvings=halvings, steps=accepted)
+    # each row's samples are consecutive rows of one stacked build
+    coefs = np.stack(coefs, axis=-2).reshape(-1, c.shape[-1])
+    states = make_metric(bg, _rows(synthesis, coefs))
+    defects = np.abs(bg.integrate(states.rho) - bg.volume) / bg.volume
+    if not stacked:
+        return FlowTrajectory(times, states, defects, dt, halvings, accepted,
+                              status, reason)
+    per_row = len(times)
+    rows = [FlowTrajectory(times, states[a:a + per_row], defects[a:a + per_row], dt,
+                           halvings, accepted) for a in range(0, len(coefs), per_row)]
+    return FlowStack(rows, states, np.arange(len(rows) + 1) * per_row)
 
 
 def _cone_error(q: Array, size: int) -> NotKahlerError:

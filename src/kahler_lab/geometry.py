@@ -39,7 +39,8 @@ density stay Python floats, and a stack integrates to one value per row.
 A stacked integral takes one dot product per row, never one
 matrix-vector product over the stack (which sums in another order), so
 each value is bitwise the integral of that row alone; indexing a stacked
-state (`state[i]`, `state[a:b]`) gives its rows as views.
+state (`state[i]`, `state[a:b]`) gives its rows as views, and
+`MetricState.stack` joins states into one stack without rebuilding them.
 
 The computations are arranged in perturbation form (differentiating only
 phi-dependent quantities, never the identity profile) so the reference
@@ -80,7 +81,6 @@ class Background:
     n: int
     size: int
     x: Array
-    wq: Array                 # plain quadrature weights for dx
     D: Array                  # spectral differentiation matrix
     ref_measure: Array        # weights integrating densities against omega^n
     volume: float
@@ -176,13 +176,26 @@ class MetricState:
     ric_flat: Array | None = None     # Ricci eigenvalue relative to the flat frame
 
     @property
-    def min_ricci(self) -> float:
-        return float(min(self.lam_r.min(), self.lam_s.min()))
+    def min_ricci(self) -> float | Array:
+        """The smallest Ricci eigenvalue; one per row of a stack."""
+        low = np.minimum(self.lam_r.min(axis=-1), self.lam_s.min(axis=-1))
+        return float(low) if low.ndim == 0 else low
 
     def __getitem__(self, index) -> "MetricState":
         """A row, or a range of rows, of a stacked state, as views."""
         return MetricState(**{k: v if k == "bg" or v is None else v[index]
                               for k, v in vars(self).items()})
+
+    @staticmethod
+    def stack(states: list["MetricState"]) -> "MetricState":
+        """One stacked state whose rows are the rows of `states` (single or
+        stacked states of one background) in order: their arrays joined, no
+        metric rebuilt, so each row is bitwise its source."""
+        fields = {k: v if k == "bg" or v is None else
+                  np.concatenate([np.atleast_2d(getattr(s, k)) for s in states])
+                  for k, v in vars(states[0]).items()}
+        _freeze(*(v for k, v in fields.items() if k != "bg"))
+        return MetricState(**fields)
 
 
 def _freeze(*arrays: Array | None) -> None:
@@ -216,16 +229,15 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
         x = spectral.cheb_nodes(grid_size, length)
         bary_w = spectral.cheb_bary_weights(grid_size)
         D = spectral.diff_matrix(x, bary_w)
-        wq = spectral.clenshaw_curtis(grid_size, length)
         w0 = x * (length - x) / length
         w0_x = (length - 2.0 * x) / length
         w0_over_x = (length - x) / length
-        c_norm = n * (2.0 * np.pi) ** n
-        ref_measure = c_norm * wq * x ** (n - 1)
+        quadrature = spectral.clenshaw_curtis(grid_size, length)
+        ref_measure = n * (2.0 * np.pi) ** n * quadrature * x ** (n - 1)
         volume = (2.0 * np.pi) ** n * length ** n
         C, V = spectral.cheb_transform(grid_size)
         bg = Background(
-            model=model, n=n, size=grid_size, x=x, wq=wq, D=D,
+            model=model, n=n, size=grid_size, x=x, D=D,
             ref_measure=ref_measure, volume=volume, moment_mean=float(n),
             w0=w0, w0_x=w0_x, w0_over_x=w0_over_x,
             D_w0_D=D @ (w0[:, None] * D),
@@ -238,13 +250,13 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
         x = spectral.fourier_nodes(grid_size)
         D = spectral.fourier_diff(grid_size, 1)
         D2 = spectral.fourier_diff(grid_size, 2)
-        wq = np.full(grid_size, 1.0 / grid_size)
         bg = Background(
-            model=model, n=n, size=grid_size, x=x, wq=wq, D=D,
-            ref_measure=wq.copy(), volume=1.0, moment_mean=0.0, D2=D2,
+            model=model, n=n, size=grid_size, x=x, D=D,
+            ref_measure=np.full(grid_size, 1.0 / grid_size), volume=1.0,
+            moment_mean=0.0, D2=D2,
         )
 
-    _freeze(bg.x, bg.wq, bg.D, bg.ref_measure, bg.w0, bg.w0_x, bg.w0_over_x,
+    _freeze(bg.x, bg.D, bg.ref_measure, bg.w0, bg.w0_x, bg.w0_over_x,
             bg.D2, bg.D_w0_D, bg.bary_w, bg.cheb_analysis, bg.cheb_synthesis)
 
     ref = make_metric(bg, np.zeros(bg.size))
@@ -580,7 +592,9 @@ def spectral_tail(bg: Background, values) -> float:
     return float(coeffs[-tail:].max() / scale)
 
 
-def osc(values: Array) -> float:
-    """Oscillation (max minus min) of a sample vector."""
+def osc(values: Array) -> float | Array:
+    """Oscillation (max minus min) of a sample vector; one per row of a
+    (B, N) stack."""
     vals = np.asarray(values, dtype=float)
-    return float(vals.max() - vals.min())
+    spread = vals.max(axis=-1) - vals.min(axis=-1)
+    return float(spread) if spread.ndim == 0 else spread

@@ -25,13 +25,14 @@ from .continuity import (
     check_lemma_4_1,
     check_section5,
     lambda1_radial,
-    monitor_row,
+    monitors,
     path_monitors,
     ricci_positive_generator,
     solve_aubin_path,
     solve_yau_path,
 )
 from .energies import (
+    _gradient_wedges,
     e1_cy,
     e_k_closed,
     e_k_path,
@@ -51,9 +52,6 @@ from .geometry import (
     laplacian,
     make_metric,
     ricci_potential,
-    slot_gradsq,
-    slot_metric,
-    wedge_density,
 )
 from . import energies as _energies
 from . import spectral
@@ -151,7 +149,8 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def trajectory_csv(bg, rows: list[dict]) -> str:
+def trajectory_csv(bg, rows: np.recarray) -> str:
+    """The CSV of a trajectory's `monitors` records."""
     cols = (["t", "c_t"] + [f"E_{k}" for k in range(bg.n + 1)]
             + ["I", "J", "lambda1_radial", "min_ricci"])
     lines = [",".join(cols)]
@@ -312,10 +311,8 @@ def _run_theorem1(cfg, bg, report, art):
     per_k = {k: [] for k in range(bg.n + 1)}
     for idx, theta in enumerate(seeds):
         state = ricci_positive_generator(theta)
-        psi0 = state.phi - theta.phi  # potential of the probe over its Ricci form
-        grad = slot_gradsq(bg, psi0)
-        met = slot_metric(state)
-        q0 = bg.integrate(wedge_density(bg, [grad] + [met] * (bg.n - 1))) / bg.volume
+        # the gradient term of the probe's potential over its Ricci form
+        q0 = _gradient_wedges(state, theta)[0] / bg.volume
         dev = float(max(abs(state.lam_r - 1.0).max(), abs(state.lam_s - 1.0).max()))
         report.add(CheckItem.lower_bound(
             f"probe_positivity_s{idx}",
@@ -356,7 +353,7 @@ def _run_theorem2(cfg, bg, report, art):
             direct, 0.0, t["energy_floor"]))
         if idx < 5:
             yau = solve_yau_path(probe, dt=0.05)
-            end = yau.points[-1].state
+            end = yau.states[-1]
             total = e_k_closed(end, 1)
             back = e_k_closed(end, 1, yau.ref_state)
             report.add(CheckItem.identity(
@@ -377,12 +374,12 @@ def _run_theorem2(cfg, bg, report, art):
 def _run_lemma32_34(cfg, bg, report, art):
     for idx, probe in enumerate(_probes(bg, cfg)):
         traj = solve_aubin_path(probe)
-        monitors = path_monitors(traj)
-        report.extend(_suffixed(check_lemma_3_4(traj, monitors=monitors), idx))
+        rows = path_monitors(traj)
+        report.extend(_suffixed(check_lemma_3_4(traj, monitors=rows), idx))
         if not traj.completed:
-            report.note(f"probe {idx}: path stalled at t = {traj.points[-1].t}"
+            report.note(f"probe {idx}: path stalled at t = {traj.ts[-1]}"
                         f" ({traj.termination.reason})")
-        art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, monitors))
+        art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, rows))
 
 
 def _run_lemma41(cfg, bg, report, art):
@@ -433,12 +430,12 @@ def _run_section5(cfg, bg, report, art):
     for idx, probe in enumerate(_probes(bg, cfg)):
         aubin = solve_aubin_path(probe)
         yau = solve_yau_path(probe)
-        monitors = path_monitors(aubin)
-        report.extend(_suffixed(check_section5(aubin, yau, monitors=monitors), idx))
+        rows = path_monitors(aubin)
+        report.extend(_suffixed(check_section5(aubin, yau, monitors=rows), idx))
         if not aubin.completed:
             report.note(f"probe {idx}: bending path stalled at "
-                        f"t = {aubin.points[-1].t}")
-        art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, monitors))
+                        f"t = {aubin.ts[-1]}")
+        art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, rows))
 
 
 def _run_orbit_flatness(cfg, bg, report, art):
@@ -563,30 +560,26 @@ def _run_krf_monotone(cfg, bg, report, art):
     later_e = {k: e_k_closed(later, k) for k in (0, 1)} if len(probes) > 1 else {}
     for idx, traj in enumerate(flows.rows[1:]):
         if idx == 0:
-            rows = [monitor_row(s, 0.0, traj.states[i])
-                    for i, s in enumerate(traj.times.tolist())]
+            rows = monitors(traj.states, t=traj.times,
+                            c_t=np.zeros(len(traj.times)))
             art.write("trajectory_flow_0.csv", trajectory_csv(bg, rows))
-            e0 = np.array([row["E_0"] for row in rows])
-            e1 = np.array([row["E_1"] for row in rows])
+            e0, e1 = rows["E_0"], rows["E_1"]
         else:
             span = slice(*(flows.offsets[idx + 1:idx + 3] - flows.offsets[2]))
             e0, e1 = later_e[0][span], later_e[1][span]
-        states = traj.states
-        flags = np.minimum(states.lam_r.min(axis=1), states.lam_s.min(axis=1)) >= -1.0
-        e1_incr = -np.inf
-        for a in range(len(e1) - 1):
-            if flags[a] and flags[a + 1]:
-                e1_incr = max(e1_incr, e1[a + 1] - e1[a])
+        # E_1 rises between samples whose curvature both stay above -1
+        flags = traj.states.min_ricci >= -1.0
+        e1_rises = np.diff(e1)[flags[:-1] & flags[1:]]
         report.add(CheckItem.upper_bound(
             f"k0_decreasing_s{idx}",
             "k = 0 energy never increases between flow samples",
             float(np.diff(e0).max()), 0.0, t["monotone"]))
-        if np.isfinite(e1_incr):
+        if e1_rises.size:
             report.add(CheckItem.upper_bound(
                 f"k1_decreasing_s{idx}",
                 "k = 1 energy never increases while curvature stays above "
                 "minus the metric",
-                e1_incr, 0.0, t["monotone"]))
+                e1_rises.max(), 0.0, t["monotone"]))
         report.add(CheckItem.upper_bound(
             f"volume_conserved_s{idx}",
             "class volume conserved along the flow",

@@ -201,9 +201,9 @@ def test_trajectory_helpers_and_termination_semantics(bg_cp2, yau_cp2):
     assert stacked.shape == (len(traj.points), bg_cp2.size)
     rate = traj.exact_rate()
     assert rate.shape == stacked.shape
-    stalled = PathTrajectory("bending", bg_cp2, traj.ref_state, traj.f,
-                             points=traj.points[:3],
-                             termination=Termination("stalled", "test"))
+    stalled = PathTrajectory.from_points("bending", traj.ref_state, traj.f,
+                                         traj.points[:3],
+                                         Termination("stalled", "test"))
     assert not stalled.completed
     # the rate stencil needs five points: a short stalled path is a solver
     # failure, not a crash inside the stencil
@@ -264,9 +264,26 @@ def test_path_monitor_rows_have_expected_fields(bg_cp2, yau_cp2):
     assert len(rows) == len(traj.points)
     expected = {"t", "c_t", "E_0", "E_1", "E_2", "I", "J", "I_minus_J",
                 "lambda1_radial", "min_ricci"}
-    assert expected <= set(rows[0])
+    assert expected <= set(rows.dtype.names)
     # energies start at zero relative to the path's own reference
     assert abs(rows[0]["E_1"]) < 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["yau_cp2", "aubin_cp2"])
+def test_path_monitor_columns_are_the_single_state_values(fixture, request):
+    # one stacked evaluation per column, bitwise the per-point values
+    _, traj = request.getfixturevalue(fixture)
+    rows = path_monitors(traj)
+    ref = traj.ref_state
+    for i, p in enumerate(traj.points):
+        want = {"t": p.t, "c_t": p.c_t, "lambda1_radial": lambda1_radial(p.state),
+                "min_ricci": p.state.min_ricci}
+        want.update({f"E_{k}": energies.e_k_closed(p.state, k, ref)
+                     for k in range(traj.bg.n + 1)})
+        want["I"], want["J"], want["I_minus_J"] = energies.i_and_j(p.state, ref)
+        assert set(rows.dtype.names) == set(want)
+        for name, value in want.items():
+            assert rows[name][i].tobytes() == np.float64(value).tobytes(), (i, name)
 
 
 def test_bending_suite_passes_on_solved_path(path_pair_fine):
@@ -450,7 +467,7 @@ def test_curvature_potential_drives_prescribed_equation(bg_cp2, probe_cp2):
 def test_simpson_rule_matches_scipy_on_every_length():
     from scipy.integrate import simpson
     rng = np.random.default_rng(0)
-    for size in range(2, 61):
+    for size in range(1, 61):
         y = rng.standard_normal(size)
         for dt in (0.02, 0.25):
             scale = dt * np.abs(y).sum()

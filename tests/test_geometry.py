@@ -19,7 +19,7 @@ import pytest
 from kahler_lab.errors import (NotKahlerError, ParameterError,
                                UnsupportedModelError)
 from kahler_lab.families import generate_probe
-from kahler_lab.geometry import (FormSlot, _div_by_w0, fs_background,
+from kahler_lab.geometry import (FormSlot, MetricState, _div_by_w0, fs_background,
                                  laplacian, laplacian_matrix, make_metric,
                                  osc, potential_from_density,
                                  ricci_potential, sigma_k, slot_gradsq,
@@ -291,6 +291,29 @@ def test_stacked_consumers_match_single_calls(fixture, request):
                 single_slot = build(bg, row)
                 assert _close(stacked_slot.ar[i], single_slot.ar)
                 assert _close(stacked_slot.as_[i], single_slot.as_)
+
+
+@pytest.mark.parametrize("fixture", MODELS)
+def test_metric_state_stack_rows_are_their_sources(fixture, request):
+    # single states and stacked ones join in order, every field bitwise
+    bg = request.getfixturevalue(fixture)
+    rows = _stack(bg)
+    singles = [make_metric(bg, row) for row in rows[:2]]
+    tail = make_metric(bg, rows[2:])
+    joined = MetricState.stack(singles + [tail])
+    sources = singles + [tail[i] for i in range(len(rows) - 2)]
+    for f in dataclasses.fields(joined):
+        got = getattr(joined, f.name)
+        if f.name == "bg":
+            assert got is bg
+        elif got is None:
+            assert getattr(tail, f.name) is None
+        else:
+            assert got.shape == rows.shape and not got.flags.writeable, f.name
+            for i, source in enumerate(sources):
+                want = getattr(source, f.name)
+                assert got[i].tobytes() == want.tobytes(), (i, f.name)
+    assert joined.min_ricci.tolist() == [s.min_ricci for s in sources]
 
 
 def _inadmissible(bg):
