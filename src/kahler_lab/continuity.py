@@ -8,8 +8,8 @@ potential f, and are parametrized by t in [0, 1]:
   it reaches t = 1, at an Einstein metric;
 
 * the prescribed-volume path  w_psi_t^n = e^{t f + c_t} w^n,
-  whose points are independent and which ends at the metric whose Ricci
-  form equals w.
+  whose points are independent, solved as one stack, and which ends at
+  the metric whose Ricci form equals w.
 
 One Newton solve of  log(w_phi^n / w^n) + t phi = target  on (Lap + t I)
 serves both: warm-started from the moment inversion at t = 0 (the
@@ -58,6 +58,7 @@ from .errors import (
 from .geometry import (
     Background,
     MetricState,
+    _dots,
     laplacian,
     laplacian_matrix,
     make_metric,
@@ -207,68 +208,104 @@ def lambda1_radial(state: MetricState) -> float:
 def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array):
     """Solve  log(w_phi^n / w^n) + t phi = target  for the potential phi
     over the metric w of `ref_state` by Newton's method on J = Lap + t I
-    from the warm start `guess`.
+    from the warm start `guess`; a (B, N) stack of targets and guesses is
+    B solves sharing t, each row bitwise its solve alone.
 
     At t = 0 and t = 1, J is singular along its kernel u (1, resp. m - n),
     and the step solves the bordered system
     [J u; l^T 0] [delta; mu] = [-R; -l.phi] with l = u w_phi^n, imposing
-    the gauge  int phi u w_phi^n = 0.  The solve returns only once both the
-    residual and the gauge defect are within NEWTON_TOL.
+    the gauge  int phi u w_phi^n = 0.  A row is solved once both its
+    residual and its gauge defect are within NEWTON_TOL.
 
     Each accepted Newton iterate's state is the one its admissibility test
-    built.  Returns (phi, state, iterations, residual), where the
-    iterations count the Newton steps taken, or raises SolverError.
+    built.  Returns (phi, state, iterations, residual), one each per row of
+    a stack, where the iterations count the Newton steps taken; or raises
+    SolverError for the first row that fails.
     """
     bg = ref_state.bg
-    theta = ref_state.phi
     size = bg.size
-    phi = guess
+    phi = np.array(guess, dtype=float)    # the iterates of the rows solving
+    stacked = phi.ndim == 2
+    rows = np.arange(len(phi) if stacked else 1)    # their rows in the stack
     bordered = t == 0.0 or abs(t - 1.0) < 1e-12
-    # the bordered matrix, built in place around J
-    K = np.zeros((size + 1, size + 1))
-    J = K[:size, :size]
-    try:
-        state = make_metric(bg, theta + phi)
-    except NotKahlerError as exc:
-        raise SolverError(f"left the admissible cone during solve: {exc}", t=t)
-    for iters in range(NEWTON_ITERS):
-        R = state.log_rho - ref_state.log_rho - target + t * phi
-        res = float(np.abs(R).max())
-        gauge = 0.0
-        if bordered:
-            u = state.m - bg.moment_mean if t else np.ones(size)
-            ell = bg.ref_measure * state.rho * u
-            gauge = float(ell @ phi)
-        if res <= NEWTON_TOL and abs(gauge) <= NEWTON_TOL:
-            return phi, state, iters, res
-        J[:] = laplacian_matrix(state)
-        J[np.diag_indices(size)] += t
-        if bordered:
-            K[:size, size] = u
-            K[size, :size] = ell
-            delta = np.linalg.solve(K, np.append(-R, -gauge))[:size]
-        else:
-            delta = np.linalg.solve(J, -R)
-        # backtrack if the full step leaves the admissible cone
-        scale = 1.0
-        for _ in range(8):
-            trial = phi + scale * delta
-            try:
-                state = make_metric(bg, theta + trial)
-                break
-            except NotKahlerError:
-                scale *= 0.5
-        else:
-            raise SolverError("Newton step cannot stay admissible", t=t, residual=res)
-        phi = trial
+    solved = [None] * len(rows)     # per row: phi, state, iterations, residual
+    error = None
 
-    raise SolverError("Newton did not converge", t=t, residual=res)
+    def border(state):
+        """The kernel u and the gauge row l = u w_phi^n of each row."""
+        u = state.m - bg.moment_mean if t else 1.0
+        return u, bg.ref_measure * state.rho * u
+
+    try:
+        state = make_metric(bg, ref_state.phi + phi)
+    except NotKahlerError as exc:
+        # only the rows before the first failing one may fail earlier
+        error = SolverError(f"left the admissible cone during solve: {exc}", t=t, row=exc.row)
+        rows, phi, target = rows[:exc.row], phi[:exc.row], target[:exc.row]
+        state = make_metric(bg, ref_state.phi + phi) if len(rows) else None
+    # one matrix per row, bordered in place around J; rows leave from the end
+    K = np.zeros(phi.shape[:-1] + (size + bordered,) * 2)
+    for iters in range(NEWTON_ITERS):
+        if not len(rows):
+            break
+        R = state.log_rho - ref_state.log_rho - target + t * phi
+        res = np.abs(R).max(axis=-1)
+        done = res <= NEWTON_TOL
+        if bordered:
+            R = np.concatenate((R, _dots(border(state)[1], phi)[..., None]), axis=-1)
+            done &= np.abs(R[..., size]) <= NEWTON_TOL
+        if done.any() if stacked else done:
+            if not stacked:
+                return phi, state, iters, float(res)
+            for j in np.flatnonzero(done):
+                solved[rows[j]] = phi[j].copy(), state[j], iters, float(res[j])
+            rows = rows[~done]
+            if not len(rows):
+                break
+            phi, target, state, R, res, K = (
+                phi[~done], target[~done], state[~done], R[~done], res[~done], K[:len(rows)])
+        J = laplacian_matrix(state, out=K[..., :size, :size])
+        np.einsum("...ii->...i", J)[...] += t
+        if bordered:
+            K[..., :size, size], K[..., size, :size] = border(state)
+        delta = np.linalg.solve(K, -R[..., None])[..., :size, 0]
+        try:
+            state = make_metric(bg, ref_state.phi + (phi + delta))
+        except NotKahlerError as exc:
+            # each row halves its step alone (at most seven times) while it
+            # leaves the cone, as row exc.row's full step just did
+            built = []
+            for j, (row_phi, row_delta) in enumerate(zip(*np.atleast_2d(phi, delta))):
+                scale = 0.5 if j == exc.row else 1.0
+                while scale >= 2.0 ** -7:
+                    trial = row_phi + scale * row_delta
+                    try:
+                        built.append(make_metric(bg, ref_state.phi + trial))
+                        break
+                    except NotKahlerError:
+                        scale *= 0.5
+                else:
+                    error = SolverError("Newton step cannot stay admissible", t=t,
+                                        residual=float(np.atleast_1d(res)[j]), row=int(rows[j]))
+                    rows, phi, target, K = rows[:j], phi[:j], target[:j], K[:j]
+                    break
+                row_phi[...] = trial
+            state = (MetricState.stack(built) if stacked else built[0]) if built else None
+        else:
+            phi += delta
+    if len(rows):
+        error = SolverError("Newton did not converge", t=t,
+                            residual=float(np.atleast_1d(res)[0]), row=int(rows[0]))
+    if error is not None:
+        raise error
+    phi, states, iterations, residual = zip(*solved)
+    return np.array(phi), MetricState.stack(states), np.array(iterations), np.array(residual)
 
 
 def _solve_density(ref_state: MetricState, target: Array):
-    """Solve  w_phi^n = e^target w^n  over the metric w of `ref_state`: the
-    t = 0 Newton solve, warm-started from the moment inversion shifted to
-    its gauge.  Returns what `_newton_solve` returns.
+    """Solve  w_phi^n = e^target w^n  over the metric w of `ref_state`, row
+    by row for a stack: the t = 0 Newton solve, warm-started from the moment
+    inversion shifted to its gauge.  Returns what `_newton_solve` returns.
 
     At n = 1 the inversion takes no root and is exact, while the t = 0
     Newton matrix is singular: the metric does not see a potential's top
@@ -278,12 +315,12 @@ def _solve_density(ref_state: MetricState, target: Array):
     bg = ref_state.bg
     density = np.exp(target) * ref_state.rho
     guess = potential_from_density(bg, density) - ref_state.phi
-    guess = guess - bg.mean(guess, density)
+    guess = guess - np.asarray(bg.mean(guess, density))[..., None]
     if bg.n > 1:
         return _newton_solve(ref_state, target, 0.0, guess)
     state = make_metric(bg, ref_state.phi + guess)
-    res = float(np.abs(state.log_rho - ref_state.log_rho - target).max())
-    return guess, state, 0, res
+    res = np.abs(state.log_rho - ref_state.log_rho - target).max(axis=-1)
+    return guess, state, np.zeros_like(res, dtype=int)[()], res[()]
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +331,23 @@ def solve_yau_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
     """Solve the prescribed-volume path from the metric of `ref_state` on a
     uniform grid in t over [0, 1].
 
-    Every point is its own density solve; one that fails raises
-    SolverError.  Stored potentials have zero reference mean; the recorded
-    c_t makes the volume identity exact.
+    All points are one stacked density solve; the earliest point that
+    fails raises SolverError with its path time.  Stored potentials have
+    zero reference mean; the recorded c_t makes the volume identity exact.
     """
     bg = ref_state.bg
     f, _ = ricci_potential(ref_state)
-    points = []
-    steps = int(round(1.0 / dt))
-    for i in range(steps + 1):
-        t = i * dt
-        mass = float(bg.ref_measure @ (np.exp(t * f) * ref_state.rho))
-        c_t = -np.log(mass / bg.volume)
-        psi, state, iters, res = _solve_density(ref_state, t * f + c_t)
-        psi = psi - bg.mean(psi, ref_state.rho)
-        points.append(PathPoint(t, psi, float(c_t), state, iters, res))
-    return PathTrajectory.from_points("prescribed", ref_state, f, points,
-                                      Termination("completed"))
+    ts = np.arange(int(round(1.0 / dt)) + 1) * dt
+    c_t = -np.log(bg.integrate(np.exp(ts[:, None] * f) * ref_state.rho) / bg.volume)
+    try:
+        psi, states, iters, res = _solve_density(ref_state, ts[:, None] * f + c_t[:, None])
+    except SolverError as exc:
+        t = float(ts[exc.row])
+        raise SolverError(f"prescribed path point t = {t:.6f}: {exc}", t=t,
+                          residual=exc.residual, row=exc.row) from exc
+    psi = psi - bg.mean(psi, ref_state.rho)[:, None]
+    return PathTrajectory("prescribed", bg, ref_state, f, ts, psi, c_t, states,
+                          iters.tolist(), res.tolist(), Termination("completed"))
 
 
 # ---------------------------------------------------------------------------

@@ -18,23 +18,26 @@ class UnsupportedModelError(LabError):
 class NotKahlerError(LabError):
     """A candidate potential fails metric positivity.
 
-    Carries the first offending grid node and the violating value so callers
-    can report where admissibility broke.
+    Carries the first offending grid node, the violating value and, in a
+    stack, its row, so callers can report where admissibility broke.
     """
 
-    def __init__(self, message: str, node: int, value: float):
+    def __init__(self, message: str, node: int, value: float, row: int = 0):
         super().__init__(f"{message} (node {node}, value {value:.6e})")
         self.node = node
         self.value = value
+        self.row = row
 
 
 class SolverError(LabError):
-    """A nonlinear solve failed to reach the requested residual."""
+    """A nonlinear solve (row `row` of a stacked one) failed."""
 
-    def __init__(self, message: str, t: float | None = None, residual: float | None = None):
+    def __init__(self, message: str, t: float | None = None,
+                 residual: float | None = None, row: int = 0):
         super().__init__(message)
         self.t = t
         self.residual = residual
+        self.row = row
 
 
 class GeneratorError(LabError):

@@ -33,10 +33,10 @@ leading shape.  Stacks are batch-first: the grid is the last axis,
 derivatives act row by row and background fields broadcast against it,
 so a single potential is the B = 1 case of the same code, and each row of
 a stacked state is bitwise the state of that row alone.
-`laplacian`, `wedge_density`, the `slot_*` builders and
-`Background.integrate` accept stacked fields too; integrals of a single
-density stay Python floats, and a stack integrates to one value per row.
-A stacked integral takes one dot product per row, never one
+`laplacian`, `laplacian_matrix`, `wedge_density`, the `slot_*` builders,
+`potential_from_density` and `Background.integrate` and `.mean` take
+stacks too; a single density integrates to a Python float, a stack to one
+value per row.  A stacked integral takes one dot product per row, never one
 matrix-vector product over the stack (which sums in another order), so
 each value is bitwise the integral of that row alone; indexing a stacked
 state (`state[i]`, `state[a:b]`) gives its rows as views, and
@@ -104,17 +104,17 @@ class Background:
     def integrate(self, density: Array) -> float | Array:
         """Integral of a density (relative to the reference volume form);
         one value per row of a (B, N) stack."""
-        density = np.asarray(density, dtype=float)
-        if density.ndim == 1:
-            return float(self.ref_measure @ density)
-        return _rows(self.ref_measure[None, :], density)[..., 0]
+        total = _dots(self.ref_measure, np.asarray(density, dtype=float))
+        return float(total) if total.ndim == 0 else total
 
-    def mean(self, values: Array, density: Array | None = None) -> float:
-        """Average against the reference (or a supplied) volume density."""
+    def mean(self, values: Array, density: Array | None = None) -> float | Array:
+        """Average against the reference (or a supplied) volume density;
+        one value per row of a (B, N) stack of values or densities."""
         if density is None:
             return self.integrate(values) / self.volume
         w = self.ref_measure * density
-        return float(w @ values) / float(w.sum())
+        avg = _dots(w, values) / w.sum(axis=-1)
+        return float(avg) if avg.ndim == 0 else avg
 
     def interp(self, values: Array, xq):
         return spectral.bary_interp(self.x, self.bary_w, values, xq)
@@ -314,6 +314,12 @@ def _rows(M: Array, v: Array) -> Array:
     return (v[..., None, :] @ M.T)[..., 0, :]
 
 
+def _dots(a: Array, b: Array) -> Array:
+    """Row-by-row dot products of a and b, either one vector or a (B, N)
+    stack, each bitwise the dot of that row alone (0-d for two vectors)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _div_by_x(bg: Background, v: Array) -> Array:
     """v/x for vectors vanishing at x = 0, with the spectral limit at the pole."""
     out = np.empty_like(v)
@@ -323,11 +329,11 @@ def _div_by_x(bg: Background, v: Array) -> Array:
 
 
 def _div_by_w0(bg: Background, v: Array) -> Array:
-    """v/w0 for vectors vanishing at both endpoints."""
+    """v/w0 for vectors, or rows of a (B, N) stack, vanishing at both ends."""
     out = np.empty_like(v)
-    out[1:-1] = v[1:-1] / bg.w0[1:-1]
-    out[0] = float(bg.D[0] @ v) / bg.w0_x[0]
-    out[-1] = float(bg.D[-1] @ v) / bg.w0_x[-1]
+    out[..., 1:-1] = v[..., 1:-1] / bg.w0[1:-1]
+    out[..., 0] = _dots(bg.D[0], v) / bg.w0_x[0]
+    out[..., -1] = _dots(bg.D[-1], v) / bg.w0_x[-1]
     return out
 
 
@@ -403,7 +409,7 @@ def _check_positive(fields) -> None:
         for values, message in stacks:
             if values[row].min() <= 0.0:
                 node = int(np.argmin(values[row]))
-                raise NotKahlerError(message, node, float(values[row, node]))
+                raise NotKahlerError(message, node, float(values[row, node]), row)
 
 
 def _make_metric_torus(bg: Background, values: Array) -> MetricState:
@@ -507,12 +513,14 @@ def laplacian(state: MetricState, u) -> Array:
     return q_x / state.m_x + (bg.n - 1) * u_x * state.r
 
 
-def laplacian_matrix(state: MetricState) -> Array:
-    """Dense matrix of the Laplacian acting on grid samples."""
+def laplacian_matrix(state: MetricState, out: Array | None = None) -> Array:
+    """Dense matrix of the Laplacian acting on grid samples; a (B, N, N)
+    stack for a stacked state, built a matrix at a time into `out` if given."""
     bg = state.bg
-    A = bg.D_w0_D / state.m_x[:, None]
-    if bg.n > 1:
-        A = A + (bg.n - 1) * state.r[:, None] * bg.D
+    A = np.empty(state.m_x.shape + (bg.size,)) if out is None else out
+    for a, m_x, r in zip(A if A.ndim == 3 else A[None], state.m_x.reshape(-1, bg.size),
+                         state.r.reshape(-1, bg.size)):
+        np.add(bg.D_w0_D / m_x[:, None], (bg.n - 1) * r[:, None] * bg.D, out=a)
     return A
 
 
@@ -549,7 +557,8 @@ def potential_from_density(bg: Background, rho_target: Array) -> Array:
     by moment inversion: the new moment profile is
     M = (n int_0^x rho s^{n-1} ds)^{1/n}, one spectral quadrature.  The
     target is renormalized to unit mass, and the returned potential has
-    reference average zero.
+    reference average zero.  A (B, N) stack of targets inverts row by row,
+    bitwise, raising NotKahlerError at its first nonpositive row.
 
     At n = 1 no root is taken and the inversion is exact.  For n >= 2 the
     root loses ~eps/x^n relative digits next to the coordinate pole, which
@@ -559,19 +568,17 @@ def potential_from_density(bg: Background, rho_target: Array) -> Array:
     if bg.model != "cpn":
         raise UnsupportedModelError("density inversion requires the projective model")
     rho_arr = np.asarray(rho_target, dtype=float)
-    if rho_arr.min() <= 0.0:
-        node = int(np.argmin(rho_arr))
-        raise NotKahlerError("target density not positive", node, float(rho_arr[node]))
+    _check_positive(((rho_arr, "target density not positive"),))
 
     n = bg.n
-    mass = bg.integrate(rho_arr)
+    mass = np.asarray(bg.integrate(rho_arr))[..., None]
     rho_n = rho_arr * (bg.volume / mass)
     A = np.maximum(bg.antider(rho_n * bg.x ** (n - 1)), 0.0)
     M = (n * A) ** (1.0 / n)
-    M[-1] = bg.length
+    M[..., -1] = bg.length
     phi_x = _div_by_w0(bg, M - bg.x)
     phi = bg.antider(phi_x)
-    return phi - bg.mean(phi)
+    return phi - np.asarray(bg.mean(phi))[..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -75,14 +75,17 @@ class Antiderivative:
     by the inverse of the nonsingular block left by pinning x_0, built once.
     Unlike a coefficient-space integral, F returns f under D to rounding,
     as a state that differences it again needs.  Exact whenever f is a
-    polynomial of degree below the grid order.
+    polynomial of degree below the grid order.  A (B, N) stack takes one
+    matrix-vector product per row, bitwise the antiderivative of that row.
     """
 
     def __init__(self, D: Array):
         self._inv = np.linalg.inv(D[1:, 1:])
 
     def __call__(self, f: Array) -> Array:
-        return np.concatenate(([0.0], self._inv @ np.asarray(f, dtype=float)[1:]))
+        F = np.zeros(np.shape(f))
+        F[..., 1:] = (np.asarray(f, dtype=float)[..., None, 1:] @ self._inv.T)[..., 0, :]
+        return F
 
 
 def cheb_transform(size: int) -> tuple[Array, Array]:

@@ -9,6 +9,8 @@ metric, or the endpoint is a unit-eigenvalue metric).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,110 @@ def test_density_solve_at_n1_is_the_inversion(size):
     target = state.phi - bg.mean(state.phi)
     assert steps == 0
     assert np.abs(phi - bg.mean(phi) - target).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacked solves
+
+
+def _path_targets(ref_state, ts):
+    """The prescribed-path targets t f + c_t at the times `ts`, one row each."""
+    bg = ref_state.bg
+    f, _ = ricci_potential(ref_state)
+    c_t = [-np.log(bg.integrate(np.exp(t * f) * ref_state.rho) / bg.volume) for t in ts]
+    return np.array([t * f + c for t, c in zip(ts, c_t)])
+
+
+def _assert_rows_are_solo_solves(stacked, solos):
+    """Each row of a stacked solve is bitwise its solo solve: potential,
+    every state field, iterations and residual."""
+    phi, states, iterations, residuals = stacked
+    assert phi.shape == states.phi.shape == (len(solos), states.bg.size)
+    for i, (solo_phi, solo_state, steps, res) in enumerate(solos):
+        assert phi[i].tobytes() == solo_phi.tobytes(), i
+        for f in dataclasses.fields(solo_state):
+            want = getattr(solo_state, f.name)
+            if isinstance(want, np.ndarray):
+                assert getattr(states, f.name)[i].tobytes() == want.tobytes(), (i, f.name)
+        assert (int(iterations[i]), float(residuals[i])) == (steps, res), i
+
+
+@pytest.mark.parametrize("n,size,count", [(1, 96, 4), (2, 96, 1), (2, 96, 2), (2, 96, 4),
+                                          (4, 96, 4), (2, 384, 2)])
+def test_stacked_density_solve_rows_are_their_solo_solves(n, size, count):
+    bg = fs_background("cpn", n, size)
+    probe = generate_probe(bg, seed=3, scenario="paths", index=0)
+    targets = _path_targets(probe, np.linspace(0.0, 1.0, count))
+    _assert_rows_are_solo_solves(_solve_density(probe, targets),
+                                 [_solve_density(probe, target) for target in targets])
+
+
+def test_stacked_newton_row_that_backtracks_takes_its_solo_steps(monkeypatch):
+    # the middle row starts near the edge of the cone, so its full Newton
+    # step leaves it: the stacked trial build fails and every row
+    # backtracks alone, and each still takes the steps of its solo run
+    bg = fs_background("cpn", 2, 48)
+    probes = [generate_probe(bg, seed=1, scenario="paths", index=i) for i in (0, 2, 1)]
+    t = 0.5
+    targets = np.array([p.log_rho + t * p.phi for p in probes])
+    guesses = np.array([0.5 * probes[0].phi, 11.5 * probes[1].phi, 0.5 * probes[2].phi])
+    calls = _record_builds(monkeypatch, continuity)
+    solo_builds, solos = [], []
+    for target, guess in zip(targets, guesses):
+        solos.append(_newton_solve(bg.reference, target, t, guess))
+        solo_builds.append(calls[:])
+        calls.clear()
+    stacked = _newton_solve(bg.reference, targets, t, guesses)
+    stacked_builds = calls
+    _assert_rows_are_solo_solves(stacked, solos)
+    halvings = [sum(not ok for _, ok in calls) for calls in solo_builds]
+    assert halvings[0] == halvings[2] == 0 and halvings[1] >= 1
+    # a solo run builds no potential twice: one failed build per halving
+    assert len({phi.tobytes() for phi, _ in solo_builds[1]}) == len(solo_builds[1])
+    # the stacked failures are the middle row's: its first failing full
+    # step is the stack's, the rest are its own halvings
+    assert sum(not ok for _, ok in stacked_builds) == halvings[1]
+    accepted = {row.tobytes() for phi, ok in stacked_builds if ok
+                for row in np.atleast_2d(phi)}
+    assert all(phi.tobytes() in accepted for phi, ok in solo_builds[1] if ok)
+
+
+def test_prescribed_path_failure_names_its_point(monkeypatch):
+    # on this probe point 0 converges in one Newton step and every later
+    # point needs two; with two allowed, point 0 is solved and point 1 is
+    # the earliest point that fails
+    bg = fs_background("cpn", 3, 96)
+    probe = generate_probe(bg, seed=0, scenario="paths", index=1)
+    dt = 0.1
+    assert solve_yau_path(probe, dt=dt).iterations[:2] == [1, 2]
+    monkeypatch.setattr(continuity, "NEWTON_ITERS", 2)
+    with pytest.raises(SolverError) as solo:
+        _solve_density(probe, _path_targets(probe, [dt])[0])
+    with pytest.raises(SolverError) as exc:
+        solve_yau_path(probe, dt=dt)
+    assert exc.value.t == dt and exc.value.row == 1
+    assert exc.value.residual == solo.value.residual
+    assert str(exc.value) == f"prescribed path point t = {dt:.6f}: {solo.value}"
+
+
+def test_prescribed_path_is_one_inversion_and_one_build_per_iteration(monkeypatch):
+    bg = fs_background("cpn", 2, 48)
+    probe = generate_probe(bg, seed=3, scenario="paths", index=0)
+    calls = _record_builds(monkeypatch, continuity)
+    inversions = []
+    original = continuity.potential_from_density
+
+    def counting(*args, **kwargs):
+        inversions.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(continuity, "potential_from_density", counting)
+    traj = solve_yau_path(probe, dt=0.1)
+    assert len(inversions) == 1
+    assert max(traj.iterations) >= 1
+    assert 1 <= len(calls) <= 1 + max(traj.iterations)
+    assert all(ok and np.shape(phi) == (len(traj.ts), bg.size) for phi, ok in calls[:1])
+    assert all(ok and np.ndim(phi) == 2 for phi, ok in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -560,6 +560,50 @@ def test_density_inversion_rejects_sign_changing_target(bg_cp2):
         potential_from_density(bg_cp2, bad)
 
 
+@pytest.mark.parametrize("size", [96, 385])
+def test_stacked_inversion_and_newton_helpers_match_rows_bitwise(size):
+    bg = fs_background("cpn", 2, size)
+    states = make_metric(bg, np.array(
+        [generate_probe(bg, seed=7, scenario="stack", index=i).phi for i in range(4)]))
+    rows = [states[i] for i in range(4)]
+    gap = states.m - bg.x    # vanishes at both ends
+    bordered = np.zeros((4, size + 1, size + 1))
+    laplacian_matrix(states, out=bordered[:, :size, :size])
+    for name, stacked, singles in (
+            ("antiderivative", bg.antider(states.rho), [bg.antider(r.rho) for r in rows]),
+            ("div_by_w0", _div_by_w0(bg, gap), [_div_by_w0(bg, g) for g in gap]),
+            ("inversion", potential_from_density(bg, states.rho),
+             [potential_from_density(bg, r.rho) for r in rows]),
+            ("laplacian_matrix", laplacian_matrix(states), [laplacian_matrix(r) for r in rows]),
+            ("laplacian_matrix_out", bordered[:, :size, :size],
+             [laplacian_matrix(r) for r in rows])):
+        assert stacked.shape == (4,) + singles[0].shape, name
+        for i, single in enumerate(singles):
+            assert stacked[i].tobytes() == single.tobytes(), (name, i)
+    assert not bordered[:, size].any() and not bordered[:, :, size].any()
+    assert bg.mean(states.phi, states.rho).tolist() == [bg.mean(r.phi, r.rho) for r in rows]
+    shared = bg.mean(states.phi, rows[0].rho)
+    assert shared.tolist() == [bg.mean(r.phi, rows[0].rho) for r in rows]
+    assert isinstance(bg.mean(rows[0].phi, rows[0].rho), float)
+
+
+def test_stacked_density_inversion_raises_at_its_first_failing_row(bg_cp2, probe_cp2):
+    # as make_metric does: the first failing row's first minimum, not the
+    # stack-wide minimum, which the later row holds
+    good = probe_cp2.rho
+    first, later = good.copy(), good.copy()
+    first[10], later[30] = -0.1, -5.0
+    with pytest.raises(NotKahlerError) as single:
+        potential_from_density(bg_cp2, first)
+    want = (str(single.value), single.value.node, single.value.value)
+    assert want[1:] == (10, -0.1)
+    for rows, row in (([good, first, later], 1), ([first, good, later], 0)):
+        with pytest.raises(NotKahlerError) as stacked:
+            potential_from_density(bg_cp2, np.stack(rows))
+        got = stacked.value
+        assert (str(got), got.node, got.value, got.row) == want + (row,)
+
+
 def test_torus_density_inversion_is_unsupported(bg_torus, probe_torus):
     with pytest.raises(UnsupportedModelError):
         potential_from_density(bg_torus, probe_torus.rho)
