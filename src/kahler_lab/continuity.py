@@ -13,11 +13,11 @@ potential f, and are parametrized by t in [0, 1]:
 
 One Newton solve of  log(w_phi^n / w^n) + t phi = target  on (Lap + t I)
 serves both: warm-started from the moment inversion at t = 0 (the
-prescribed-volume points, the bending path's start), and from a linear
-extrapolation of the last solved points at t > 0.  At t = 0 the
-linearization has the constants as its kernel, at t = 1 the rotation
-potential u = m - n of the endpoint metric; there the solve fixes the free
-direction by the gauge  int phi u w_phi^n = 0 .  At t = 0 that is the
+prescribed-volume points, the bending path's start), and from the
+quadratic extrapolation through the last three solved points at t > 0.
+At t = 0 the linearization has the constants as its kernel, at t = 1 the
+rotation potential u = m - n of the endpoint metric; there the solve fixes
+the free direction by the gauge  int phi u w_phi^n = 0 .  At t = 0 that is the
 constant which continues the path smoothly.  At t = 1, differentiating the
 path equation gives (Lap_t + t) d/dt phi = -phi_t, solvable only when
 phi_1 is orthogonal to u, so the gauge selects the limit of the path.
@@ -354,6 +354,20 @@ def solve_yau_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
 # the bending path (Newton, with substepping)
 
 
+def _extrapolate(ts, values, t: float):
+    """The Lagrange polynomial through the pairs (ts[j], values[j]) at t:
+    the constant for one pair, the line for two, the parabola for three.
+    The nodes need not be uniform."""
+    guess = 0.0
+    for j, (t_j, value) in enumerate(zip(ts, values)):
+        weight = 1.0
+        for k, t_k in enumerate(ts):
+            if k != j:
+                weight *= (t - t_k) / (t_j - t_k)
+        guess = guess + weight * value
+    return guess
+
+
 def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
     """March the bending path from the metric of `ref_state` over a uniform
     reported grid in t over [0, 1].
@@ -371,36 +385,30 @@ def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory
         c_t = bg.mean(tilde, ref_state.rho)
         points.append(PathPoint(t, tilde - c_t, c_t, state, iters, res))
 
-    tilde_a, state, iters, res = _solve_density(ref_state, f)
-    record(0.0, tilde_a, state, iters, res)
+    tilde, state, iters, res = _solve_density(ref_state, f)
+    record(0.0, tilde, state, iters, res)
 
     steps = int(round(1.0 / dt))
-    # (t_a, tilde_a) is the most recent solved point, (t_b, tilde_b) the one
-    # before it; both feed the linear warm-start extrapolation
-    t_a, t_b, tilde_b = 0.0, None, None
+    # the last three accepted (t, tilde) pairs, substeps included, newest
+    # last; they feed the quadratic warm-start extrapolation
+    ts, tildes = [0.0], [tilde]
     for i in range(1, steps + 1):
         t_target = i * dt
-        sub = t_target - t_a
-        while t_a < t_target - 1e-12:
-            t_try = min(t_a + sub, t_target)
-            if tilde_b is not None:
-                slope = (tilde_a - tilde_b) / (t_a - t_b)
-                guess = tilde_a + slope * (t_try - t_a)
-            else:
-                guess = tilde_a
+        sub = t_target - ts[-1]
+        while ts[-1] < t_target - 1e-12:
+            t_try = min(ts[-1] + sub, t_target)
             try:
                 tilde_new, state, iters, res = _newton_solve(
-                    ref_state, f, t_try, guess)
+                    ref_state, f, t_try, _extrapolate(ts, tildes, t_try))
             except SolverError as exc:
                 sub *= 0.5
                 if sub < MIN_SUBSTEP:
                     return PathTrajectory.from_points(
                         "bending", ref_state, f, points, Termination(
-                            "stalled", f"no progress past t = {t_a:.6f}: {exc}"))
+                            "stalled", f"no progress past t = {ts[-1]:.6f}: {exc}"))
                 continue
-            t_b, tilde_b = t_a, tilde_a
-            t_a, tilde_a = t_try, tilde_new
-        record(t_target, tilde_a, state, iters, res)
+            ts, tildes = ts[-2:] + [t_try], tildes[-2:] + [tilde_new]
+        record(t_target, tildes[-1], state, iters, res)
 
     return PathTrajectory.from_points("bending", ref_state, f, points,
                                       Termination("completed"))

@@ -17,7 +17,7 @@ import pytest
 from kahler_lab import continuity, energies
 from kahler_lab import flow as flow_module
 from kahler_lab.continuity import (NEWTON_TOL, PathTrajectory, Termination,
-                                   _newton_solve, _simpson_uniform, _solve_density,
+                                   _extrapolate, _newton_solve, _simpson_uniform, _solve_density,
                                    check_lemma_3_4, check_lemma_4_1,
                                    check_section5, lambda1_radial,
                                    path_monitors, ricci_positive_generator,
@@ -444,6 +444,31 @@ def test_bending_path_completes_in_extreme_dimensions(n):
     traj = solve_aubin_path(generate_probe(bg, seed=0, scenario="lemma32_34", index=0))
     assert traj.completed, traj.termination.reason
     assert traj.points[-1].t == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bending_path_takes_about_one_newton_step_per_point():
+    # the production probe of lemma32_34 at seed 0: the quadratic warm start
+    # takes 56 Newton steps over the 50 points past t = 0, the linear one 103
+    bg = fs_background("cpn", 2, 96)
+    traj = solve_aubin_path(generate_probe(bg, seed=0, scenario="lemma32_34", index=0))
+    assert traj.reached_end, traj.termination.reason
+    assert sum(traj.iterations) <= 64
+
+
+def test_warm_start_extrapolation_is_lagrange_through_the_last_points():
+    ts = [0.50, 0.52, 0.53]    # nonuniform, as after a halved substep
+    grid = np.linspace(-1.0, 1.0, 7)
+
+    def quadratic(t):
+        return 0.3 - 1.7 * t + 2.9 * t ** 2 + grid * t ** 2
+
+    values = [quadratic(t) for t in ts]
+    np.testing.assert_allclose(_extrapolate(ts, values, 0.54), quadratic(0.54),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(_extrapolate(ts[:1], values[:1], 0.54), values[0])
+    line = values[0] + (values[1] - values[0]) * (0.54 - 0.50) / (0.52 - 0.50)
+    np.testing.assert_allclose(_extrapolate(ts[:2], values[:2], 0.54), line,
+                               rtol=0, atol=1e-14)
 
 
 def test_prescribed_suite_passes_on_solved_path(path_pair_fine):

@@ -48,6 +48,20 @@ def test_moved_lhs_is_a_mismatch(tmp_path):
     assert "max move 1.00e-11 MISMATCH" in out
 
 
+def test_movement_is_reported_as_a_share_of_the_row_tol(tmp_path):
+    a = _report_set(tmp_path / "a")
+    b = _report_set(tmp_path / "b", lhs=1.0 + 2e-10)
+    code, out = _diff(a, b)
+    assert code == 1, out
+    assert "max move 2.00e-10 MISMATCH, max move/tol 2.00e-04 (row)" in out
+    assert "largest movement 2.00e-10, largest move/tol 2.00e-04" in out
+    # a movement within 1e-12 still passes, whatever its share of tol
+    c = _report_set(tmp_path / "c", lhs=1.0 + 5e-13)
+    code, out = _diff(a, c)
+    assert code == 0, out
+    assert "max move 5.00e-13 ok, max move/tol 5.00e-07 (row)" in out
+
+
 def test_moved_csv_cell_is_a_mismatch_with_its_movement(tmp_path):
     a = _report_set(tmp_path / "a")
     b = _report_set(tmp_path / "b", cell="0.5000000000001")

@@ -22,9 +22,11 @@ and `write` carries on.
 prints one line per scenario: an error on either side (differing errors,
 or an error against a report, are mismatches), mismatches of check-row
 names, order, kinds and pass flags (and of the report's config, notes and
-aggregate), the largest lhs/rhs movement |a - b| / max(1, |a|), and trajectory CSVs that
-differ byte for byte, each with its largest cell movement (or a note that
-its header or shape differs).  A CSV that differs counts as a mismatch
+aggregate), the largest lhs/rhs movement |a - b| / max(1, |a|), the
+largest such movement as a share of its row's tol over the rows with
+tol > 0 (and that row's name), and trajectory CSVs that differ byte for
+byte, each with its largest cell movement (or a note that its header or
+shape differs).  A CSV that differs counts as a mismatch
 however small the movement.  The wall-clock row `exact_runtime` and the report
 fields `runtime_seconds` and `timestamp` are ignored.  It exits 1 on any
 mismatch or on a movement above 1e-12, else 0.
@@ -100,13 +102,14 @@ def _error(run_dir: Path) -> str | None:
     return path.read_text().strip() if path.exists() else None
 
 
-def _compare(a_dir: Path, b_dir: Path) -> tuple[list[str], float]:
-    """Mismatches and the largest lhs/rhs movement of one scenario."""
+def _compare(a_dir: Path, b_dir: Path) -> tuple[list[str], float, tuple[float, str]]:
+    """Mismatches, the largest lhs/rhs movement and the largest movement as
+    a share of its row's tol, with that row's name, of one scenario."""
     errors = [_error(a_dir), _error(b_dir)]
     if errors != [None, None]:
         if errors[0] == errors[1]:
-            return [], 0.0
-        return [f"{errors[0] or 'report'} -> {errors[1] or 'report'}"], 0.0
+            return [], 0.0, (0.0, "")
+        return [f"{errors[0] or 'report'} -> {errors[1] or 'report'}"], 0.0, (0.0, "")
     a = json.loads((a_dir / "report.json").read_text())
     b = json.loads((b_dir / "report.json").read_text())
     # the check rows are compared one by one below
@@ -120,14 +123,17 @@ def _compare(a_dir: Path, b_dir: Path) -> tuple[list[str], float]:
     if names_a != names_b:
         problems.append(f"row names or order differ "
                         f"({len(names_a)} vs {len(names_b)} rows)")
-    move = 0.0
+    move, tol_share = 0.0, (0.0, "")
     for ra, rb in zip(rows_a, rows_b):
         if ra["name"] != rb["name"] or ra["name"] in IGNORED_ROWS:
             continue
         for key in ("kind", "pass", "tol", "anchor", "note"):
             if ra[key] != rb[key]:
                 problems.append(f"{ra['name']}: {key} {ra[key]!r} -> {rb[key]!r}")
-        move = max(move, _move(ra["lhs"], rb["lhs"]), _move(ra["rhs"], rb["rhs"]))
+        row_move = max(_move(ra["lhs"], rb["lhs"]), _move(ra["rhs"], rb["rhs"]))
+        move = max(move, row_move)
+        if ra["tol"] > 0 and row_move / ra["tol"] > tol_share[0]:
+            tol_share = (row_move / ra["tol"], ra["name"])
 
     traj_a = sorted(p.name for p in a_dir.glob("trajectory_*.csv"))
     traj_b = sorted(p.name for p in b_dir.glob("trajectory_*.csv"))
@@ -136,7 +142,7 @@ def _compare(a_dir: Path, b_dir: Path) -> tuple[list[str], float]:
     problems += [f"{name} differs ({_csv_change(a_dir / name, b_dir / name)})"
                  for name in sorted(set(traj_a) & set(traj_b))
                  if (a_dir / name).read_bytes() != (b_dir / name).read_bytes()]
-    return problems, move
+    return problems, move, tol_share
 
 
 def _csv_change(a: Path, b: Path) -> str:
@@ -164,18 +170,20 @@ def diff(a_root: Path, b_root: Path) -> int:
     for rel in sorted(dirs_a - dirs_b) + sorted(dirs_b - dirs_a):
         print(f"{rel}: present in only one set")
         bad += 1
-    worst = 0.0
+    worst, worst_share = 0.0, 0.0
     for rel in sorted(dirs_a & dirs_b):
-        problems, move = _compare(a_root / rel, b_root / rel)
-        worst = max(worst, move)
+        problems, move, (share, row) = _compare(a_root / rel, b_root / rel)
+        worst, worst_share = max(worst, move), max(worst_share, share)
         ok = not problems and move <= MAX_MOVE
         bad += not ok
         both = f" (both raise {_error(a_root / rel)})" if ok and _error(a_root / rel) else ""
-        print(f"{rel}: max move {move:.2e} {'ok' if ok else 'MISMATCH'}{both}")
+        at = f" ({row})" if row else ""
+        print(f"{rel}: max move {move:.2e} {'ok' if ok else 'MISMATCH'}{both},"
+              f" max move/tol {share:.2e}{at}")
         for problem in problems:
             print(f"    {problem}")
     print(f"{len(dirs_a | dirs_b)} scenario runs, {bad} mismatched, "
-          f"largest movement {worst:.2e}")
+          f"largest movement {worst:.2e}, largest move/tol {worst_share:.2e}")
     return 1 if bad else 0
 
 
