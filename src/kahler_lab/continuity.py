@@ -17,9 +17,9 @@ prescribed-volume points, the bending path's start), and from the
 quadratic extrapolation through the last three solved points at t > 0.
 At t = 0 the linearization has the constants as its kernel, at t = 1 the
 rotation potential u = m - n of the endpoint metric; there the solve fixes
-the free direction by the gauge  int phi u w_phi^n = 0 .  At t = 0 that is the
-constant which continues the path smoothly.  At t = 1, differentiating the
-path equation gives (Lap_t + t) d/dt phi = -phi_t, solvable only when
+the free direction by the gauge  int phi u w_phi^n = 0 .  At t = 0 that is
+the constant which continues the path smoothly.  At t = 1, differentiating
+the path equation gives (Lap_t + t) d/dt phi = -phi_t, solvable only when
 phi_1 is orthogonal to u, so the gauge selects the limit of the path.
 Failed bending steps trigger internal substepping; reported points always
 stay on the requested uniform grid, and a path that cannot reach the
@@ -43,7 +43,7 @@ stacked states and the `path_monitors` columns the caller already holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -358,14 +358,8 @@ def _extrapolate(ts, values, t: float):
     """The Lagrange polynomial through the pairs (ts[j], values[j]) at t:
     the constant for one pair, the line for two, the parabola for three.
     The nodes need not be uniform."""
-    guess = 0.0
-    for j, (t_j, value) in enumerate(zip(ts, values)):
-        weight = 1.0
-        for k, t_k in enumerate(ts):
-            if k != j:
-                weight *= (t - t_k) / (t_j - t_k)
-        guess = guess + weight * value
-    return guess
+    return sum(prod((t - t_k) / (t_j - t_k) for t_k in ts[:j] + ts[j + 1:]) * value
+               for j, (t_j, value) in enumerate(zip(ts, values)))
 
 
 def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:

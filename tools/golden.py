@@ -26,10 +26,10 @@ aggregate), the largest lhs/rhs movement |a - b| / max(1, |a|), the
 largest such movement as a share of its row's tol over the rows with
 tol > 0 (and that row's name), and trajectory CSVs that differ byte for
 byte, each with its largest cell movement (or a note that its header or
-shape differs).  A CSV that differs counts as a mismatch
-however small the movement.  The wall-clock row `exact_runtime` and the report
-fields `runtime_seconds` and `timestamp` are ignored.  It exits 1 on any
-mismatch or on a movement above 1e-12, else 0.
+shape differs).  A CSV that differs counts as a mismatch however small the
+movement.  The wall-clock row `exact_runtime` and the report fields
+`runtime_seconds` and `timestamp` are ignored.  It exits 1 on any mismatch
+or on a movement above 1e-12, else 0; the share of tol is only reported.
 """
 
 from __future__ import annotations
