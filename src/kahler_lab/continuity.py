@@ -21,6 +21,14 @@ the free direction by the gauge  int phi u w_phi^n = 0 .  At t = 0 that is
 the constant which continues the path smoothly.  At t = 1, differentiating
 the path equation gives (Lap_t + t) d/dt phi = -phi_t, solvable only when
 phi_1 is orthogonal to u, so the gauge selects the limit of the path.
+Each t = 0 correction is matrix-free: GMRES on the bordered system with
+its rows scaled by m_x, whose principal part D_w0_D is then the round one,
+preconditioned by the round metric's bordered inverse.  The preconditioned
+operator is within a few per cent of the identity, GMRES converges in 4-8
+iterations at every grid size, and a stack of B points holds no
+(B, N+1, N+1) matrix.  At t > 0 each correction is a dense bordered solve:
+a preconditioner there would have to follow t, and the t-shifted round one
+only ties the dense solve of one row at N = 384 and loses at N = 96.
 Failed bending steps trigger internal substepping; reported points always
 stay on the requested uniform grid, and a path that cannot reach the
 requested end is returned truncated with a stall record rather than raising.
@@ -59,6 +67,7 @@ from .geometry import (
     Background,
     MetricState,
     _dots,
+    _rows,
     laplacian,
     laplacian_matrix,
     make_metric,
@@ -79,6 +88,10 @@ Array = np.ndarray
 NEWTON_ITERS = 40
 NEWTON_TOL = 1e-11
 MIN_SUBSTEP = 1e-4
+# t = 0 Newton correction: GMRES iteration cap and relative tolerance on
+# the scaled bordered residual
+GMRES_ITERS = 20
+GMRES_TOL = 1e-13
 
 # tolerances of the verification suites
 RATE_TOL = 1e-5         # differentiated path equations
@@ -215,12 +228,15 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
     and the step solves the bordered system
     [J u; l^T 0] [delta; mu] = [-R; -l.phi] with l = u w_phi^n, imposing
     the gauge  int phi u w_phi^n = 0.  A row is solved once both its
-    residual and its gauge defect are within NEWTON_TOL.
+    residual and its gauge defect are within NEWTON_TOL.  At t = 0 the step
+    is `_density_step`'s matrix-free GMRES solve; at t > 0 it is the dense
+    matrix of `laplacian_matrix`, bordered at t = 1, by `np.linalg.solve`.
 
     Each accepted Newton iterate's state is the one its admissibility test
     built.  Returns (phi, state, iterations, residual), one each per row of
     a stack, where the iterations count the Newton steps taken; or raises
-    SolverError for the first row that fails.
+    SolverError for the first row that fails: to stay admissible, to
+    converge in NEWTON_ITERS steps, or to converge its GMRES step.
     """
     bg = ref_state.bg
     size = bg.size
@@ -243,8 +259,9 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
         error = SolverError(f"left the admissible cone during solve: {exc}", t=t, row=exc.row)
         rows, phi, target = rows[:exc.row], phi[:exc.row], target[:exc.row]
         state = make_metric(bg, ref_state.phi + phi) if len(rows) else None
-    # one matrix per row, bordered in place around J; rows leave from the end
-    K = np.zeros(phi.shape[:-1] + (size + bordered,) * 2)
+    # at t > 0 one matrix per row, bordered in place around J; rows leave
+    # from the end
+    K = np.zeros(phi.shape[:-1] + (size + bordered,) * 2) if t else None
     for iters in range(NEWTON_ITERS):
         if not len(rows):
             break
@@ -262,13 +279,25 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
             rows = rows[~done]
             if not len(rows):
                 break
-            phi, target, state, R, res, K = (
-                phi[~done], target[~done], state[~done], R[~done], res[~done], K[:len(rows)])
-        J = laplacian_matrix(state, out=K[..., :size, :size])
-        np.einsum("...ii->...i", J)[...] += t
-        if bordered:
-            K[..., :size, size], K[..., size, :size] = border(state)
-        delta = np.linalg.solve(K, -R[..., None])[..., :size, 0]
+            phi, target, state, R, res = (
+                phi[~done], target[~done], state[~done], R[~done], res[~done])
+        if t:
+            A = K[:len(rows)] if stacked else K
+            J = laplacian_matrix(state, out=A[..., :size, :size])
+            np.einsum("...ii->...i", J)[...] += t
+            if bordered:
+                A[..., :size, size], A[..., size, :size] = border(state)
+            delta = np.linalg.solve(A, -R[..., None])[..., :size, 0]
+        else:
+            delta, steps = _density_step(state, R)
+            if not steps.all():
+                j = int(np.argmin(steps))
+                error = SolverError("GMRES did not converge", t=t,
+                                    residual=float(np.atleast_1d(res)[j]), row=int(rows[j]))
+                rows, phi, target, state, delta = (
+                    rows[:j], phi[:j], target[:j], state[:j], delta[:j])
+                if not j:
+                    break
         try:
             state = make_metric(bg, ref_state.phi + (phi + delta))
         except NotKahlerError as exc:
@@ -287,7 +316,7 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
                 else:
                     error = SolverError("Newton step cannot stay admissible", t=t,
                                         residual=float(np.atleast_1d(res)[j]), row=int(rows[j]))
-                    rows, phi, target, K = rows[:j], phi[:j], target[:j], K[:j]
+                    rows, phi, target = rows[:j], phi[:j], target[:j]
                     break
                 row_phi[...] = trial
             state = (MetricState.stack(built) if stacked else built[0]) if built else None
@@ -302,15 +331,87 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
     return np.array(phi), MetricState.stack(states), np.array(iterations), np.array(residual)
 
 
+def _density_step(state: MetricState, R: Array):
+    """The t = 0 Newton correction delta of each row of `state`, from its
+    bordered residual R = [log-density residual, gauge defect], by GMRES.
+
+    The bordered system [Lap 1; l^T 0] [delta; mu] = -R is applied
+    matrix-free with its first N rows scaled by m_x, so that its principal
+    part is the round D_w0_D, and its gauge row divided by the volume, a
+    mean: unscaled, the n = 4 preconditioned operator has condition number
+    4e7 and stalls near 1e-10, scaled about 1.1.  It is right-preconditioned
+    by the round metric's bordered inverse P
+    (`Background.density_preconditioner`): one product with P, D_w0_D and D
+    each per iteration.  The rows iterate in lockstep, each leaves once its
+    residual estimate is within GMRES_TOL of its right-hand side, and every
+    product is row by row, so a row of a stack is bitwise its solve alone.
+    Returns delta and the iterations per row, 0 for a row not converged in
+    GMRES_ITERS.
+    """
+    bg = state.bg
+    size = bg.size
+    P = bg.density_preconditioner
+    m_x = np.atleast_2d(state.m_x)
+    coupling = (bg.n - 1) * m_x * np.atleast_2d(state.r)
+    l = bg.ref_measure / bg.volume * np.atleast_2d(state.rho)
+    b = np.atleast_2d(-R)
+    b[:, :size] *= m_x
+    b[:, size] /= bg.volume
+    beta = np.sqrt(_dots(b, b))
+    count, cap = len(b), GMRES_ITERS
+    rows = np.arange(count)         # the rows iterating, in the stack
+    V = np.zeros((count, cap + 1, size + 1))    # Krylov basis
+    H = np.zeros((count, cap, cap))             # the rotated Hessenberg matrix
+    Qt = np.broadcast_to(np.eye(cap + 1), (count, cap + 1, cap + 1)).copy()
+    V[:, 0] = b / beta[:, None]
+    delta, steps = np.zeros((count, size)), np.zeros(count, dtype=int)
+    for k in range(cap):
+        z = _rows(P, V[:, k])
+        w = np.empty((len(rows), size + 1))
+        w[:, :size] = (_rows(bg.D_w0_D, z[:, :size]) + coupling * _rows(bg.D, z[:, :size])
+                       + z[:, size:] * m_x)
+        w[:, size] = _dots(l, z[:, :size])
+        # classical Gram-Schmidt
+        basis = V[:, :k + 1]
+        h = (basis @ w[..., None])[..., 0]
+        w -= (h[:, None, :] @ basis)[:, 0]
+        norm = np.sqrt(_dots(w, w))
+        V[:, k + 1] = w / norm[:, None]
+        # one Givens rotation takes the new column to triangular form
+        col = (Qt[:, :k + 1, :k + 1] @ h[..., None])[..., 0]
+        rad = np.hypot(col[:, k], norm)
+        c, s = (col[:, k] / rad)[:, None], (norm / rad)[:, None]
+        col[:, k] = rad
+        H[:, :k + 1, k] = col
+        q = Qt[:, k, :k + 2].copy()
+        Qt[:, k, :k + 2], Qt[:, k + 1, :k + 2] = c * q, -s * q
+        Qt[:, k, k + 1], Qt[:, k + 1, k + 1] = s[:, 0], c[:, 0]
+        done = np.abs(Qt[:, k + 1, 0]) <= GMRES_TOL
+        if done.any():
+            g = beta[done, None] * Qt[done, :k + 1, 0]
+            y = np.linalg.solve(H[done, :k + 1, :k + 1], g[..., None])
+            u = (y.transpose(0, 2, 1) @ V[done, :k + 1])[:, 0]
+            delta[rows[done]] = _rows(P, u)[:, :size]
+            steps[rows[done]] = k + 1
+            keep = ~done
+            if not keep.any():
+                break
+            rows, V, H, Qt, beta, m_x, coupling, l = (
+                a[keep] for a in (rows, V, H, Qt, beta, m_x, coupling, l))
+    return delta.reshape(R.shape[:-1] + (size,)), steps
+
+
 def _solve_density(ref_state: MetricState, target: Array):
     """Solve  w_phi^n = e^target w^n  over the metric w of `ref_state`, row
     by row for a stack: the t = 0 Newton solve, warm-started from the moment
-    inversion shifted to its gauge.  Returns what `_newton_solve` returns.
+    inversion shifted to its gauge, each correction by matrix-free GMRES
+    (`_density_step`).  Returns what `_newton_solve` returns.
 
     At n = 1 the inversion takes no root and is exact, while the t = 0
     Newton matrix is singular: the metric does not see a potential's top
     Chebyshev mode (w0 D T_{N-1} vanishes at every node).  There the
-    inversion is returned as it is.
+    inversion is returned as it is, and the round preconditioner, singular
+    for the same reason, is never built.
     """
     bg = ref_state.bg
     density = np.exp(target) * ref_state.rho

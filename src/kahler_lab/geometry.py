@@ -133,6 +133,21 @@ class Background:
         _freeze(B, dB)
         return B, dB
 
+    @cached_property
+    def density_preconditioner(self) -> Array:
+        """The inverse of the round metric's bordered t = 0 Newton matrix
+        [L0 1; ref_measure/volume 0], L0 = D_w0_D + (n-1) diag(w0/x) D,
+        built on first use.  At n = 1 L0 also annihilates T_{N-1}, and the
+        bordered matrix is singular."""
+        size = self.size
+        K = np.zeros((size + 1, size + 1))
+        K[:size, :size] = self.D_w0_D + (self.n - 1) * self.w0_over_x[:, None] * self.D
+        K[:size, size] = 1.0
+        K[size, :size] = self.ref_measure / self.volume
+        P = np.linalg.inv(K)
+        _freeze(P)
+        return P
+
     def lowpass(self, values: Array, modes: int) -> Array:
         """Project onto the first `modes` Chebyshev coefficients."""
         coeffs = self.cheb_analysis @ values

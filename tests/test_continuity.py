@@ -10,6 +10,7 @@ metric, or the endpoint is a unit-eigenvalue metric).
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from kahler_lab.errors import (NotKahlerError, ParameterError, SolverError,
                                UnsupportedModelError)
 from kahler_lab.families import generate_probe
 from kahler_lab.flow import run_flow
-from kahler_lab.geometry import (fs_background, laplacian_matrix, make_metric,
-                                 potential_from_density, ricci_potential)
+from kahler_lab.geometry import (MetricState, fs_background, laplacian_matrix,
+                                 make_metric, potential_from_density, ricci_potential)
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +328,79 @@ def test_prescribed_path_failure_names_its_point(monkeypatch):
     assert exc.value.t == dt and exc.value.row == 1
     assert exc.value.residual == solo.value.residual
     assert str(exc.value) == f"prescribed path point t = {dt:.6f}: {solo.value}"
+
+
+@pytest.mark.parametrize("count", [1, 51])
+@pytest.mark.parametrize("size", [96, 384])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_density_step_agrees_with_dense_bordered_solve(n, size, count):
+    # the bordered residuals of a prescribed path's targets at a probe's
+    # state: the Krylov correction is the dense bordered solve's, in few
+    # iterations, so a weaker preconditioner shows up as a failing count
+    bg = fs_background("cpn", n, size)
+    probe = generate_probe(bg, seed=3, scenario="paths", index=0)
+    targets = _path_targets(probe, np.linspace(0.0, 1.0, 51))[-count:]
+    gauge = bg.integrate(probe.rho * probe.phi)
+    R = np.concatenate((probe.log_rho - targets, np.full((count, 1), gauge)), axis=1)
+    delta, steps = continuity._density_step(MetricState.stack([probe] * count), R)
+    K = np.zeros((size + 1, size + 1))
+    K[:size, :size] = laplacian_matrix(probe)
+    K[:size, size] = 1.0
+    K[size, :size] = bg.ref_measure * probe.rho
+    dense = np.linalg.solve(K, -R.T)[:size].T
+    err = np.abs(delta - dense).max(axis=1) / np.abs(dense).max(axis=1)
+    assert err.max() <= 1e-10
+    assert 1 <= steps.min() and steps.max() <= 10
+
+
+def test_density_solve_names_the_first_row_whose_gmres_fails(monkeypatch):
+    bg = fs_background("cpn", 3, 96)
+    probes = [generate_probe(bg, seed=0, scenario="paths", index=i) for i in range(3)]
+    targets = np.array([p.log_rho for p in probes])
+    # row 0 starts at its solution and takes no step; rows 1 and 2 need GMRES
+    guesses = np.zeros_like(targets)
+    guesses[0] = probes[0].phi - bg.mean(probes[0].phi, probes[0].rho)
+    assert _newton_solve(bg.reference, targets, 0.0, guesses)[2].tolist() == [0, 5, 5]
+    monkeypatch.setattr(continuity, "GMRES_ITERS", 1)
+    with pytest.raises(SolverError, match="GMRES did not converge") as stacked:
+        _newton_solve(bg.reference, targets, 0.0, guesses)
+    assert stacked.value.row == 1
+    # on a prescribed path every point needs GMRES: point 0 names the failure
+    with pytest.raises(SolverError) as solo:
+        _solve_density(probes[1], _path_targets(probes[1], [0.0])[0])
+    with pytest.raises(SolverError) as exc:
+        solve_yau_path(probes[1], dt=0.1)
+    assert exc.value.t == 0.0 and exc.value.row == 0
+    assert exc.value.residual == solo.value.residual
+    assert str(exc.value) == f"prescribed path point t = {0.0:.6f}: {solo.value}"
+
+
+def test_density_solves_at_n1_never_build_the_preconditioner():
+    # the round bordered matrix is singular at n = 1: D_w0_D annihilates
+    # T_{N-1} as well as the constants
+    bg = fs_background("cpn", 1, 96)
+    top = bg.cheb_synthesis[:, -1]
+    assert np.abs(bg.D_w0_D @ top).max() <= 1e-12 * np.abs(bg.D_w0_D).max()
+    probe = generate_probe(bg, seed=3, scenario="paths", index=0)
+    solve_yau_path(probe, dt=0.1)
+    solve_aubin_path(probe, dt=0.1)
+    ricci_positive_generator(probe)
+    assert "density_preconditioner" not in vars(bg)
+
+
+def test_stacked_density_solve_holds_no_bordered_stack():
+    # a 51-point prescribed path at N = 192: its bordered (51, 193, 193)
+    # stack alone would be 15 MB
+    bg = fs_background("cpn", 2, 192)
+    probe = generate_probe(bg, seed=3, scenario="paths", index=0)
+    targets = _path_targets(probe, np.linspace(0.0, 1.0, 51))
+    tracemalloc.start()
+    try:
+        _solve_density(probe, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_prescribed_path_is_one_inversion_and_one_build_per_iteration(monkeypatch):

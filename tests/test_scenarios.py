@@ -156,15 +156,7 @@ def test_flow_scenario_notes_halved_and_truncated_runs(monkeypatch, tmp_path):
     assert data["notes"] == report.notes
 
 
-# cy_torus's closed_form_s* rows are under-resolved at the default grid:
-# at N = 96 the closed form misses by about 3.4e-9 relative against a tol
-# of 1e-9, with a Fourier tail of log rho near 2e-5
-DEFAULT_RUNS = [pytest.param(name, marks=pytest.mark.xfail(
-                    strict=True, reason="closed_form_s* under-resolved at N = 96"))
-                if name == "cy_torus" else name for name in SCENARIO_NAMES]
-
-
-@pytest.mark.parametrize("name", DEFAULT_RUNS)
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_scenario_passes_at_defaults(name, tmp_path):
     report = run_scenario(parse_config({"scenario": name, "seed": 0}),
                           out_dir=str(tmp_path))

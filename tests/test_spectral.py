@@ -177,6 +177,14 @@ def test_fourier_second_derivative_matches_squared_symbol():
     assert np.abs(D2 @ f + (4.0 * np.pi) ** 2 * f).max() < 1e-9
 
 
+@pytest.mark.parametrize("size", [64, 96])
+def test_fourier_second_derivative_is_first_squared_on_even_grids(size):
+    # both orders drop the Nyquist mode, so summation by parts is exact
+    D = spectral.fourier_diff(size, 1)
+    D2 = spectral.fourier_diff(size, 2)
+    assert np.abs(D2 - D @ D).max() <= 1e-12 * np.abs(D2).max()
+
+
 # ---------------------------------------------------------------------------
 # finite differences in an external parameter
 
