@@ -380,12 +380,12 @@ def _density_step(state: MetricState, R: Array):
         # one Givens rotation takes the new column to triangular form
         col = (Qt[:, :k + 1, :k + 1] @ h[..., None])[..., 0]
         rad = np.hypot(col[:, k], norm)
-        c, s = (col[:, k] / rad)[:, None], (norm / rad)[:, None]
+        c, s = col[:, k] / rad, norm / rad
         col[:, k] = rad
         H[:, :k + 1, k] = col
         q = Qt[:, k, :k + 2].copy()
-        Qt[:, k, :k + 2], Qt[:, k + 1, :k + 2] = c * q, -s * q
-        Qt[:, k, k + 1], Qt[:, k + 1, k + 1] = s[:, 0], c[:, 0]
+        Qt[:, k, :k + 2], Qt[:, k + 1, :k + 2] = c[:, None] * q, -s[:, None] * q
+        Qt[:, k, k + 1], Qt[:, k + 1, k + 1] = s, c
         done = np.abs(Qt[:, k + 1, 0]) <= GMRES_TOL
         if done.any():
             g = beta[done, None] * Qt[done, :k + 1, 0]
