@@ -12,8 +12,9 @@ potential f, and are parametrized by t in [0, 1]:
   the metric whose Ricci form equals w.
 
 One Newton solve of  log(w_phi^n / w^n) + t phi = target  on (Lap + t I)
-serves both: warm-started from the moment inversion at t = 0 (the
-prescribed-volume points, the bending path's start), and from the
+serves both.  It works on a (B, N) stack of points sharing t, a single
+point being the one-row stack, warm-started from the moment inversion at
+t = 0 (the prescribed-volume points, the bending path's start) and from the
 quadratic extrapolation through the last three solved points at t > 0.
 At t = 0 the linearization has the constants as its kernel, at t = 1 the
 rotation potential u = m - n of the endpoint metric; there the solve fixes
@@ -23,12 +24,12 @@ the path equation gives (Lap_t + t) d/dt phi = -phi_t, solvable only when
 phi_1 is orthogonal to u, so the gauge selects the limit of the path.
 Each t = 0 correction is matrix-free: GMRES on the bordered system with
 its rows scaled by m_x, whose principal part D_w0_D is then the round one,
-preconditioned by the round metric's bordered inverse.  The preconditioned
-operator is within a few per cent of the identity, GMRES converges in 4-8
-iterations at every grid size, and a stack of B points holds no
-(B, N+1, N+1) matrix.  At t > 0 each correction is a dense bordered solve:
-a preconditioner there would have to follow t, and the t-shifted round one
-only ties the dense solve of one row at N = 384 and loses at N = 96.
+preconditioned by the round metric's bordered inverse.  GMRES takes 2-9
+iterations per step on the scenarios (9 at n = 4, N = 192, where the
+inversion loses accuracy at the pole), and a stack holds no (B, N+1, N+1)
+matrix.  At t > 0 each correction is a dense solve, bordered at t = 1, as
+a t-shifted round preconditioner only ties it at N = 384 and loses at 96.
+A step that leaves the admissible cone is halved, at most seven times.
 Failed bending steps trigger internal substepping; reported points always
 stay on the requested uniform grid, and a path that cannot reach the
 requested end is returned truncated with a stall record rather than raising.
@@ -220,9 +221,20 @@ def lambda1_radial(state: MetricState) -> float:
 
 def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array):
     """Solve  log(w_phi^n / w^n) + t phi = target  for the potential phi
-    over the metric w of `ref_state` by Newton's method on J = Lap + t I
-    from the warm start `guess`; a (B, N) stack of targets and guesses is
-    B solves sharing t, each row bitwise its solve alone.
+    over the metric w of `ref_state` from the warm start `guess` by
+    `_newton_rows`.  Returns (phi, state, iterations, residual): stacked
+    for a (B, N) stack, and for a single target the one-row stack's row.
+    """
+    if np.ndim(guess) == 1:
+        return _newton_rows(ref_state, target[None], t, guess[None])[0]
+    phi, states, iterations, residual = zip(*_newton_rows(ref_state, target, t, guess))
+    return np.array(phi), MetricState.stack(states), np.array(iterations), np.array(residual)
+
+
+def _newton_rows(ref_state: MetricState, target: Array, t: float, guess: Array) -> list:
+    """Newton's method on J = Lap + t I for each row of a (B, N) stack of
+    targets and guesses in lockstep, each row bitwise its solve alone;
+    returns per row (phi, state, Newton steps taken, residual).
 
     At t = 0 and t = 1, J is singular along its kernel u (1, resp. m - n),
     and the step solves the bordered system
@@ -230,19 +242,20 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
     the gauge  int phi u w_phi^n = 0.  A row is solved once both its
     residual and its gauge defect are within NEWTON_TOL.  At t = 0 the step
     is `_density_step`'s matrix-free GMRES solve; at t > 0 it is the dense
-    matrix of `laplacian_matrix`, bordered at t = 1, by `np.linalg.solve`.
+    J of `laplacian_matrix`, bordered at t = 1, by `np.linalg.solve`.
 
-    Each accepted Newton iterate's state is the one its admissibility test
-    built.  Returns (phi, state, iterations, residual), one each per row of
-    a stack, where the iterations count the Newton steps taken; or raises
-    SolverError for the first row that fails: to stay admissible, to
-    converge in NEWTON_ITERS steps, or to converge its GMRES step.
+    When a trial step leaves the cone, the first row that left halves its
+    step and the stack is built again, so each row takes the largest
+    admissible power-of-two part of its step (at least 2^-7), and each
+    accepted iterate's state is the one its admissibility test built.
+    Raises SolverError for the first row that fails: to start in the cone,
+    to stay admissible, to converge its GMRES step or to converge in
+    NEWTON_ITERS steps.
     """
     bg = ref_state.bg
     size = bg.size
     phi = np.array(guess, dtype=float)    # the iterates of the rows solving
-    stacked = phi.ndim == 2
-    rows = np.arange(len(phi) if stacked else 1)    # their rows in the stack
+    rows = np.arange(len(phi))            # their rows in the stack
     bordered = t == 0.0 or abs(t - 1.0) < 1e-12
     solved = [None] * len(rows)     # per row: phi, state, iterations, residual
     error = None
@@ -252,88 +265,71 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
         u = state.m - bg.moment_mean if t else 1.0
         return u, bg.ref_measure * state.rho * u
 
+    def fail(j, message, residual=None):
+        """Fail row rows[j]; only the rows before it solve on."""
+        nonlocal error, rows, phi, target
+        error = SolverError(message, t=t, residual=residual, row=int(rows[j]))
+        rows, phi, target = rows[:j], phi[:j], target[:j]
+
     try:
         state = make_metric(bg, ref_state.phi + phi)
     except NotKahlerError as exc:
-        # only the rows before the first failing one may fail earlier
-        error = SolverError(f"left the admissible cone during solve: {exc}", t=t, row=exc.row)
-        rows, phi, target = rows[:exc.row], phi[:exc.row], target[:exc.row]
+        fail(exc.row, f"left the admissible cone during solve: {exc}")
         state = make_metric(bg, ref_state.phi + phi) if len(rows) else None
-    # at t > 0 one matrix per row, bordered in place around J; rows leave
-    # from the end
-    K = np.zeros(phi.shape[:-1] + (size + bordered,) * 2) if t else None
     for iters in range(NEWTON_ITERS):
         if not len(rows):
             break
         R = state.log_rho - ref_state.log_rho - target + t * phi
-        res = np.abs(R).max(axis=-1)
+        res = np.abs(R).max(axis=1)
         done = res <= NEWTON_TOL
         if bordered:
-            R = np.concatenate((R, _dots(border(state)[1], phi)[..., None]), axis=-1)
-            done &= np.abs(R[..., size]) <= NEWTON_TOL
-        if done.any() if stacked else done:
-            if not stacked:
-                return phi, state, iters, float(res)
+            R = np.concatenate((R, _dots(border(state)[1], phi)[:, None]), axis=1)
+            done &= np.abs(R[:, size]) <= NEWTON_TOL
+        if done.any():
             for j in np.flatnonzero(done):
-                solved[rows[j]] = phi[j].copy(), state[j], iters, float(res[j])
-            rows = rows[~done]
+                solved[rows[j]] = phi[j], state[j], iters, float(res[j])
+            rows, keep = rows[~done], ~done
             if not len(rows):
                 break
-            phi, target, state, R, res = (
-                phi[~done], target[~done], state[~done], R[~done], res[~done])
+            phi, target, state, R, res = (a[keep] for a in (phi, target, state, R, res))
         if t:
-            A = K[:len(rows)] if stacked else K
-            J = laplacian_matrix(state, out=A[..., :size, :size])
-            np.einsum("...ii->...i", J)[...] += t
+            J = laplacian_matrix(state)
+            np.einsum("bii->bi", J)[...] += t
             if bordered:
-                A[..., :size, size], A[..., size, :size] = border(state)
-            delta = np.linalg.solve(A, -R[..., None])[..., :size, 0]
+                u, l = border(state)
+                J = np.block([[J, u[:, :, None]], [l[:, None], np.zeros((len(rows), 1, 1))]])
+            delta = np.linalg.solve(J, -R[:, :, None])[:, :size, 0]
         else:
             delta, steps = _density_step(state, R)
             if not steps.all():
                 j = int(np.argmin(steps))
-                error = SolverError("GMRES did not converge", t=t,
-                                    residual=float(np.atleast_1d(res)[j]), row=int(rows[j]))
-                rows, phi, target, state, delta = (
-                    rows[:j], phi[:j], target[:j], state[:j], delta[:j])
-                if not j:
-                    break
-        try:
-            state = make_metric(bg, ref_state.phi + (phi + delta))
-        except NotKahlerError as exc:
-            # each row halves its step alone (at most seven times) while it
-            # leaves the cone, as row exc.row's full step just did
-            built = []
-            for j, (row_phi, row_delta) in enumerate(zip(*np.atleast_2d(phi, delta))):
-                scale = 0.5 if j == exc.row else 1.0
-                while scale >= 2.0 ** -7:
-                    trial = row_phi + scale * row_delta
-                    try:
-                        built.append(make_metric(bg, ref_state.phi + trial))
-                        break
-                    except NotKahlerError:
-                        scale *= 0.5
-                else:
-                    error = SolverError("Newton step cannot stay admissible", t=t,
-                                        residual=float(np.atleast_1d(res)[j]), row=int(rows[j]))
-                    rows, phi, target = rows[:j], phi[:j], target[:j]
-                    break
-                row_phi[...] = trial
-            state = (MetricState.stack(built) if stacked else built[0]) if built else None
-        else:
-            phi += delta
+                fail(j, "GMRES did not converge", float(res[j]))
+                delta = delta[:j]
+        scale = np.ones((len(rows), 1))
+        while len(rows):
+            trial = phi + scale * delta
+            try:
+                state = make_metric(bg, ref_state.phi + trial)
+            except NotKahlerError as exc:
+                j = exc.row
+                scale[j] *= 0.5
+                if scale[j, 0] < 2.0 ** -7:
+                    fail(j, "Newton step cannot stay admissible", float(res[j]))
+                    delta, scale = delta[:j], scale[:j]
+            else:
+                phi = trial
+                break
     if len(rows):
-        error = SolverError("Newton did not converge", t=t,
-                            residual=float(np.atleast_1d(res)[0]), row=int(rows[0]))
+        fail(0, "Newton did not converge", float(res[0]))
     if error is not None:
         raise error
-    phi, states, iterations, residual = zip(*solved)
-    return np.array(phi), MetricState.stack(states), np.array(iterations), np.array(residual)
+    return solved
 
 
 def _density_step(state: MetricState, R: Array):
-    """The t = 0 Newton correction delta of each row of `state`, from its
-    bordered residual R = [log-density residual, gauge defect], by GMRES.
+    """The t = 0 Newton correction delta of each row of the (B, N) stacked
+    `state`, from its row of the (B, N+1) bordered residual
+    R = [log-density residual, gauge defect], by GMRES.
 
     The bordered system [Lap 1; l^T 0] [delta; mu] = -R is applied
     matrix-free with its first N rows scaled by m_x, so that its principal
@@ -351,10 +347,10 @@ def _density_step(state: MetricState, R: Array):
     bg = state.bg
     size = bg.size
     P = bg.density_preconditioner
-    m_x = np.atleast_2d(state.m_x)
-    coupling = (bg.n - 1) * m_x * np.atleast_2d(state.r)
-    l = bg.ref_measure / bg.volume * np.atleast_2d(state.rho)
-    b = np.atleast_2d(-R)
+    m_x = state.m_x
+    coupling = (bg.n - 1) * m_x * state.r
+    l = bg.ref_measure / bg.volume * state.rho
+    b = -R
     b[:, :size] *= m_x
     b[:, size] /= bg.volume
     beta = np.sqrt(_dots(b, b))
@@ -393,12 +389,11 @@ def _density_step(state: MetricState, R: Array):
             u = (y.transpose(0, 2, 1) @ V[done, :k + 1])[:, 0]
             delta[rows[done]] = _rows(P, u)[:, :size]
             steps[rows[done]] = k + 1
-            keep = ~done
-            if not keep.any():
+            if done.all():
                 break
             rows, V, H, Qt, beta, m_x, coupling, l = (
-                a[keep] for a in (rows, V, H, Qt, beta, m_x, coupling, l))
-    return delta.reshape(R.shape[:-1] + (size,)), steps
+                a[~done] for a in (rows, V, H, Qt, beta, m_x, coupling, l))
+    return delta, steps
 
 
 def _solve_density(ref_state: MetricState, target: Array):

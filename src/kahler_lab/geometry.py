@@ -528,14 +528,12 @@ def laplacian(state: MetricState, u) -> Array:
     return q_x / state.m_x + (bg.n - 1) * u_x * state.r
 
 
-def laplacian_matrix(state: MetricState, out: Array | None = None) -> Array:
+def laplacian_matrix(state: MetricState) -> Array:
     """Dense matrix of the Laplacian acting on grid samples; a (B, N, N)
-    stack for a stacked state, built a matrix at a time into `out` if given."""
+    stack for a stacked state."""
     bg = state.bg
-    A = np.empty(state.m_x.shape + (bg.size,)) if out is None else out
-    for a, m_x, r in zip(A if A.ndim == 3 else A[None], state.m_x.reshape(-1, bg.size),
-                         state.r.reshape(-1, bg.size)):
-        np.add(bg.D_w0_D / m_x[:, None], (bg.n - 1) * r[:, None] * bg.D, out=a)
+    A = bg.D_w0_D / state.m_x[..., None]
+    A += (bg.n - 1) * state.r[..., None] * bg.D
     return A
 
 

@@ -284,32 +284,65 @@ def test_stacked_density_solve_rows_are_their_solo_solves(n, size, count):
 
 def test_stacked_newton_row_that_backtracks_takes_its_solo_steps(monkeypatch):
     # the middle row starts near the edge of the cone, so its full Newton
-    # step leaves it: the stacked trial build fails and every row
-    # backtracks alone, and each still takes the steps of its solo run
+    # step leaves it: the stacked trial build fails and the row halves its
+    # step, and each row still takes the steps of its solo run.  At t = 1
+    # the step is the bordered dense solve, and the solutions are the round
+    # metric's orbit, one of which each row's gauge picks
+    bg = fs_background("cpn", 2, 48)
+    probes = [generate_probe(bg, seed=1, scenario="paths", index=i) for i in (0, 2, 1)]
+    calls = _record_builds(monkeypatch, continuity)
+    for t, targets, middle in (
+            (0.5, np.array([p.log_rho + 0.5 * p.phi for p in probes]), 11.5),
+            (1.0, np.array([np.full(bg.size, c) for c in (0.0, 0.1, -0.2)]), 12.0)):
+        guesses = np.array([0.5 * probes[0].phi, middle * probes[1].phi, 0.5 * probes[2].phi])
+        calls.clear()
+        solo_builds, solos = [], []
+        for target, guess in zip(targets, guesses):
+            solos.append(_newton_solve(bg.reference, target, t, guess))
+            solo_builds.append(calls[:])
+            calls.clear()
+        # a single row keeps its shape: the bending path and the transport
+        # step read a potential, a state, a count and a residual
+        for phi, state, steps, res in solos:
+            assert phi.shape == state.phi.shape == state.m_x.shape == (bg.size,)
+            assert type(steps) is int and type(res) is float
+        stacked = _newton_solve(bg.reference, targets, t, guesses)
+        _assert_rows_are_solo_solves(stacked, solos)
+        halvings = [sum(not ok for _, ok in builds) for builds in solo_builds]
+        assert halvings[0] == halvings[2] == 0 and halvings[1] >= 1, t
+        # a solo run builds no potential twice: one failed build per halving
+        assert len({phi.tobytes() for phi, _ in solo_builds[1]}) == len(solo_builds[1])
+        # the stacked failures are the middle row's: its first failing full
+        # step is the stack's, the rest are its own halvings
+        assert sum(not ok for _, ok in calls) == halvings[1]
+        accepted = {row.tobytes() for phi, ok in calls if ok for row in np.atleast_2d(phi)}
+        assert all(phi.tobytes() in accepted for phi, ok in solo_builds[1] if ok)
+
+
+def test_stacked_newton_names_the_row_that_leaves_the_cone():
+    # row 1 fails while row 0 solves: first with a guess outside the cone,
+    # then with a target so far away that seven halvings of its first step
+    # all leave the cone
     bg = fs_background("cpn", 2, 48)
     probes = [generate_probe(bg, seed=1, scenario="paths", index=i) for i in (0, 2, 1)]
     t = 0.5
     targets = np.array([p.log_rho + t * p.phi for p in probes])
-    guesses = np.array([0.5 * probes[0].phi, 11.5 * probes[1].phi, 0.5 * probes[2].phi])
-    calls = _record_builds(monkeypatch, continuity)
-    solo_builds, solos = [], []
-    for target, guess in zip(targets, guesses):
-        solos.append(_newton_solve(bg.reference, target, t, guess))
-        solo_builds.append(calls[:])
-        calls.clear()
-    stacked = _newton_solve(bg.reference, targets, t, guesses)
-    stacked_builds = calls
-    _assert_rows_are_solo_solves(stacked, solos)
-    halvings = [sum(not ok for _, ok in calls) for calls in solo_builds]
-    assert halvings[0] == halvings[2] == 0 and halvings[1] >= 1
-    # a solo run builds no potential twice: one failed build per halving
-    assert len({phi.tobytes() for phi, _ in solo_builds[1]}) == len(solo_builds[1])
-    # the stacked failures are the middle row's: its first failing full
-    # step is the stack's, the rest are its own halvings
-    assert sum(not ok for _, ok in stacked_builds) == halvings[1]
-    accepted = {row.tobytes() for phi, ok in stacked_builds if ok
-                for row in np.atleast_2d(phi)}
-    assert all(phi.tobytes() in accepted for phi, ok in solo_builds[1] if ok)
+    guesses = np.array([0.5 * p.phi for p in probes])
+    outside = guesses.copy()
+    outside[1] = 50.0 * probes[1].phi
+    with pytest.raises(NotKahlerError):
+        make_metric(bg, outside[1])
+    with pytest.raises(SolverError, match="left the admissible cone during solve") as exc:
+        _newton_solve(bg.reference, targets, t, outside)
+    assert (exc.value.row, exc.value.t, exc.value.residual) == (1, t, None)
+    targets[1] = 1e4 * probes[1].log_rho
+    message = "Newton step cannot stay admissible"
+    with pytest.raises(SolverError, match=message) as solo:
+        _newton_solve(bg.reference, targets[1], t, guesses[1])
+    with pytest.raises(SolverError, match=message) as exc:
+        _newton_solve(bg.reference, targets, t, guesses)
+    assert (exc.value.row, exc.value.t) == (1, t)
+    assert exc.value.residual == solo.value.residual
 
 
 def test_prescribed_path_failure_names_its_point(monkeypatch):
