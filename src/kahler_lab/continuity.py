@@ -24,11 +24,19 @@ the path equation gives (Lap_t + t) d/dt phi = -phi_t, solvable only when
 phi_1 is orthogonal to u, so the gauge selects the limit of the path.
 Each t = 0 correction is matrix-free: GMRES on the bordered system with
 its rows scaled by m_x, whose principal part D_w0_D is then the round one,
-preconditioned by the round metric's bordered inverse.  GMRES takes 2-9
-iterations per step on the scenarios (9 at n = 4, N = 192, where the
-inversion loses accuracy at the pole), and a stack holds no (B, N+1, N+1)
-matrix.  At t > 0 each correction is a dense solve, bordered at t = 1, as
-a t-shifted round preconditioner only ties it at N = 384 and loses at 96.
+preconditioned by the round metric's bordered inverse, and a stack holds
+no (B, N+1, N+1) matrix.  At 0 < t < 1 the correction splits into a part
+in the t = 0 gauge and a constant, which the Laplacian annihilates, so the
+same bordered system with t m_x added to its diagonal and the same cached
+inverse serve every t: on grids of at least KRYLOV_MIN_SIZE nodes and
+n >= 2 those steps are Krylov too.  The t = 1 steps (bordered by m - n),
+the steps at n = 1 (whose round preconditioner is singular) and those on
+smaller grids, where an LU of the N x N matrix is cheaper than the GMRES
+iterations, are dense solves.  Each GMRES solve stops at an inexact-Newton
+forcing term, a relative tolerance just tight enough to take the residual
+well below NEWTON_TOL; it takes 1-8 iterations per t > 0 step (median 5
+at N = 192 and 384) and 1-9 at t = 0 (9 at n = 4, N = 192, where the
+inversion loses accuracy at the pole).
 A step that leaves the admissible cone is halved, at most seven times.
 Failed bending steps trigger internal substepping; reported points always
 stay on the requested uniform grid, and a path that cannot reach the
@@ -89,10 +97,12 @@ Array = np.ndarray
 NEWTON_ITERS = 40
 NEWTON_TOL = 1e-11
 MIN_SUBSTEP = 1e-4
-# t = 0 Newton correction: GMRES iteration cap and relative tolerance on
-# the scaled bordered residual
+# Krylov Newton corrections: GMRES iteration cap, the floor of its relative
+# tolerance on the scaled bordered residual, and the smallest grid on which
+# the steps at 0 < t < 1 are Krylov too (below it the dense solve is faster)
 GMRES_ITERS = 20
 GMRES_TOL = 1e-13
+KRYLOV_MIN_SIZE = 192
 
 # tolerances of the verification suites
 RATE_TOL = 1e-5         # differentiated path equations
@@ -222,32 +232,45 @@ def lambda1_radial(state: MetricState) -> float:
 def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array):
     """Solve  log(w_phi^n / w^n) + t phi = target  for the potential phi
     over the metric w of `ref_state` from the warm start `guess` by
-    `_newton_rows`.  Returns (phi, state, iterations, residual): stacked
-    for a (B, N) stack, and for a single target the one-row stack's row.
+    `_newton_rows`.  Returns (phi, state, iterations, residual): stacked in
+    row order for a (B, N) stack, and for a single target the one-row
+    stack's row.
     """
     if np.ndim(guess) == 1:
-        return _newton_rows(ref_state, target[None], t, guess[None])[0]
-    phi, states, iterations, residual = zip(*_newton_rows(ref_state, target, t, guess))
-    return np.array(phi), MetricState.stack(states), np.array(iterations), np.array(residual)
+        [(_, phi, state, iterations, residual)] = _newton_rows(
+            ref_state, target[None], t, guess[None])
+        return phi[0], state[0], iterations, float(residual[0])
+    rows, phi, states, iterations, residual = zip(*_newton_rows(ref_state, target, t, guess))
+    order = np.argsort(np.concatenate(rows))
+    return (np.concatenate(phi)[order], MetricState.stack(states, order),
+            np.repeat(iterations, [len(r) for r in rows])[order],
+            np.concatenate(residual)[order])
 
 
 def _newton_rows(ref_state: MetricState, target: Array, t: float, guess: Array) -> list:
     """Newton's method on J = Lap + t I for each row of a (B, N) stack of
-    targets and guesses in lockstep, each row bitwise its solve alone;
-    returns per row (phi, state, Newton steps taken, residual).
+    targets and guesses in lockstep, each row bitwise its solve alone.
+    Returns, per Newton iteration in which rows were solved, their stack
+    rows, potentials, stacked state, the Newton steps they took and their
+    residuals.
 
     At t = 0 and t = 1, J is singular along its kernel u (1, resp. m - n),
     and the step solves the bordered system
     [J u; l^T 0] [delta; mu] = [-R; -l.phi] with l = u w_phi^n, imposing
     the gauge  int phi u w_phi^n = 0.  A row is solved once both its
-    residual and its gauge defect are within NEWTON_TOL.  At t = 0 the step
-    is `_density_step`'s matrix-free GMRES solve; at t > 0 it is the dense
-    J of `laplacian_matrix`, bordered at t = 1, by `np.linalg.solve`.
+    residual and its gauge defect are within NEWTON_TOL.  The step is
+    `_density_step`'s matrix-free GMRES solve at t = 0, and at 0 < t < 1
+    when n >= 2 on grids of at least KRYLOV_MIN_SIZE nodes.  Otherwise
+    (t = 1, n = 1, smaller grids) it is the dense J of `laplacian_matrix`,
+    bordered at t = 1, by `np.linalg.solve`.  A row's GMRES tolerance is
+    the inexact-Newton forcing term  max(GMRES_TOL, NEWTON_TOL / (100
+    max|R|))  (Eisenstat & Walker 1996): the step need only take the
+    residual well below NEWTON_TOL, not to GMRES_TOL of a large R.
 
-    When a trial step leaves the cone, the first row that left halves its
-    step and the stack is built again, so each row takes the largest
-    admissible power-of-two part of its step (at least 2^-7), and each
-    accepted iterate's state is the one its admissibility test built.
+    When a trial step leaves the cone, every row that left halves its step
+    and the stack is built again, so each row takes the largest admissible
+    power-of-two part of its step (at least 2^-7), and each accepted
+    iterate's state is the one its admissibility test built.
     Raises SolverError for the first row that fails: to start in the cone,
     to stay admissible, to converge its GMRES step or to converge in
     NEWTON_ITERS steps.
@@ -256,8 +279,10 @@ def _newton_rows(ref_state: MetricState, target: Array, t: float, guess: Array) 
     size = bg.size
     phi = np.array(guess, dtype=float)    # the iterates of the rows solving
     rows = np.arange(len(phi))            # their rows in the stack
-    bordered = t == 0.0 or abs(t - 1.0) < 1e-12
-    solved = [None] * len(rows)     # per row: phi, state, iterations, residual
+    at_one = abs(t - 1.0) < 1e-12
+    bordered = t == 0.0 or at_one
+    krylov = t == 0.0 or (not at_one and bg.n > 1 and size >= KRYLOV_MIN_SIZE)
+    solved = []
     error = None
 
     def border(state):
@@ -286,34 +311,36 @@ def _newton_rows(ref_state: MetricState, target: Array, t: float, guess: Array) 
             R = np.concatenate((R, _dots(border(state)[1], phi)[:, None]), axis=1)
             done &= np.abs(R[:, size]) <= NEWTON_TOL
         if done.any():
-            for j in np.flatnonzero(done):
-                solved[rows[j]] = phi[j], state[j], iters, float(res[j])
+            # the last rows to solve leave as they are, with no copy
+            solved.append((rows, phi, state, iters, res) if done.all() else
+                          (rows[done], phi[done], state[done], iters, res[done]))
             rows, keep = rows[~done], ~done
             if not len(rows):
                 break
             phi, target, state, R, res = (a[keep] for a in (phi, target, state, R, res))
-        if t:
+        if krylov:
+            eta = np.maximum(GMRES_TOL, NEWTON_TOL / (100.0 * np.abs(R).max(axis=1)))
+            delta, steps = _density_step(state, R, t, eta)
+            if not steps.all():
+                j = int(np.argmin(steps))
+                fail(j, "GMRES did not converge", float(res[j]))
+                delta = delta[:j]
+        else:
             J = laplacian_matrix(state)
             np.einsum("bii->bi", J)[...] += t
             if bordered:
                 u, l = border(state)
                 J = np.block([[J, u[:, :, None]], [l[:, None], np.zeros((len(rows), 1, 1))]])
             delta = np.linalg.solve(J, -R[:, :, None])[:, :size, 0]
-        else:
-            delta, steps = _density_step(state, R)
-            if not steps.all():
-                j = int(np.argmin(steps))
-                fail(j, "GMRES did not converge", float(res[j]))
-                delta = delta[:j]
         scale = np.ones((len(rows), 1))
         while len(rows):
             trial = phi + scale * delta
             try:
                 state = make_metric(bg, ref_state.phi + trial)
             except NotKahlerError as exc:
-                j = exc.row
-                scale[j] *= 0.5
-                if scale[j, 0] < 2.0 ** -7:
+                scale[exc.rows] *= 0.5
+                if scale.min() < 2.0 ** -7:
+                    j = int(np.argmax(scale[:, 0] < 2.0 ** -7))
                     fail(j, "Newton step cannot stay admissible", float(res[j]))
                     delta, scale = delta[:j], scale[:j]
             else:
@@ -326,23 +353,33 @@ def _newton_rows(ref_state: MetricState, target: Array, t: float, guess: Array) 
     return solved
 
 
-def _density_step(state: MetricState, R: Array):
-    """The t = 0 Newton correction delta of each row of the (B, N) stacked
-    `state`, from its row of the (B, N+1) bordered residual
-    R = [log-density residual, gauge defect], by GMRES.
+def _density_step(state: MetricState, R: Array, t: float = 0.0, tol=GMRES_TOL):
+    """The Newton correction delta on J = Lap + t I, t < 1, of each row of
+    the (B, N) stacked `state`, by GMRES: from its row of the (B, N+1)
+    bordered residual R = [log-density residual, gauge defect] at t = 0,
+    and of the (B, N) residual at t > 0.
 
     The bordered system [Lap 1; l^T 0] [delta; mu] = -R is applied
     matrix-free with its first N rows scaled by m_x, so that its principal
     part is the round D_w0_D, and its gauge row divided by the volume, a
     mean: unscaled, the n = 4 preconditioned operator has condition number
-    4e7 and stalls near 1e-10, scaled about 1.1.  It is right-preconditioned
-    by the round metric's bordered inverse P
+    4e7 and stalls near 1e-10, scaled about 1.1.  At t > 0 the correction
+    splits as delta_0 + c, with delta_0 in the gauge  l.delta_0 = 0 , and
+    Lap annihilates the constant c, so J delta = -R is the same bordered
+    system with t m_x delta_0 added to its first N rows, mu = t c and a
+    zero gauge defect; the correction is delta_0 + mu / t.  Both are
+    right-preconditioned by the round metric's bordered t = 0 inverse P
     (`Background.density_preconditioner`): one product with P, D_w0_D and D
     each per iteration.  The rows iterate in lockstep, each leaves once its
-    residual estimate is within GMRES_TOL of its right-hand side, and every
-    product is row by row, so a row of a stack is bitwise its solve alone.
-    Returns delta and the iterations per row, 0 for a row not converged in
-    GMRES_ITERS.
+    residual estimate is within its relative tolerance `tol` (one value, or
+    one per row) of its right-hand side, and every product is row by row,
+    so a row of a stack is bitwise its solve alone.  Returns delta and the
+    iterations per row, 0 for a row not converged in GMRES_ITERS.
+
+    At the Newton solve's forcing term, the steps of the scenarios take 1-8
+    iterations at t > 0 (median 5, n = 2-4 on N = 192 and 384; 6-12 at a
+    fixed 1e-13) and 1-9 at t = 0: 1-2 at n = 2, and 9 at n = 4, N = 192,
+    where the moment inversion loses accuracy at the pole.
     """
     bg = state.bg
     size = bg.size
@@ -350,10 +387,12 @@ def _density_step(state: MetricState, R: Array):
     m_x = state.m_x
     coupling = (bg.n - 1) * m_x * state.r
     l = bg.ref_measure / bg.volume * state.rho
-    b = -R
+    b = np.zeros((len(R), size + 1))
+    b[:, :R.shape[1]] = -R
     b[:, :size] *= m_x
     b[:, size] /= bg.volume
     beta = np.sqrt(_dots(b, b))
+    tol = np.broadcast_to(tol, beta.shape)
     count, cap = len(b), GMRES_ITERS
     rows = np.arange(count)         # the rows iterating, in the stack
     V = np.zeros((count, cap + 1, size + 1))    # Krylov basis
@@ -366,6 +405,8 @@ def _density_step(state: MetricState, R: Array):
         w = np.empty((len(rows), size + 1))
         w[:, :size] = (_rows(bg.D_w0_D, z[:, :size]) + coupling * _rows(bg.D, z[:, :size])
                        + z[:, size:] * m_x)
+        if t:
+            w[:, :size] += t * m_x * z[:, :size]
         w[:, size] = _dots(l, z[:, :size])
         # classical Gram-Schmidt
         basis = V[:, :k + 1]
@@ -382,17 +423,17 @@ def _density_step(state: MetricState, R: Array):
         q = Qt[:, k, :k + 2].copy()
         Qt[:, k, :k + 2], Qt[:, k + 1, :k + 2] = c[:, None] * q, -s[:, None] * q
         Qt[:, k, k + 1], Qt[:, k + 1, k + 1] = s, c
-        done = np.abs(Qt[:, k + 1, 0]) <= GMRES_TOL
+        done = np.abs(Qt[:, k + 1, 0]) <= tol
         if done.any():
             g = beta[done, None] * Qt[done, :k + 1, 0]
             y = np.linalg.solve(H[done, :k + 1, :k + 1], g[..., None])
-            u = (y.transpose(0, 2, 1) @ V[done, :k + 1])[:, 0]
-            delta[rows[done]] = _rows(P, u)[:, :size]
+            u = _rows(P, (y.transpose(0, 2, 1) @ V[done, :k + 1])[:, 0])
+            delta[rows[done]] = u[:, :size] + u[:, size:] / t if t else u[:, :size]
             steps[rows[done]] = k + 1
             if done.all():
                 break
-            rows, V, H, Qt, beta, m_x, coupling, l = (
-                a[~done] for a in (rows, V, H, Qt, beta, m_x, coupling, l))
+            rows, V, H, Qt, beta, m_x, coupling, l, tol = (
+                a[~done] for a in (rows, V, H, Qt, beta, m_x, coupling, l, tol))
     return delta, steps
 
 

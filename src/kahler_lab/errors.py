@@ -19,14 +19,17 @@ class NotKahlerError(LabError):
     """A candidate potential fails metric positivity.
 
     Carries the first offending grid node, the violating value and, in a
-    stack, its row, so callers can report where admissibility broke.
+    stack, its row, so callers can report where admissibility broke; `rows`
+    lists every failing row of the stack, `row` first.
     """
 
-    def __init__(self, message: str, node: int, value: float, row: int = 0):
+    def __init__(self, message: str, node: int, value: float, row: int = 0,
+                 rows: list[int] | None = None):
         super().__init__(f"{message} (node {node}, value {value:.6e})")
         self.node = node
         self.value = value
         self.row = row
+        self.rows = [row] if rows is None else rows
 
 
 class SolverError(LabError):

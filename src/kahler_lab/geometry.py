@@ -202,12 +202,16 @@ class MetricState:
                               for k, v in vars(self).items()})
 
     @staticmethod
-    def stack(states: list["MetricState"]) -> "MetricState":
+    def stack(states: list["MetricState"], order: Array | None = None) -> "MetricState":
         """One stacked state whose rows are the rows of `states` (single or
-        stacked states of one background) in order: their arrays joined, no
-        metric rebuilt, so each row is bitwise its source."""
-        fields = {k: v if k == "bg" or v is None else
-                  np.concatenate([np.atleast_2d(getattr(s, k)) for s in states])
+        stacked states of one background) in order, or the joined rows
+        order[0], order[1], ...: their arrays joined, no metric rebuilt, so
+        each row is bitwise its source."""
+        def join(k):
+            joined = np.concatenate([np.atleast_2d(getattr(s, k)) for s in states])
+            return joined if order is None else joined[order]
+
+        fields = {k: v if k == "bg" or v is None else join(k)
                   for k, v in vars(states[0]).items()}
         _freeze(*(v for k, v in fields.items() if k != "bg"))
         return MetricState(**fields)
@@ -357,7 +361,8 @@ def make_metric(bg: Background, phi) -> MetricState:
     full metric state; a stack gives a state whose fields are (B, N).
 
     Raises NotKahlerError at the first node where positivity fails (in a
-    stack, at the first failing row, with the node index within it).
+    stack, at the first failing row, with the node index within it, and
+    listing every failing row).
     Adding a constant to phi returns an identical state (the
     differentiation matrix annihilates constants exactly).
     """
@@ -416,15 +421,18 @@ def check_moment_profile(m_x: Array, m_over_x: Array) -> None:
 
 def _check_positive(fields) -> None:
     """Raise NotKahlerError at the first nonpositive node of the first
-    failing row, testing each row's (values, message) pairs in order."""
+    failing row, testing each row's (values, message) pairs in order; the
+    error lists every failing row of a stack."""
     if min(values.min() for values, _ in fields) > 0.0:
         return
     stacks = [(np.atleast_2d(values), message) for values, message in fields]
-    for row in range(len(stacks[0][0])):
-        for values, message in stacks:
-            if values[row].min() <= 0.0:
-                node = int(np.argmin(values[row]))
-                raise NotKahlerError(message, node, float(values[row, node]), row)
+    failing = np.flatnonzero(np.any([values.min(axis=1) <= 0.0 for values, _ in stacks],
+                                    axis=0)).tolist()
+    if failing:
+        row = failing[0]
+        values, message = next((v, m) for v, m in stacks if v[row].min() <= 0.0)
+        node = int(np.argmin(values[row]))
+        raise NotKahlerError(message, node, float(values[row, node]), row, failing)
 
 
 def _make_metric_torus(bg: Background, values: Array) -> MetricState:

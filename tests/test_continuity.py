@@ -319,6 +319,48 @@ def test_stacked_newton_row_that_backtracks_takes_its_solo_steps(monkeypatch):
         assert all(phi.tobytes() in accepted for phi, ok in solo_builds[1] if ok)
 
 
+def test_stacked_newton_halves_every_row_that_leaves_the_cone_at_once(monkeypatch):
+    # four guesses along one probe whose full first steps all leave the
+    # cone: a failed trial build halves every row that left, so the stack
+    # fails as often as its most-halving row, not once per row and halving
+    bg = fs_background("cpn", 2, 48)
+    probe = generate_probe(bg, seed=1, scenario="paths", index=2)
+    t = 0.5
+    targets = np.array([probe.log_rho + t * probe.phi] * 4)
+    guesses = np.array([scale * probe.phi for scale in (8.0, 10.0, 11.5, 12.0)])
+    calls = _record_builds(monkeypatch, continuity)
+    solos, halvings = [], []
+    for target, guess in zip(targets, guesses):
+        calls.clear()
+        solos.append(_newton_solve(bg.reference, target, t, guess))
+        # per Newton step, the failed builds before its accepted one
+        halvings.append(np.diff(np.flatnonzero([ok for _, ok in calls])) - 1)
+    assert all(h[0] >= 1 for h in halvings)
+    calls.clear()
+    _assert_rows_are_solo_solves(_newton_solve(bg.reference, targets, t, guesses), solos)
+    steps = max(map(len, halvings))
+    most = [max(h[k] for h in halvings if k < len(h)) for k in range(steps)]
+    assert sum(not ok for _, ok in calls) == sum(most) < sum(map(sum, halvings))
+    assert len(calls) == 1 + steps + sum(most)
+
+
+def test_stacked_krylov_newton_rows_are_their_solo_solves():
+    # at t = 0.5 on N = 192 every correction is a Krylov step; the middle
+    # row starts at its solution, so it leaves the stack first and the
+    # rows come back from two sub-stacks, in row order
+    bg = fs_background("cpn", 2, 192)
+    assert bg.size >= continuity.KRYLOV_MIN_SIZE
+    probes = [generate_probe(bg, seed=3, scenario="paths", index=i) for i in range(3)]
+    t = 0.5
+    targets = np.array([p.log_rho + t * p.phi for p in probes])
+    guesses = np.array([0.5 * probes[0].phi, probes[1].phi, 0.5 * probes[2].phi])
+    solos = [_newton_solve(bg.reference, target, t, guess)
+             for target, guess in zip(targets, guesses)]
+    assert [steps for _, _, steps, _ in solos][1] == 0
+    assert min(steps for i, (_, _, steps, _) in enumerate(solos) if i != 1) >= 1
+    _assert_rows_are_solo_solves(_newton_solve(bg.reference, targets, t, guesses), solos)
+
+
 def test_stacked_newton_names_the_row_that_leaves_the_cone():
     # row 1 fails while row 0 solves: first with a guess outside the cone,
     # then with a target so far away that seven halvings of its first step
@@ -386,6 +428,27 @@ def test_density_step_agrees_with_dense_bordered_solve(n, size, count):
     assert 1 <= steps.min() and steps.max() <= 10
 
 
+@pytest.mark.parametrize("n,size", [(2, 192), (3, 192), (4, 192), (2, 384)])
+def test_krylov_step_at_positive_t_agrees_with_dense_solve(n, size):
+    # the bending path's first Newton step to each t from the point before
+    # it: the Krylov correction, split into its gauge part and a constant,
+    # is the dense solve of (Lap + t I) delta = -R
+    bg = fs_background("cpn", n, size)
+    probe = generate_probe(bg, seed=0, scenario="lemma32_34", index=0)
+    f, _ = ricci_potential(probe)
+    traj = solve_aubin_path(probe)
+    assert traj.reached_end, traj.termination.reason
+    for t in (0.02, 0.5, 0.98):
+        i = int(round(t / traj.dt))
+        state, tilde = traj.states[i - 1], traj.stacked_exact()[i - 1]
+        R = state.log_rho - probe.log_rho - f + t * tilde
+        delta, steps = continuity._density_step(state[None], R[None], t)
+        dense = np.linalg.solve(laplacian_matrix(state) + t * np.eye(size), -R)
+        err = np.abs(delta[0] - dense).max() / np.abs(dense).max()
+        assert err <= 1e-9, (t, err)
+        assert 1 <= steps[0] <= continuity.GMRES_ITERS, t
+
+
 def test_density_solve_names_the_first_row_whose_gmres_fails(monkeypatch):
     bg = fs_background("cpn", 3, 96)
     probes = [generate_probe(bg, seed=0, scenario="paths", index=i) for i in range(3)]
@@ -410,15 +473,17 @@ def test_density_solve_names_the_first_row_whose_gmres_fails(monkeypatch):
 
 def test_density_solves_at_n1_never_build_the_preconditioner():
     # the round bordered matrix is singular at n = 1: D_w0_D annihilates
-    # T_{N-1} as well as the constants
-    bg = fs_background("cpn", 1, 96)
-    top = bg.cheb_synthesis[:, -1]
-    assert np.abs(bg.D_w0_D @ top).max() <= 1e-12 * np.abs(bg.D_w0_D).max()
-    probe = generate_probe(bg, seed=3, scenario="paths", index=0)
-    solve_yau_path(probe, dt=0.1)
-    solve_aubin_path(probe, dt=0.1)
-    ricci_positive_generator(probe)
-    assert "density_preconditioner" not in vars(bg)
+    # T_{N-1} as well as the constants.  On N = 192 the bending path's
+    # t > 0 steps would be Krylov at n >= 2, and stay dense here
+    for size in (96, 192):
+        bg = fs_background("cpn", 1, size)
+        top = bg.cheb_synthesis[:, -1]
+        assert np.abs(bg.D_w0_D @ top).max() <= 1e-12 * np.abs(bg.D_w0_D).max()
+        probe = generate_probe(bg, seed=3, scenario="paths", index=0)
+        solve_yau_path(probe, dt=0.1)
+        assert solve_aubin_path(probe, dt=0.1).reached_end
+        ricci_positive_generator(probe)
+        assert "density_preconditioner" not in vars(bg)
 
 
 def test_stacked_density_solve_holds_no_bordered_stack():
@@ -555,11 +620,38 @@ def test_bending_path_completes_in_extreme_dimensions(n):
 
 def test_bending_path_takes_about_one_newton_step_per_point():
     # the production probe of lemma32_34 at seed 0: the quadratic warm start
-    # takes 56 Newton steps over the 50 points past t = 0, the linear one 103
-    bg = fs_background("cpn", 2, 96)
-    traj = solve_aubin_path(generate_probe(bg, seed=0, scenario="lemma32_34", index=0))
+    # takes 56 Newton steps over the 50 points past t = 0, the linear one
+    # 103; at N = 384 the inexact Krylov steps take 58
+    for size in (96, 384):
+        bg = fs_background("cpn", 2, size)
+        traj = solve_aubin_path(generate_probe(bg, seed=0, scenario="lemma32_34", index=0))
+        assert traj.reached_end, traj.termination.reason
+        assert sum(traj.iterations) <= 64, size
+
+
+@pytest.mark.parametrize("size", [96, 192])
+def test_bending_corrections_are_krylov_from_the_threshold_grid(monkeypatch, size):
+    # each correction is tagged with its t: on N = 96 every t > 0 step is
+    # a dense laplacian_matrix solve; from KRYLOV_MIN_SIZE on only the t = 1
+    # steps are, and the rest are Krylov
+    bg = fs_background("cpn", 2, size)
+    probe = generate_probe(bg, seed=0, scenario="lemma32_34", index=0)
+    solves, dense, krylov = [], [], []
+    for name, log in (("_newton_rows", solves), ("laplacian_matrix", dense),
+                      ("_density_step", krylov)):
+        def tagged(*args, _original=getattr(continuity, name), _log=log):
+            _log.append(args[2] if _log is solves else solves[-1])
+            return _original(*args)
+        monkeypatch.setattr(continuity, name, tagged)
+    traj = solve_aubin_path(probe)
     assert traj.reached_end, traj.termination.reason
-    assert sum(traj.iterations) <= 64
+    # no substep: the corrections are the reported points' Newton steps
+    assert len(solves) == len(traj.ts)
+    assert set(krylov) >= {0.0} and len(dense) + len(krylov) == sum(traj.iterations)
+    if size < continuity.KRYLOV_MIN_SIZE:
+        assert len(dense) == sum(traj.iterations[1:]) and set(krylov) == {0.0}
+    else:
+        assert len(dense) == traj.iterations[-1] and set(dense) == {1.0}
 
 
 def test_warm_start_extrapolation_is_lagrange_through_the_last_points():

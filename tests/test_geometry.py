@@ -336,10 +336,14 @@ def test_stack_raises_the_error_of_its_first_inadmissible_row(fixture, request):
     with pytest.raises(NotKahlerError) as other:
         make_metric(bg, later)
     assert (other.value.node, other.value.value) != want[1:]
-    for rows in ([good, first], [good, first, later], [first, good, later]):
+    # the error is the first failing row's, and lists every failing row
+    for rows, failing in (([good, first], [1]), ([good, first, later], [1, 2]),
+                          ([first, good, later], [0, 2])):
         with pytest.raises(NotKahlerError) as stacked:
             make_metric(bg, np.stack(rows))
         assert (str(stacked.value), stacked.value.node, stacked.value.value) == want
+        assert (stacked.value.row, stacked.value.rows) == (failing[0], failing)
+    assert single.value.rows == [0]
 
 
 def test_stack_of_wrong_shape_raises(bg_cp2):
