@@ -116,7 +116,8 @@ T_PAIR = (0.2, 0.8)     # times of the two-time identity
 
 @dataclass
 class PathPoint:
-    """One point of a path, as `PathTrajectory.points` lists it."""
+    """One point of a path, as `PathTrajectory.points` lists it: the
+    benchmark tracer's per-point view."""
 
     t: float
     phi: Array          # reference-mean-zero representative
@@ -127,16 +128,12 @@ class PathPoint:
 
 
 @dataclass
-class Termination:
-    status: str           # "completed" | "stalled"
-    reason: str = ""
-
-
-@dataclass
 class PathTrajectory:
     """A solved path: per point its time, reference-mean-zero potential phi
     (phi + c_t solves the path equation exactly), Newton iterations and
-    residual, with the points' metric states as one stacked state."""
+    residual, with the points' metric states as one stacked state.  A path
+    ends "completed" at the end of its grid, or "stalled" at its last
+    solved point, with the reason."""
 
     kind: str             # "bending" | "prescribed"
     bg: Background
@@ -148,17 +145,8 @@ class PathTrajectory:
     states: MetricState
     iterations: list[int]
     residuals: list[float]
-    termination: Termination
-
-    @classmethod
-    def from_points(cls, kind: str, ref_state: MetricState, f: Array,
-                    points: list[PathPoint], termination: Termination):
-        """The trajectory of solved `points`, their states stacked."""
-        t, phi, c_t, states, iterations, residuals = zip(
-            *((p.t, p.phi, p.c_t, p.state, p.iterations, p.residual) for p in points))
-        return cls(kind, ref_state.bg, ref_state, f, np.array(t), np.array(phi),
-                   np.array(c_t), MetricState.stack(states), list(iterations),
-                   list(residuals), termination)
+    status: str = "completed"   # "completed" | "stalled"
+    reason: str = ""
 
     @property
     def points(self) -> list[PathPoint]:
@@ -169,7 +157,7 @@ class PathTrajectory:
 
     @property
     def completed(self) -> bool:
-        return self.termination.status == "completed"
+        return self.status == "completed"
 
     @property
     def reached_end(self) -> bool:
@@ -484,7 +472,7 @@ def solve_yau_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
                           residual=exc.residual, row=exc.row) from exc
     psi = psi - bg.mean(psi, ref_state.rho)[:, None]
     return PathTrajectory("prescribed", bg, ref_state, f, ts, psi, c_t, states,
-                          iters.tolist(), res.tolist(), Termination("completed"))
+                          iters.tolist(), res.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -510,19 +498,15 @@ def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory
     """
     bg = ref_state.bg
     f, _ = ricci_potential(ref_state)
-    points = []
-
-    def record(t, tilde, state, iters, res):
-        c_t = bg.mean(tilde, ref_state.rho)
-        points.append(PathPoint(t, tilde - c_t, c_t, state, iters, res))
-
     tilde, state, iters, res = _solve_density(ref_state, f)
-    record(0.0, tilde, state, iters, res)
+    # the reported points' (t, tilde, state, iterations, residual)
+    points = [(0.0, tilde, state, iters, res)]
 
     steps = int(round(1.0 / dt))
     # the last three accepted (t, tilde) pairs, substeps included, newest
     # last; they feed the quadratic warm-start extrapolation
     ts, tildes = [0.0], [tilde]
+    reason = ""
     for i in range(1, steps + 1):
         t_target = i * dt
         sub = t_target - ts[-1]
@@ -534,15 +518,20 @@ def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory
             except SolverError as exc:
                 sub *= 0.5
                 if sub < MIN_SUBSTEP:
-                    return PathTrajectory.from_points(
-                        "bending", ref_state, f, points, Termination(
-                            "stalled", f"no progress past t = {ts[-1]:.6f}: {exc}"))
+                    reason = f"no progress past t = {ts[-1]:.6f}: {exc}"
+                    break
                 continue
             ts, tildes = ts[-2:] + [t_try], tildes[-2:] + [tilde_new]
-        record(t_target, tildes[-1], state, iters, res)
+        if reason:
+            break
+        points.append((t_target, tildes[-1], state, iters, res))
 
-    return PathTrajectory.from_points("bending", ref_state, f, points,
-                                      Termination("completed"))
+    t, tilde, states, iterations, residuals = zip(*points)
+    tilde = np.array(tilde)
+    c_t = bg.mean(tilde, ref_state.rho)
+    return PathTrajectory("bending", bg, ref_state, f, np.array(t), tilde - c_t[:, None],
+                          c_t, MetricState.stack(states), list(iterations),
+                          list(residuals), "stalled" if reason else "completed", reason)
 
 
 # ---------------------------------------------------------------------------

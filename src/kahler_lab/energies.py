@@ -14,8 +14,8 @@ path independent; this module evaluates it along two different segments
 closed-form expression with no time integration, so independence is a
 checkable claim rather than an assumption.  The segment route returns all
 of E_0 .. E_n at once: the metrics at one Gauss order's nodes are built as
-one stacked state shared by every k, and the order escalates per k, each
-k keeping the first order at which it converges.
+one stacked state shared by every k, and all k escalate together to the
+first order at which every one of them converges.
 
 Every functional takes metric states, never bare potentials.  `state` is the
 MetricState of the metric w_phi being measured and `ref` the MetricState of
@@ -65,17 +65,13 @@ GAUSS_TOL = 1e-10                       # relative change that stops it
 
 @dataclass
 class PathEnergies:
-    """E_0 .. E_n by time quadrature along one segment: for each k its
-    value, the Gauss order it converged at and that order's error estimate."""
+    """E_0 .. E_n by time quadrature along one segment: their values, the
+    Gauss order at which all of them converged and each one's error
+    estimate, its change from the previous order."""
 
     values: tuple[float, ...]
-    orders: tuple[int, ...]
+    intervals: int
     est_errors: tuple[float, ...]
-
-    @property
-    def intervals(self) -> int:
-        """The highest Gauss order any k needed."""
-        return max(self.orders)
 
 
 def mu_k(bg: Background, k: int) -> float:
@@ -113,8 +109,8 @@ def _path_stack(path: str, t: Array, phi: Array) -> tuple[Array, Array]:
     return (t * t)[:, None] * phi, (2.0 * t)[:, None] * phi
 
 
-def _ek_integrands(state: MetricState, dot: Array, ks: list[int]) -> list[Array]:
-    """The E_k integrand at every node of a stacked state, for each k in ks."""
+def _ek_integrands(state: MetricState, dot: Array) -> list[Array]:
+    """The E_k integrand at every node of a stacked state, for k = 0 .. n."""
     bg = state.bg
     n = bg.n
     lap_dot = laplacian(state, dot)
@@ -123,7 +119,7 @@ def _ek_integrands(state: MetricState, dot: Array, ks: list[int]) -> list[Array]
     # wedge[j]: j Ricci factors against n-j metric factors
     wedge = [wedge_density(bg, [ric] * j + [met] * (n - j)) for j in range(n + 1)]
     out = []
-    for k in ks:
+    for k in range(n + 1):
         first = (k + 1) * bg.integrate(lap_dot * wedge[k])
         if k == n:
             out.append(first / bg.volume)
@@ -140,37 +136,25 @@ def e_k_path(state: MetricState, path: str = "linear") -> PathEnergies:
     Gauss-Legendre on [0, 1] with order escalation: the integrands are
     analytic in the segment parameter, so the rule converges geometrically
     and successive orders act as the error estimate.  Every order's nodes
-    are one stacked `make_metric` build shared by all k; each k stops at
-    the first order whose change from the previous one is within
-    GAUSS_TOL, and later orders evaluate only the k still open.
+    are one stacked `make_metric` build shared by all k, and the rule stops
+    at the first order at which every k's change from the previous order
+    is within GAUSS_TOL.
     """
     if path not in PATHS:
         raise ParameterError(f"unknown path {path!r}; expected one of {PATHS}")
     bg = state.bg
     values = state.phi - bg.reference.phi
-    ks = range(bg.n + 1)
-    done: dict[int, tuple[float, int, float]] = {}   # k -> (value, order, error)
-    prev: dict[int, float] = {}
-    err = dict.fromkeys(ks, float("inf"))
+    prev = None
     for order in GAUSS_ORDERS:
-        pending = [k for k in ks if k not in done]
-        if not pending:
-            break
         nodes, weights = _gauss_rule(order)
         phi_t, dot_t = _path_stack(path, nodes, values)
-        integrands = _ek_integrands(make_metric(bg, phi_t), dot_t, pending)
-        for k, f in zip(pending, integrands):
-            s = float(weights @ f)
-            if k in prev:
-                err[k] = abs(s - prev[k])
-                if err[k] <= GAUSS_TOL * max(1.0, abs(s)):
-                    done[k] = (s, order, err[k])
-            prev[k] = s
-    if len(done) < len(ks):
-        raise SolverError("time quadrature failed to converge",
-                          residual=max(err[k] for k in ks if k not in done))
-    energies, orders, errors = zip(*(done[k] for k in ks))
-    return PathEnergies(energies, orders, errors)
+        s = np.array([weights @ f for f in _ek_integrands(make_metric(bg, phi_t), dot_t)])
+        if prev is not None:
+            err = np.abs(s - prev)
+            if (err <= GAUSS_TOL * np.maximum(1.0, np.abs(s))).all():
+                return PathEnergies(tuple(s.tolist()), order, tuple(err.tolist()))
+        prev = s
+    raise SolverError("time quadrature failed to converge", residual=float(err.max()))
 
 
 # ---------------------------------------------------------------------------

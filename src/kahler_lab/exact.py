@@ -1,8 +1,8 @@
 """Exact combinatorial identities behind the energy-functional bookkeeping.
 
-Everything here runs in integer / rational arithmetic (math.comb and
-fractions.Fraction) with zero floating point and zero heavyweight imports,
-so the whole suite completes in well under a second.
+Everything here runs in integer arithmetic (math.comb, and
+collections.Counter for polynomials) with zero floating point and zero
+heavyweight imports, so the whole suite completes in well under a second.
 
 Three families are covered:
 
@@ -10,14 +10,15 @@ Three families are covered:
    telescoping in the energy integration-by-parts close up,
 2. an alternating double-binomial sum with the closed form j - k,
 3. the expansion of elementary symmetric functions of a two-eigenvalue
-   spectrum with multiplicities (1, n-1), checked against a brute-force
-   polynomial product.
+   spectrum with multiplicities (1, n-1), checked against their
+   definition: one monomial per k-element subset of the spectrum.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 
@@ -71,67 +72,36 @@ def verify_binomial_identity(max_k: int = 30) -> ExactResult:
     return ExactResult("binomial_identity", cases, failures)
 
 
-# -- tiny exact bivariate polynomials over Fraction -------------------------
-# keys are (power of a, power of b); values are Fraction coefficients
+# bivariate polynomials in the two eigenvalues (a, b) are Counters of
+# monomials keyed by (power of a, power of b)
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for (i, j), c in p.items():
-        for (k, l), d in q.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, Fraction(0)) + c * d
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _sigma_closed_form(n: int, k: int) -> dict:
-    """C(n-1,k) b^k + C(n-1,k-1) b^{k-1} a  as an exact polynomial."""
-    out: dict = {}
+def _sigma_closed_form(n: int, k: int) -> Counter:
+    """C(n-1,k) b^k + C(n-1,k-1) b^{k-1} a, with no zero coefficient."""
     if k == 0:
-        return {(0, 0): Fraction(1)}
-    if comb(n - 1, k):
-        out[(0, k)] = Fraction(comb(n - 1, k))
-    out[(1, k - 1)] = Fraction(comb(n - 1, k - 1))
-    return out
+        return Counter({(0, 0): 1})
+    return +Counter({(0, k): comb(n - 1, k), (1, k - 1): comb(n - 1, k - 1)})
 
 
-def _sigma_from_product(n: int) -> list[dict]:
-    """Coefficients of t^k in (1 + t a)(1 + t b)^{n-1}, exactly.
-
-    Returns the list [sigma_0, ..., sigma_n] as bivariate polynomials;
-    this is the defining generating function of the elementary symmetric
-    functions of the spectrum (a, b, ..., b).
-    """
-    # represent sum_k sigma_k t^k as a list indexed by k
-    acc: list[dict] = [{(0, 0): Fraction(1)}]
-    factors = [{(1, 0): Fraction(1)}] + [{(0, 1): Fraction(1)}] * (n - 1)
-    for root in factors:
-        nxt: list[dict] = [dict() for _ in range(len(acc) + 1)]
-        for deg, poly in enumerate(acc):
-            nxt[deg] = _poly_add(nxt[deg], poly)
-            nxt[deg + 1] = _poly_add(nxt[deg + 1], _poly_mul(poly, root))
-        acc = nxt
-    return acc
+def _sigma_by_subsets(n: int, k: int) -> Counter:
+    """sigma_k of the spectrum (a, b, ..., b) by its definition: the sum
+    over the k-element subsets of the product of their entries."""
+    roots = [(1, 0)] + [(0, 1)] * (n - 1)
+    # the exponent pair of a subset's product; (0, 0) for the empty one
+    return Counter(tuple(map(sum, zip((0, 0), *subset)))
+                   for subset in combinations(roots, k))
 
 
 def verify_sigma_expansion(max_n: int = 4) -> ExactResult:
-    """Closed-form sigma_k matches the generating-function expansion exactly."""
+    """Closed-form sigma_k matches the subset sum exactly."""
     failures = []
     cases = 0
     for n in range(1, max_n + 1):
-        product = _sigma_from_product(n)
         for k in range(0, n + 1):
             cases += 1
-            closed = _sigma_closed_form(n, k)
-            if closed != product[k]:
-                failures.append((n, k, closed, product[k]))
+            closed, subsets = _sigma_closed_form(n, k), _sigma_by_subsets(n, k)
+            if closed != subsets:
+                failures.append((n, k, closed, subsets))
     return ExactResult("sigma_expansion", cases, failures)
 
 

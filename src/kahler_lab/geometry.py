@@ -136,12 +136,12 @@ class Background:
     @cached_property
     def density_preconditioner(self) -> Array:
         """The inverse of the round metric's bordered t = 0 Newton matrix
-        [L0 1; ref_measure/volume 0], L0 = D_w0_D + (n-1) diag(w0/x) D,
-        built on first use.  At n = 1 L0 also annihilates T_{N-1}, and the
-        bordered matrix is singular."""
+        [Lap 1; ref_measure/volume 0], with Lap the `laplacian_matrix` of
+        the reference, built on first use.  At n = 1 Lap also annihilates
+        T_{N-1}, and the bordered matrix is singular."""
         size = self.size
         K = np.zeros((size + 1, size + 1))
-        K[:size, :size] = self.D_w0_D + (self.n - 1) * self.w0_over_x[:, None] * self.D
+        K[:size, :size] = laplacian_matrix(self.reference)
         K[:size, size] = 1.0
         K[size, :size] = self.ref_measure / self.volume
         P = np.linalg.inv(K)

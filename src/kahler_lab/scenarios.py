@@ -11,9 +11,10 @@ unknown in a config is rejected up front.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -56,10 +57,6 @@ from .geometry import (
 from . import energies as _energies
 from . import spectral
 
-_CONFIG_KEYS = {"scenario", "model", "n", "grid_size", "seed", "modes",
-                "amplitude", "count", "tolerances", "out_dir"}
-
-
 @dataclass
 class ScenarioConfig:
     scenario: str
@@ -78,7 +75,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     """Validate a flat config dictionary; reject anything unknown."""
     if not isinstance(raw, dict):
         raise ParameterError("config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - {f.name for f in fields(ScenarioConfig)}
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     if "scenario" not in raw:
@@ -96,34 +93,23 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ParameterError(f"config values must not be booleans: {flags}")
 
     spec = _REGISTRY[name]
-    cfg = ScenarioConfig(scenario=name)
-    cfg.model = spec.default_model
-    cfg.n = spec.default_n
-    for key in ("model", "n", "grid_size", "seed", "modes", "amplitude",
-                "count", "out_dir"):
-        if key in raw and raw[key] is not None:
-            setattr(cfg, key, raw[key])
-    if cfg.count is None:
-        cfg.count = spec.default_count
+    cfg = replace(ScenarioConfig(name, spec.models[0], spec.default_n, count=spec.default_count),
+                  **{key: value for key, value in raw.items()
+                     if value is not None and key != "tolerances"})
 
     if cfg.model not in spec.models:
         raise ParameterError(
             f"scenario {name!r} supports models {spec.models}, got {cfg.model!r}")
-    if not isinstance(cfg.n, int) or not 1 <= cfg.n <= MAX_N.get(cfg.model, 0):
-        raise ParameterError(f"invalid dimension n = {cfg.n!r} for model {cfg.model!r}")
-    if not isinstance(cfg.grid_size, int) or cfg.grid_size < MIN_GRID:
-        raise ParameterError(
-            f"grid_size must be an integer >= {MIN_GRID}, got {cfg.grid_size!r}")
-    if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2 ** 64:
-        raise ParameterError("seed must be an integer in [0, 2^64)")
-    if not isinstance(cfg.modes, int) or cfg.modes < 1:
-        raise ParameterError("modes must be a positive integer")
+    ranges = {"n": (1, MAX_N[cfg.model]), "grid_size": (MIN_GRID, math.inf),
+              "seed": (0, 2 ** 64 - 1), "modes": (1, math.inf), "count": (1, math.inf)}
+    for key, (low, high) in ranges.items():
+        value = getattr(cfg, key)
+        if not isinstance(value, int) or not low <= value <= high:
+            raise ParameterError(f"{key} must be an integer in [{low}, {high}], got {value!r}")
     # json.load parses NaN and Infinity: numbers must be finite, here and below
     if cfg.amplitude is not None and not (isinstance(cfg.amplitude, (int, float))
                                           and 0 <= cfg.amplitude <= sys.float_info.max):
         raise ParameterError("amplitude must be a finite nonnegative number")
-    if not isinstance(cfg.count, int) or cfg.count < 1:
-        raise ParameterError("count must be a positive integer")
     if cfg.out_dir is not None and not isinstance(cfg.out_dir, str):
         raise ParameterError(f"out_dir must be a string, got {cfg.out_dir!r}")
 
@@ -352,10 +338,9 @@ def _run_theorem2(cfg, bg, report, art):
             "probes",
             direct, 0.0, t["energy_floor"]))
         if idx < 5:
-            yau = solve_yau_path(probe, dt=0.05)
-            end = yau.states[-1]
+            end = ricci_positive_generator(probe)
             total = e_k_closed(end, 1)
-            back = e_k_closed(end, 1, yau.ref_state)
+            back = e_k_closed(end, 1, probe)
             report.add(CheckItem.identity(
                 f"split_cocycle_s{idx}",
                 "energy splits through the curvature-inverted midpoint",
@@ -378,7 +363,7 @@ def _run_lemma32_34(cfg, bg, report, art):
         report.extend(_suffixed(check_lemma_3_4(traj, monitors=rows), idx))
         if not traj.completed:
             report.note(f"probe {idx}: path stalled at t = {traj.ts[-1]}"
-                        f" ({traj.termination.reason})")
+                        f" ({traj.reason})")
         art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, rows))
 
 
@@ -645,7 +630,6 @@ def _run_cy_torus(cfg, bg, report, art):
 class ScenarioSpec:
     runner: object
     description: str
-    default_model: str = "cpn"
     default_n: int = 2
     default_count: int = 10
     models: tuple = ("cpn",)
@@ -732,7 +716,7 @@ _REGISTRY: dict[str, ScenarioSpec] = {
     "cy_torus": ScenarioSpec(
         _run_cy_torus,
         "flat-model branch: manifest nonnegativity and formula reduction",
-        default_model="torus", default_n=1, default_count=50,
+        default_n=1, default_count=50,
         models=("torus",),
         tolerances={"floor": 1e-10, "agreement": 1e-9, "path": 1e-8}),
 }

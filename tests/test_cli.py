@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kahler_lab import cli
 from kahler_lab.errors import ParameterError, SolverError
-from kahler_lab.scenarios import parse_config
+from kahler_lab.scenarios import _REGISTRY, SCENARIO_NAMES, ScenarioConfig, parse_config
 
 
 def _config(tmp_path, raw) -> str:
@@ -109,3 +111,33 @@ def test_properness_probe_without_a_fit_fails_in_valid_json(tmp_path):
     report = json.loads(text)
     failed = [row["name"] for row in report["checks"] if not row["pass"]]
     assert failed == ["exponent_fit_rows"]
+
+
+
+# any value json.loads can return: NaN, the infinities and integers past
+# 2^64 included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+# values near the valid ones, so that most configs reach the range checks
+_VALUES = _JSON | st.integers(-1, 2 ** 65) | st.sampled_from(["cpn", "torus"])
+_KEYS = [f.name for f in fields(ScenarioConfig)]
+_TOLERANCE_KEYS = sorted({key for spec in _REGISTRY.values() for key in spec.tolerances})
+_CONFIGS = st.fixed_dictionaries(
+    {"scenario": st.sampled_from(SCENARIO_NAMES)},
+    optional={**{key: _VALUES for key in _KEYS[1:]},
+              "tolerances": st.dictionaries(st.sampled_from(_TOLERANCE_KEYS), _VALUES,
+                                            max_size=3)})
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_CONFIGS | st.dictionaries(st.sampled_from(_KEYS + ["colour"]), _JSON) | _JSON)
+def test_parse_config_rejects_or_returns_a_json_config(raw):
+    # a config either fails as a config error or reports as strict JSON
+    try:
+        cfg = parse_config(raw)
+    except ParameterError:
+        return
+    json.dumps(asdict(cfg), allow_nan=False)

@@ -17,9 +17,9 @@ import pytest
 
 from kahler_lab import continuity, energies
 from kahler_lab import flow as flow_module
-from kahler_lab.continuity import (NEWTON_TOL, PathTrajectory, Termination,
-                                   _extrapolate, _newton_solve, _simpson_uniform,
-                                   _solve_density, check_lemma_3_4, check_lemma_4_1,
+from kahler_lab.continuity import (NEWTON_TOL, _extrapolate, _newton_solve,
+                                   _simpson_uniform, _solve_density,
+                                   check_lemma_3_4, check_lemma_4_1,
                                    check_section5, lambda1_radial,
                                    path_monitors, ricci_positive_generator,
                                    solve_aubin_path, solve_yau_path)
@@ -204,9 +204,11 @@ def test_trajectory_helpers_and_termination_semantics(bg_cp2, yau_cp2):
     assert stacked.shape == (len(traj.points), bg_cp2.size)
     rate = traj.exact_rate()
     assert rate.shape == stacked.shape
-    stalled = PathTrajectory.from_points("bending", traj.ref_state, traj.f,
-                                         traj.points[:3],
-                                         Termination("stalled", "test"))
+    stalled = dataclasses.replace(traj, kind="bending", ts=traj.ts[:3], phi=traj.phi[:3],
+                                  c_t=traj.c_t[:3], states=traj.states[:3],
+                                  iterations=traj.iterations[:3],
+                                  residuals=traj.residuals[:3],
+                                  status="stalled", reason="test")
     assert not stalled.completed
     # the rate stencil needs five points: a short stalled path is a solver
     # failure, not a crash inside the stencil
@@ -437,7 +439,7 @@ def test_krylov_step_at_positive_t_agrees_with_dense_solve(n, size):
     probe = generate_probe(bg, seed=0, scenario="lemma32_34", index=0)
     f, _ = ricci_potential(probe)
     traj = solve_aubin_path(probe)
-    assert traj.reached_end, traj.termination.reason
+    assert traj.reached_end, traj.reason
     for t in (0.02, 0.5, 0.98):
         i = int(round(t / traj.dt))
         state, tilde = traj.states[i - 1], traj.stacked_exact()[i - 1]
@@ -614,7 +616,7 @@ def test_bending_path_completes_in_extreme_dimensions(n):
     # the production grid and probe of lemma32_34 at seed 0
     bg = fs_background("cpn", n, 96)
     traj = solve_aubin_path(generate_probe(bg, seed=0, scenario="lemma32_34", index=0))
-    assert traj.completed, traj.termination.reason
+    assert traj.completed, traj.reason
     assert traj.points[-1].t == pytest.approx(1.0, abs=1e-12)
 
 
@@ -625,7 +627,7 @@ def test_bending_path_takes_about_one_newton_step_per_point():
     for size in (96, 384):
         bg = fs_background("cpn", 2, size)
         traj = solve_aubin_path(generate_probe(bg, seed=0, scenario="lemma32_34", index=0))
-        assert traj.reached_end, traj.termination.reason
+        assert traj.reached_end, traj.reason
         assert sum(traj.iterations) <= 64, size
 
 
@@ -644,7 +646,7 @@ def test_bending_corrections_are_krylov_from_the_threshold_grid(monkeypatch, siz
             return _original(*args)
         monkeypatch.setattr(continuity, name, tagged)
     traj = solve_aubin_path(probe)
-    assert traj.reached_end, traj.termination.reason
+    assert traj.reached_end, traj.reason
     # no substep: the corrections are the reported points' Newton steps
     assert len(solves) == len(traj.ts)
     assert set(krylov) >= {0.0} and len(dense) + len(krylov) == sum(traj.iterations)
