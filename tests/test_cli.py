@@ -113,7 +113,6 @@ def test_properness_probe_without_a_fit_fails_in_valid_json(tmp_path):
     assert failed == ["exponent_fit_rows"]
 
 
-
 # any value json.loads can return: NaN, the infinities and integers past
 # 2^64 included
 _JSON = st.recursive(
