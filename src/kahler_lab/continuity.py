@@ -108,6 +108,7 @@ KRYLOV_MIN_SIZE = 192
 RATE_TOL = 1e-5         # differentiated path equations
 RICCI_TOL = 1e-6        # bent Ricci identity
 LAMBDA1_SLACK = 1e-6    # first eigenvalue against the path parameter
+LAMBDA1_RITZ_TOL = 1e-12  # relative change that ends the first eigenvalue's Ritz doubling
 IDENTITY_TOL = 1e-5     # endpoint, two-time and bridge energy identities
 ENDPOINT_SLACK = 1e-7   # sign of the prescribed-path endpoint energy
 BOUND_SLACK = 1e-7      # growth bounds along the bending path
@@ -191,22 +192,46 @@ def lambda1_radial(state: MetricState) -> float:
 
     Rayleigh-Ritz on the symmetric Dirichlet form: stiffness D^T W D with
     the metric-weighted quadrature W and the state's volume weights as
-    mass, both projected onto the span of the Chebyshev polynomials of the
-    grid's resolved band (`Background.band`) in the moment coordinate.
-    Restricting to smooth trial functions excludes the grid's
-    weight-degenerate directions -- the full-grid form is rank deficient
-    near the coordinate pole -- while the smooth eigenfunctions of the
-    reduced problem converge spectrally.  Constants lie in the trial
-    space, so the projected pencil (A, M) has exactly one zero eigenvalue
-    and the first physical one is next.  The Cholesky factor M = L L^T
-    reduces the pencil to the symmetric L^-1 A L^-T.  Projective model only.
+    mass, both projected onto the span of the leading Chebyshev
+    polynomials of the grid's resolved band (`Background.band`) in the
+    moment coordinate.  Restricting to smooth trial functions excludes the
+    grid's weight-degenerate directions -- the full-grid form is rank
+    deficient near the coordinate pole -- while the smooth eigenfunctions
+    of the reduced problem converge spectrally.  Constants lie in every
+    trial space, so the projected pencil has exactly one zero eigenvalue
+    and the first physical one is next.
+
+    The trial space starts at the first 16 polynomials and doubles, capped
+    at the band, until the eigenvalue changes by at most LAMBDA1_RITZ_TOL
+    relative to its new value; the band is the last size.  The doubling is
+    needed because the trial spaces are nested, so each Ritz value bounds
+    the next from above: a fixed small basis would overestimate the
+    eigenvalue and bias the check lambda_1 >= t toward passing.  The stop
+    is an estimate: a component of the state that lies beyond both bases
+    it compares goes unseen.  Projective model only.
     """
     bg = state.bg
     if bg.model != "cpn":
         raise UnsupportedModelError("the radial eigenvalue is for the projective model")
     wdiag = bg.ref_measure * bg.w0 * state.m_over_x ** (bg.n - 1)
     mass = bg.ref_measure * state.rho
+    size = min(16, bg.band)
+    lam = _ritz_lambda1(bg, wdiag, mass, size)
+    while size < bg.band:
+        size = min(2 * size, bg.band)
+        prev, lam = lam, _ritz_lambda1(bg, wdiag, mass, size)
+        if abs(prev - lam) <= LAMBDA1_RITZ_TOL * abs(lam):
+            break
+    return lam
+
+
+def _ritz_lambda1(bg: Background, wdiag: Array, mass: Array, size: int) -> float:
+    """The first nonzero Ritz value of the pencil (stiffness, mass) with the
+    diagonal weights wdiag and mass on the first `size` functions of
+    `bg.ritz_basis`.  The Cholesky factor M = L L^T reduces the pencil to
+    the symmetric L^-1 A L^-T."""
     B, dB = bg.ritz_basis
+    B, dB = B[:, :size], dB[:, :size]
     A_m = dB.T @ (wdiag[:, None] * dB)
     M_m = B.T @ (mass[:, None] * B)
     L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (M_m + M_m.T)))

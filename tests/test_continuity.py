@@ -17,7 +17,8 @@ import pytest
 
 from kahler_lab import continuity, energies
 from kahler_lab import flow as flow_module
-from kahler_lab.continuity import (NEWTON_TOL, _extrapolate, _newton_solve,
+from kahler_lab.continuity import (LAMBDA1_RITZ_TOL, NEWTON_TOL, _extrapolate,
+                                   _newton_solve,
                                    _simpson_uniform, _solve_density,
                                    check_lemma_3_4, check_lemma_4_1,
                                    check_section5, lambda1_radial,
@@ -106,6 +107,72 @@ def test_first_eigenvalue_matches_scipy_generalized_eigh(size):
         M = B.T @ (mass[:, None] * B)
         ref = eigh(0.5 * (A + A.T), 0.5 * (M + M.T), eigvals_only=True)[1]
         assert lambda1_radial(probe) == pytest.approx(ref, rel=1e-12, abs=0.0), seed
+
+
+def _ritz_ladder(monkeypatch, state):
+    """lambda1_radial of the state with the (basis size, Ritz value) of
+    each step it took."""
+    steps, ritz = [], continuity._ritz_lambda1
+
+    def recorded(bg, wdiag, mass, size):
+        steps.append((size, ritz(bg, wdiag, mass, size)))
+        return steps[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(continuity, "_ritz_lambda1", recorded)
+        return lambda1_radial(state), steps
+
+
+def _assert_doubling_rule(state, value, steps):
+    # 16, 32, ... capped at the band; every step but the last changed the
+    # value by more than the tolerance, and the last by at most it unless
+    # it is the band
+    band = state.bg.band
+    sizes = [size for size, _ in steps]
+    assert sizes == [min(16 * 2 ** i, band) for i in range(len(sizes))]
+    changes = [abs(b - a) / abs(b) for (_, a), (_, b) in zip(steps, steps[1:])]
+    assert all(change > LAMBDA1_RITZ_TOL for change in changes[:-1])
+    assert sizes[-1] == band or changes[-1] <= LAMBDA1_RITZ_TOL
+    assert value == steps[-1][1]
+
+
+def _full_band_lambda1(state):
+    from scipy.linalg import eigh
+    bg = state.bg
+    B, dB = bg.ritz_basis
+    wdiag = bg.ref_measure * bg.w0 * state.m_over_x ** (bg.n - 1)
+    A = dB.T @ (wdiag[:, None] * dB)
+    M = B.T @ ((bg.ref_measure * state.rho)[:, None] * B)
+    return eigh(0.5 * (A + A.T), 0.5 * (M + M.T), eigvals_only=True)[1]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("size", [96, 384])
+def test_first_eigenvalue_basis_doubling_matches_full_band_on_a_bending_path(
+        n, size, monkeypatch):
+    bg = fs_background("cpn", n, size)
+    traj = solve_aubin_path(generate_probe(bg, seed=0, scenario="lemma32_34", index=0))
+    assert traj.completed
+    for i in range(len(traj.ts)):
+        state = traj.states[i]
+        value, steps = _ritz_ladder(monkeypatch, state)
+        _assert_doubling_rule(state, value, steps)
+        assert value == pytest.approx(_full_band_lambda1(state), rel=1e-12, abs=0.0), i
+
+
+@pytest.mark.parametrize("size, mode", [(96, 24), (384, 50)])
+def test_first_eigenvalue_escalates_to_the_band_on_a_high_mode_state(
+        size, mode, monkeypatch):
+    # a Chebyshev component beyond the first 16 functions moves every
+    # smaller basis's value by more than the tolerance, so the doubling
+    # runs to the band and returns the full-band value
+    bg = fs_background("cpn", 2, size)
+    state = make_metric(bg, 1e-4 * bg.cheb_synthesis[:, mode])
+    value, steps = _ritz_ladder(monkeypatch, state)
+    _assert_doubling_rule(state, value, steps)
+    assert steps[-1][0] == bg.band
+    assert abs(steps[0][1] - value) > 1e3 * LAMBDA1_RITZ_TOL * value
+    assert value == pytest.approx(_full_band_lambda1(state), rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_inadmissible_start_raises(bg48):
 
 def test_parameter_and_model_errors(bg48):
     with pytest.raises(ParameterError):
-        run_flow(bg48.reference, dt=2e-3, steps=10)
+        run_flow(bg48.reference, dt=1e-2, steps=10)
     with pytest.raises(ParameterError):
         run_flow(bg48.reference, dt=1e-3, steps=20_000)
     with pytest.raises(ParameterError):

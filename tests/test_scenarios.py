@@ -150,10 +150,50 @@ def test_flow_scenario_notes_halved_and_truncated_runs(monkeypatch, tmp_path):
     assert report.notes == [
         "flow row 2 (probe 1): completed after 1000 steps with 2 halvings, "
         "dt_final = 0.00025",
-        "long-run flow: truncated after 10000 steps with 13 halvings, "
-        "dt_final = 0.001 (marked)"]
+        "long-run flow: truncated after 2000 steps with 13 halvings, "
+        "dt_final = 0.005 (marked)"]
     data = json.loads((tmp_path / "marked" / "krf_monotone" / "report.json").read_text())
     assert data["notes"] == report.notes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", [96, 384])
+def test_flow_scenario_long_run_never_halves_at_its_step(n, size, monkeypatch):
+    # the long run steps at the flow's cap, inside the explicit Euler bound
+    # of the linearized flow at the round metric (tightest at n = 1)
+    runs = []
+    original = scenarios.run_flow
+
+    def recorded(start, **kwargs):
+        runs.append((kwargs, original(start, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(scenarios, "run_flow", recorded)
+    cfg = parse_config({"scenario": "krf_monotone", "n": n, "grid_size": size,
+                        "count": 1, "seed": 0})
+    report = run_scenario(cfg)
+    kwargs, long_run = runs[-1]
+    assert kwargs == {"dt": 5e-3, "steps": 2000, "sample_every": 400}
+    assert (long_run.status, long_run.halvings, long_run.steps) == ("completed", 0, 2000)
+    [row] = [item for item in report.items if item.name == "long_time_convergence"]
+    assert row.passed
+
+
+def test_unwritten_run_builds_no_text_and_matches_a_written_run(monkeypatch, tmp_path):
+    cfg = parse_config({"scenario": "krf_monotone", "grid_size": 48, "count": 2})
+    written = run_scenario(cfg, out_dir=str(tmp_path / "out"))
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("report text built for an unwritten run")
+
+    monkeypatch.chdir(tmp_path / "out")
+    monkeypatch.setattr(scenarios, "_fmt", unbuilt)
+    monkeypatch.setattr(scenarios.json, "dumps", unbuilt)
+    before = sorted((tmp_path / "out").rglob("*"))
+    report = run_scenario(cfg)
+    assert sorted((tmp_path / "out").rglob("*")) == before
+    assert [item.as_dict() for item in report.items] == [
+        item.as_dict() for item in written.items]
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
