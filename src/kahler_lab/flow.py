@@ -20,9 +20,8 @@ with C_m the truncated analysis operator.  The stationary point stays
 machine-exact.  The step size is capped at MAX_DT = 5e-3, inside the
 explicit Euler stability bound 2/|lambda_min|, with lambda_min the most
 negative eigenvalue of the flow's linearization at the round metric in
-the FLOW_MODES modes: -275 at n = 1, -190.7 at n = 2, -148.5 at n = 3 and
--123.2 at n = 4, the same at N = 96 and 384, so the bound is 0.0073 to
-0.016.
+the FLOW_MODES modes.  The bound rises with n and is smallest at n = 1,
+about 0.0073.
 
 The grid is touched only through skinny operators built once per call:
 the synthesis restricted to the kept modes, composed with the first and
@@ -103,10 +102,10 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
     modes and re-centered to zero reference mean.  dt may not exceed
     MAX_DT, which lies inside the explicit Euler stability bound of the
     linearized flow at the round metric for every n, nor dt * steps the
-    flow time 10.  Samples (metric state,
-    volume defect) every `sample_every` accepted steps and at both
-    endpoints.  If the step size collapses entirely the trajectory is
-    returned truncated, with the reason recorded, rather than raising.
+    flow time 10.  Samples (metric state, volume defect) every
+    `sample_every` accepted steps and at both endpoints.  If the step size
+    collapses entirely the trajectory is returned truncated, with the
+    reason recorded, rather than raising.
 
     The rows of a stacked start step in lockstep until one of them leaves
     the cone; then each row is rerun alone, so rows halve and truncate

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -731,7 +732,7 @@ class _Artifacts:
         if base is not None:
             base.mkdir(parents=True, exist_ok=True)
 
-    def write(self, name: str, build) -> None:
+    def write(self, name: str, build: Callable[[], str]) -> None:
         """Write the text that build() returns, building it only when the
         run writes artifacts."""
         if self.base is not None:

@@ -18,8 +18,7 @@ import pytest
 from kahler_lab import continuity, energies
 from kahler_lab import flow as flow_module
 from kahler_lab.continuity import (LAMBDA1_RITZ_TOL, NEWTON_TOL, _extrapolate,
-                                   _newton_solve,
-                                   _simpson_uniform, _solve_density,
+                                   _newton_solve, _simpson_uniform, _solve_density,
                                    check_lemma_3_4, check_lemma_4_1,
                                    check_section5, lambda1_radial,
                                    path_monitors, ricci_positive_generator,
