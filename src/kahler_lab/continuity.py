@@ -108,7 +108,7 @@ KRYLOV_MIN_SIZE = 192
 RATE_TOL = 1e-5         # differentiated path equations
 RICCI_TOL = 1e-6        # bent Ricci identity
 LAMBDA1_SLACK = 1e-6    # first eigenvalue against the path parameter
-LAMBDA1_RITZ_TOL = 1e-12  # relative change that ends the first eigenvalue's Ritz doubling
+LAMBDA1_RITZ_TOL = 1e-12  # relative change and estimated drop that end the Ritz doubling
 IDENTITY_TOL = 1e-5     # endpoint, two-time and bridge energy identities
 ENDPOINT_SLACK = 1e-7   # sign of the prescribed-path endpoint energy
 BOUND_SLACK = 1e-7      # growth bounds along the bending path
@@ -202,13 +202,15 @@ def lambda1_radial(state: MetricState) -> float:
     and the first physical one is next.
 
     The trial space starts at the first 16 polynomials and doubles, capped
-    at the band, until the eigenvalue changes by at most LAMBDA1_RITZ_TOL
-    relative to its new value; the band is the last size.  The doubling is
-    needed because the trial spaces are nested, so each Ritz value bounds
-    the next from above: a fixed small basis would overestimate the
-    eigenvalue and bias the check lambda_1 >= t toward passing.  The stop
-    is an estimate: a component of the state that lies beyond both bases
-    it compares goes unseen.  Projective model only.
+    at the band, until two things hold relative to the new eigenvalue: it
+    changed by at most LAMBDA1_RITZ_TOL, and the estimated drop to the
+    band's value (`_band_drop`) is at most LAMBDA1_RITZ_TOL.  The band
+    is the last size.  The doubling is needed because the trial spaces are
+    nested, so each Ritz value bounds the next from above: a fixed small
+    basis would overestimate the eigenvalue and bias the check
+    lambda_1 >= t toward passing.  The estimate catches what the change
+    cannot: a component of the state beyond both bases compared, which
+    moves neither value.  Projective model only.
     """
     bg = state.bg
     if bg.model != "cpn":
@@ -216,26 +218,47 @@ def lambda1_radial(state: MetricState) -> float:
     wdiag = bg.ref_measure * bg.w0 * state.m_over_x ** (bg.n - 1)
     mass = bg.ref_measure * state.rho
     size = min(16, bg.band)
-    lam = _ritz_lambda1(bg, wdiag, mass, size)
+    lam, _ = _ritz_lambda1(bg, wdiag, mass, size)
     while size < bg.band:
         size = min(2 * size, bg.band)
-        prev, lam = lam, _ritz_lambda1(bg, wdiag, mass, size)
-        if abs(prev - lam) <= LAMBDA1_RITZ_TOL * abs(lam):
+        prev, (lam, u) = lam, _ritz_lambda1(bg, wdiag, mass, size)
+        if (abs(prev - lam) <= LAMBDA1_RITZ_TOL * abs(lam)
+                and _band_drop(bg, wdiag, mass, lam, u) <= LAMBDA1_RITZ_TOL * abs(lam)):
             break
     return lam
 
 
-def _ritz_lambda1(bg: Background, wdiag: Array, mass: Array, size: int) -> float:
-    """The first nonzero Ritz value of the pencil (stiffness, mass) with the
+def _ritz_lambda1(bg: Background, wdiag: Array, mass: Array,
+                  size: int) -> tuple[float, Array]:
+    """The first nonzero Ritz pair of the pencil (stiffness, mass) with the
     diagonal weights wdiag and mass on the first `size` functions of
-    `bg.ritz_basis`.  The Cholesky factor M = L L^T reduces the pencil to
-    the symmetric L^-1 A L^-T."""
+    `bg.ritz_basis`: the value and the M-normalized coefficients of its
+    vector.  The Cholesky factor M = L L^T reduces the pencil to the
+    symmetric L^-1 A L^-T."""
     B, dB = bg.ritz_basis
     B, dB = B[:, :size], dB[:, :size]
     A_m = dB.T @ (wdiag[:, None] * dB)
     M_m = B.T @ (mass[:, None] * B)
     L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (M_m + M_m.T)))
-    return float(np.linalg.eigvalsh(L_inv @ A_m @ L_inv.T)[1])
+    vals, vecs = np.linalg.eigh(L_inv @ A_m @ L_inv.T)
+    return float(vals[1]), L_inv.T @ vecs[:, 1]
+
+
+def _band_drop(bg: Background, wdiag: Array, mass: Array, lam: float,
+               u: Array) -> float:
+    """Estimated drop from the Ritz value lam with vector u, on the leading
+    functions of `bg.ritz_basis`, to the band's value: the first-order
+    Schur complement r^T S^-1 r over the band functions beyond the basis,
+    with r the residual (A - lam M) u there and S the diagonal of
+    A - lam M there (infinite if that diagonal is not positive).  The
+    diagonal ignores the coupling among those functions, so this estimates
+    the drop rather than bounding it."""
+    B, dB = bg.ritz_basis
+    size = len(u)
+    B, B_out, dB, dB_out = B[:, :size], B[:, size:], dB[:, :size], dB[:, size:]
+    r = dB_out.T @ (wdiag * (dB @ u)) - lam * (B_out.T @ (mass * (B @ u)))
+    s = (dB_out ** 2).T @ wdiag - lam * ((B_out ** 2).T @ mass)
+    return float(r @ (r / s)) if (s > 0).all() else np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ machine-exact.  The step size is capped at MAX_DT = 5e-3, inside the
 explicit Euler stability bound 2/|lambda_min|, with lambda_min the most
 negative eigenvalue of the flow's linearization at the round metric in
 the FLOW_MODES modes.  The bound rises with n and is smallest at n = 1,
-about 0.0073.
+about 0.0073.  It is a bound near the round metric only: a start farther
+out relies on step halving once a candidate leaves the cone.
 
 The grid is touched only through skinny operators built once per call:
 the synthesis restricted to the kept modes, composed with the first and
@@ -100,9 +101,11 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
 
     The start potential is projected onto the first FLOW_MODES Chebyshev
     modes and re-centered to zero reference mean.  dt may not exceed
-    MAX_DT, which lies inside the explicit Euler stability bound of the
-    linearized flow at the round metric for every n, nor dt * steps the
-    flow time 10.  Samples (metric state, volume defect) every
+    MAX_DT, nor dt * steps the flow time 10.  MAX_DT lies inside the
+    explicit Euler stability bound of the flow linearized at the round
+    metric, for every n; that bound covers starts near the round metric,
+    and a start farther out relies on the step halving below once a
+    candidate leaves the cone.  Samples (metric state, volume defect) every
     `sample_every` accepted steps and at both endpoints.  If the step size
     collapses entirely the trajectory is returned truncated, with the
     reason recorded, rather than raising.

@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -365,7 +364,7 @@ def _run_lemma32_34(cfg, bg, report, art):
         if not traj.completed:
             report.note(f"probe {idx}: path stalled at t = {traj.ts[-1]}"
                         f" ({traj.reason})")
-        art.write(f"trajectory_bending_{idx}.csv", lambda: trajectory_csv(bg, rows))
+        art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, rows))
 
 
 def _run_lemma41(cfg, bg, report, art):
@@ -373,8 +372,7 @@ def _run_lemma41(cfg, bg, report, art):
         traj = solve_yau_path(probe)
         report.extend(_suffixed(check_lemma_4_1(traj), idx))
         if idx == 0:
-            art.write("trajectory_volume_0.csv",
-                      lambda: trajectory_csv(bg, path_monitors(traj)))
+            art.write("trajectory_volume_0.csv", trajectory_csv(bg, path_monitors(traj)))
 
 
 def _run_futaki(cfg, bg, report, art):
@@ -422,7 +420,7 @@ def _run_section5(cfg, bg, report, art):
         if not aubin.completed:
             report.note(f"probe {idx}: bending path stalled at "
                         f"t = {aubin.ts[-1]}")
-        art.write(f"trajectory_bending_{idx}.csv", lambda: trajectory_csv(bg, rows))
+        art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, rows))
 
 
 def _run_orbit_flatness(cfg, bg, report, art):
@@ -549,7 +547,7 @@ def _run_krf_monotone(cfg, bg, report, art):
         if idx == 0:
             rows = monitors(traj.states, t=traj.times,
                             c_t=np.zeros(len(traj.times)))
-            art.write("trajectory_flow_0.csv", lambda: trajectory_csv(bg, rows))
+            art.write("trajectory_flow_0.csv", trajectory_csv(bg, rows))
             e0, e1 = rows["E_0"], rows["E_1"]
         else:
             span = slice(*(flows.offsets[idx + 1:idx + 3] - flows.offsets[2]))
@@ -732,11 +730,9 @@ class _Artifacts:
         if base is not None:
             base.mkdir(parents=True, exist_ok=True)
 
-    def write(self, name: str, build: Callable[[], str]) -> None:
-        """Write the text that build() returns, building it only when the
-        run writes artifacts."""
+    def write(self, name: str, text: str) -> None:
         if self.base is not None:
-            (self.base / name).write_text(build())
+            (self.base / name).write_text(text)
 
 
 def list_scenarios() -> list[tuple[str, str]]:
@@ -747,9 +743,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> CheckReport
     """Execute one scenario and write its artifacts.
 
     Returns the in-memory report; report.json, checks.csv and any
-    trajectory CSVs land under <out>/<scenario>/.  With no output
-    directory nothing is written, and the report and check texts are not
-    built.
+    trajectory CSVs land under <out>/<scenario>/.
     """
     spec = _REGISTRY[cfg.scenario]
     base = out_dir if out_dir is not None else cfg.out_dir
@@ -762,8 +756,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> CheckReport
         bg = fs_background(cfg.model, cfg.n, cfg.grid_size)
     spec.runner(cfg, bg, report, art)
     runtime = time.perf_counter() - start
-    if art.base is None:
-        return report
 
     payload = {
         "scenario": cfg.scenario,
@@ -774,8 +766,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> CheckReport
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "notes": list(report.notes),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    (art.base / "report.json").write_text(text + "\n")
+    art.write("report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     lines = ["name,anchor,lhs,rhs,tol,margin,pass"]
     for item in report.items:
@@ -783,5 +774,5 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> CheckReport
         lines.append(
             f'{item.name},"{anchor}",{_fmt(item.lhs)},{_fmt(item.rhs)},'
             f'{_fmt(item.tol)},{_fmt(item.margin)},{item.passed}')
-    (art.base / "checks.csv").write_text("\n".join(lines) + "\n")
+    art.write("checks.csv", "\n".join(lines) + "\n")
     return report

@@ -179,23 +179,6 @@ def test_flow_scenario_long_run_never_halves_at_its_step(n, size, monkeypatch):
     assert row.passed
 
 
-def test_unwritten_run_builds_no_text_and_matches_a_written_run(monkeypatch, tmp_path):
-    cfg = parse_config({"scenario": "krf_monotone", "grid_size": 48, "count": 2})
-    written = run_scenario(cfg, out_dir=str(tmp_path / "out"))
-
-    def unbuilt(*args, **kwargs):
-        raise AssertionError("report text built for an unwritten run")
-
-    monkeypatch.chdir(tmp_path / "out")
-    monkeypatch.setattr(scenarios, "_fmt", unbuilt)
-    monkeypatch.setattr(scenarios.json, "dumps", unbuilt)
-    before = sorted((tmp_path / "out").rglob("*"))
-    report = run_scenario(cfg)
-    assert sorted((tmp_path / "out").rglob("*")) == before
-    assert [item.as_dict() for item in report.items] == [
-        item.as_dict() for item in written.items]
-
-
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_scenario_passes_at_defaults(name, tmp_path):
     report = run_scenario(parse_config({"scenario": name, "seed": 0}),
