@@ -234,14 +234,18 @@ def _ritz_lambda1(bg: Background, wdiag: Array, mass: Array,
     diagonal weights wdiag and mass on the first `size` functions of
     `bg.ritz_basis`: the value and the M-normalized coefficients of its
     vector.  The Cholesky factor M = L L^T reduces the pencil to the
-    symmetric L^-1 A L^-T."""
+    symmetric L^-1 A L^-T; the vector is one step of inverse iteration
+    shifted below the value by a millionth of the gap above it."""
     B, dB = bg.ritz_basis
     B, dB = B[:, :size], dB[:, :size]
     A_m = dB.T @ (wdiag[:, None] * dB)
     M_m = B.T @ (mass[:, None] * B)
     L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (M_m + M_m.T)))
-    vals, vecs = np.linalg.eigh(L_inv @ A_m @ L_inv.T)
-    return float(vals[1]), L_inv.T @ vecs[:, 1]
+    H = L_inv @ A_m @ L_inv.T
+    vals = np.linalg.eigvalsh(H)
+    shift = vals[1] - 1e-6 * (vals[2] - vals[1])
+    v = np.linalg.solve(H - shift * np.eye(size), np.ones(size))
+    return float(vals[1]), L_inv.T @ (v / np.linalg.norm(v))
 
 
 def _band_drop(bg: Background, wdiag: Array, mass: Array, lam: float,
