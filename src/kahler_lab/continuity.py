@@ -34,9 +34,7 @@ the steps at n = 1 (whose round preconditioner is singular) and those on
 smaller grids, where an LU of the N x N matrix is cheaper than the GMRES
 iterations, are dense solves.  Each GMRES solve stops at an inexact-Newton
 forcing term, a relative tolerance just tight enough to take the residual
-well below NEWTON_TOL; it takes 1-8 iterations per t > 0 step (median 5
-at N = 192 and 384) and 1-9 at t = 0 (9 at n = 4, N = 192, where the
-inversion loses accuracy at the pole).
+well below NEWTON_TOL.
 A step that leaves the admissible cone is halved, at most seven times.
 Failed bending steps trigger internal substepping; reported points always
 stay on the requested uniform grid, and a path that cannot reach the
@@ -108,7 +106,7 @@ KRYLOV_MIN_SIZE = 192
 RATE_TOL = 1e-5         # differentiated path equations
 RICCI_TOL = 1e-6        # bent Ricci identity
 LAMBDA1_SLACK = 1e-6    # first eigenvalue against the path parameter
-LAMBDA1_RITZ_TOL = 1e-12  # relative change and estimated drop that end the Ritz doubling
+LAMBDA1_RITZ_TOL = 1e-12  # relative estimated drop that moves the Ritz basis to the band
 IDENTITY_TOL = 1e-5     # endpoint, two-time and bridge energy identities
 ENDPOINT_SLACK = 1e-7   # sign of the prescribed-path endpoint energy
 BOUND_SLACK = 1e-7      # growth bounds along the bending path
@@ -201,68 +199,54 @@ def lambda1_radial(state: MetricState) -> float:
     trial space, so the projected pencil has exactly one zero eigenvalue
     and the first physical one is next.
 
-    The trial space starts at the first 16 polynomials and doubles, capped
-    at the band, until two things hold relative to the new eigenvalue: it
-    changed by at most LAMBDA1_RITZ_TOL, and the estimated drop to the
-    band's value (`_band_drop`) is at most LAMBDA1_RITZ_TOL.  The band
-    is the last size.  The doubling is needed because the trial spaces are
-    nested, so each Ritz value bounds the next from above: a fixed small
-    basis would overestimate the eigenvalue and bias the check
-    lambda_1 >= t toward passing.  The estimate catches what the change
-    cannot: a component of the state beyond both bases compared, which
-    moves neither value.  Projective model only.
+    The trial space is the first 32 polynomials, or the band if that is
+    smaller, and the band itself when the estimated drop from the
+    32-function value to the band's (see `_ritz_lambda1`) exceeds
+    LAMBDA1_RITZ_TOL relative to that value.  The trial spaces are nested,
+    so the smaller one's value bounds the band's from above: unchecked, it
+    would overestimate the eigenvalue and bias the check lambda_1 >= t
+    toward passing.  Projective model only.
     """
     bg = state.bg
     if bg.model != "cpn":
         raise UnsupportedModelError("the radial eigenvalue is for the projective model")
     wdiag = bg.ref_measure * bg.w0 * state.m_over_x ** (bg.n - 1)
     mass = bg.ref_measure * state.rho
-    size = min(16, bg.band)
-    lam, _ = _ritz_lambda1(bg, wdiag, mass, size)
-    while size < bg.band:
-        size = min(2 * size, bg.band)
-        prev, (lam, u) = lam, _ritz_lambda1(bg, wdiag, mass, size)
-        if (abs(prev - lam) <= LAMBDA1_RITZ_TOL * abs(lam)
-                and _band_drop(bg, wdiag, mass, lam, u) <= LAMBDA1_RITZ_TOL * abs(lam)):
-            break
+    lam, drop = _ritz_lambda1(bg, wdiag, mass, min(32, bg.band))
+    if drop > LAMBDA1_RITZ_TOL * abs(lam):
+        lam, _ = _ritz_lambda1(bg, wdiag, mass, bg.band)
     return lam
 
 
 def _ritz_lambda1(bg: Background, wdiag: Array, mass: Array,
-                  size: int) -> tuple[float, Array]:
-    """The first nonzero Ritz pair of the pencil (stiffness, mass) with the
+                  size: int) -> tuple[float, float]:
+    """The first nonzero Ritz value of the pencil (stiffness, mass) with the
     diagonal weights wdiag and mass on the first `size` functions of
-    `bg.ritz_basis`: the value and the M-normalized coefficients of its
-    vector.  The Cholesky factor M = L L^T reduces the pencil to the
-    symmetric L^-1 A L^-T; the vector is one step of inverse iteration
-    shifted below the value by a millionth of the gap above it."""
+    `bg.ritz_basis`, and its estimated drop to the band's value (0 at the
+    band).  The Cholesky factor M = L L^T reduces the pencil to the
+    symmetric L^-1 A L^-T.  The Ritz vector u, M-normalized, is one step of
+    inverse iteration shifted below the value by a millionth of the gap
+    above it.  The drop is the first-order Schur complement r^T S^-1 r
+    over the band functions beyond the basis: r is the residual
+    (A - lam M) u there, and S the diagonal of A - lam M there (the drop
+    is infinite if that diagonal is not positive).  The diagonal ignores
+    the coupling among those functions, so this estimates the drop rather
+    than bounding it."""
     B, dB = bg.ritz_basis
-    B, dB = B[:, :size], dB[:, :size]
+    B, B_out, dB, dB_out = B[:, :size], B[:, size:], dB[:, :size], dB[:, size:]
     A_m = dB.T @ (wdiag[:, None] * dB)
     M_m = B.T @ (mass[:, None] * B)
     L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (M_m + M_m.T)))
     H = L_inv @ A_m @ L_inv.T
     vals = np.linalg.eigvalsh(H)
-    shift = vals[1] - 1e-6 * (vals[2] - vals[1])
-    v = np.linalg.solve(H - shift * np.eye(size), np.ones(size))
-    return float(vals[1]), L_inv.T @ (v / np.linalg.norm(v))
-
-
-def _band_drop(bg: Background, wdiag: Array, mass: Array, lam: float,
-               u: Array) -> float:
-    """Estimated drop from the Ritz value lam with vector u, on the leading
-    functions of `bg.ritz_basis`, to the band's value: the first-order
-    Schur complement r^T S^-1 r over the band functions beyond the basis,
-    with r the residual (A - lam M) u there and S the diagonal of
-    A - lam M there (infinite if that diagonal is not positive).  The
-    diagonal ignores the coupling among those functions, so this estimates
-    the drop rather than bounding it."""
-    B, dB = bg.ritz_basis
-    size = len(u)
-    B, B_out, dB, dB_out = B[:, :size], B[:, size:], dB[:, :size], dB[:, size:]
+    lam = float(vals[1])
+    if size == bg.band:
+        return lam, 0.0
+    v = np.linalg.solve(H - (lam - 1e-6 * (vals[2] - lam)) * np.eye(size), np.ones(size))
+    u = L_inv.T @ (v / np.linalg.norm(v))
     r = dB_out.T @ (wdiag * (dB @ u)) - lam * (B_out.T @ (mass * (B @ u)))
     s = (dB_out ** 2).T @ wdiag - lam * ((B_out ** 2).T @ mass)
-    return float(r @ (r / s)) if (s > 0).all() else np.inf
+    return lam, float(r @ (r / s)) if (s > 0).all() else np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +399,6 @@ def _density_step(state: MetricState, R: Array, t: float = 0.0, tol=GMRES_TOL):
     one per row) of its right-hand side, and every product is row by row,
     so a row of a stack is bitwise its solve alone.  Returns delta and the
     iterations per row, 0 for a row not converged in GMRES_ITERS.
-
-    At the Newton solve's forcing term, the steps of the scenarios take 1-8
-    iterations at t > 0 (median 5, n = 2-4 on N = 192 and 384; 6-12 at a
-    fixed 1e-13) and 1-9 at t = 0: 1-2 at n = 2, and 9 at n = 4, N = 192,
-    where the moment inversion loses accuracy at the pole.
     """
     bg = state.bg
     size = bg.size

@@ -144,8 +144,6 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
         """log(rho) from the moment profiles q = (m_x, m/x) of admissible
         rows, overwriting q."""
         log_q = np.log(q, out=q)
-        if n == 2:  # the factor n - 1 = 1 is exact; its product costs ~0.7 us a step
-            return log_q[..., :size] + log_q[..., size:]
         return log_q[..., :size] + (n - 1) * log_q[..., size:]
 
     # coefficients are (K,) for a single start and (B, 1, K) for a stack

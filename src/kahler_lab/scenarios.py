@@ -49,6 +49,7 @@ from .flow import run_flow
 from .geometry import (
     MAX_N,
     MIN_GRID,
+    MetricState,
     fs_background,
     laplacian,
     make_metric,
@@ -533,9 +534,7 @@ def _run_krf_monotone(cfg, bg, report, art):
 
     # the round metric rides as row 0 of the probe stack
     probes = _probes(bg, cfg)
-    flows = run_flow(make_metric(bg, np.array([bg.reference.phi]
-                                              + [p.phi for p in probes])),
-                     dt=1e-3, steps=1000)
+    flows = run_flow(MetricState.stack([bg.reference] + probes), dt=1e-3, steps=1000)
     report.add(CheckItem.identity(
         "round_stationary", "round metric is an exact fixed point of the flow",
         float(np.abs(flows.rows[0].states.phi).max()), 0.0, t["stationary"]))

@@ -7,6 +7,14 @@ fixtures a first smoke test in themselves.
 
 from __future__ import annotations
 
+import os
+
+# one BLAS thread, as tools/golden.py and the benchmark run, set before
+# anything imports numpy: results must not depend on how a threaded
+# reduction splits its sums
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import pytest
 
 from kahler_lab.families import generate_probe

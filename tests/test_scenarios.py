@@ -129,6 +129,22 @@ def test_flow_scenario_evaluates_each_sample_energy_once(monkeypatch, tmp_path):
     assert sum(rows) == (cfg.n + 1) * samples
 
 
+def test_flow_scenario_passes_its_probe_states(monkeypatch):
+    # the flow stack joins the round reference and the probe states as they
+    # are; no potential is rebuilt into a metric
+    calls, original = [], scenarios.make_metric
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "make_metric", recorded)
+    report = run_scenario(parse_config({"scenario": "krf_monotone", "grid_size": 48,
+                                        "count": 2}))
+    assert report.items
+    assert calls == []
+
+
 def test_flow_scenario_notes_halved_and_truncated_runs(monkeypatch, tmp_path):
     cfg = parse_config({"scenario": "krf_monotone", "grid_size": 48, "count": 2})
     assert run_scenario(cfg, out_dir=str(tmp_path / "plain")).notes == []
