@@ -612,23 +612,22 @@ def path_monitors(traj: PathTrajectory) -> np.recarray:
     return monitors(traj.states, traj.ref_state, t=traj.ts, c_t=traj.c_t)
 
 
-def _simpson_uniform(values, dt: float) -> float:
-    """Composite Simpson on uniform samples, as scipy.integrate.simpson.
+def _cumulative_simpson(values, dt: float) -> Array:
+    """Integrals of uniform samples from the first sample to each sample;
+    each entry is what scipy.integrate.simpson gives for that prefix.
 
-    An odd number of points is plain composite Simpson (one point gives
-    0.0).  Two points use the trapezoid rule.  Any other even number
-    applies Simpson to all points but the last and closes the last
-    interval with the three-point correction
-    h (5/12 y[-1] + 2/3 y[-2] - 1/12 y[-3]).
+    Pairs of intervals take Simpson's rule.  A first interval on its own
+    takes the trapezoid rule, and a trailing odd interval after two or more
+    closes with the three-point correction
+    h (5/12 y[k] + 2/3 y[k-1] - 1/12 y[k-2]).
     """
     y = np.asarray(values, dtype=float)
-    if len(y) == 2:
-        return float(0.5 * dt * (y[0] + y[1]))
-    odd = y if len(y) % 2 else y[:-1]
-    total = np.sum(odd[:-2:2] + 4.0 * odd[1:-1:2] + odd[2::2]) * (dt / 3.0)
-    if len(y) % 2 == 0:
-        total += dt * (5.0 / 12.0 * y[-1] + 2.0 / 3.0 * y[-2] - 1.0 / 12.0 * y[-3])
-    return float(total)
+    out = np.zeros(len(y))
+    out[1:2] = 0.5 * dt * (y[:1] + y[1:2])
+    out[2::2] = np.cumsum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (dt / 3.0)
+    out[3::2] = out[2:-1:2] + dt * (5.0 / 12.0 * y[3::2] + 2.0 / 3.0 * y[2:-1:2]
+                                    - 1.0 / 12.0 * y[1:-2:2])
+    return out
 
 
 def _rate_residual(traj: PathTrajectory, rate: Array, rhs) -> float:
@@ -637,8 +636,7 @@ def _rate_residual(traj: PathTrajectory, rate: Array, rhs) -> float:
     truncated to the resolved band: the derivative is exact to O(dt^4) but
     carries the solver's noise floor in its top coefficients, which the
     smooth rate of an analytic-in-t path does not have."""
-    bg = traj.bg
-    smooth = np.array([bg.lowpass(r, bg.band) for r in rate])
+    smooth = traj.bg.lowpass(rate, traj.bg.band)
     return float(np.abs(laplacian(traj.states, smooth) - rhs(smooth)).max())
 
 
@@ -647,7 +645,7 @@ def _squared_rate_integral(traj: PathTrajectory, rate: Array) -> float:
     Simpson's rule on its grid (not divided by V)."""
     lap_rate = laplacian(traj.states, rate)
     sq = (1.0 - traj.ts) * traj.bg.integrate(lap_rate * lap_rate * traj.states.rho)
-    return _simpson_uniform(sq, traj.dt)
+    return _cumulative_simpson(sq, traj.dt)[-1]
 
 
 def _reference_term(traj: PathTrajectory, k: int) -> float:
@@ -725,7 +723,7 @@ def check_lemma_3_4(traj: PathTrajectory, *,
 
     if traj.reached_end:
         # endpoint energy identity, one row per k
-        pairing_integral = _simpson_uniform((1.0 - ts) * pair, traj.dt)
+        pairing_integral = _cumulative_simpson((1.0 - ts) * pair, traj.dt)[-1]
         q0 = _gradient_wedges(states[0], ref_state)
         for k in range(bg.n + 1):
             e_start, e_end = monitors[f"E_{k}"][[0, -1]]
@@ -817,6 +815,8 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
     dt = aubin.dt
     imj = monitors["I_minus_J"]
     e1_path = monitors["E_1"]
+    running = _cumulative_simpson(imj, dt)  # I - J integrated from t = 0
+    partial = running[-1]
 
     items.append(CheckItem.lower_bound(
         "path_reach", "bending path advances beyond t = 0.9",
@@ -832,7 +832,7 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
         ta, tb = ts[i1], ts[i2]
         lhs = e1_path[i2] - e1_path[i1]
         rhs = (-2.0 * (1.0 - tb) * imj[i2] + 2.0 * (1.0 - ta) * imj[i1]
-               - 2.0 * _simpson_uniform(imj[i1:i2 + 1], dt)
+               - 2.0 * (running[i2] - running[i1])
                + (1.0 - tb) ** 2 * grad[i2]
                - (1.0 - ta) ** 2 * grad[i1])
         items.append(CheckItem.identity(
@@ -846,7 +846,6 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
 
     # lower bound by the accumulated I - J integral (valid on any range)
     e1_theta = e_k_closed(ref_state, 1)
-    partial = _simpson_uniform(imj, dt)
     items.append(CheckItem.lower_bound(
         "energy_vs_accumulated_imj",
         "background-relative energy dominates twice the accumulated I - J",
@@ -874,8 +873,7 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
         # E_1 and J between the endpoint metric and the time-t metrics
         e_between = e_k_closed(states[late:], 1, end)
         j_between = i_and_j(states[late:], end)[1]
-        tails = np.array([2.0 * _simpson_uniform(imj[idx:], dt)
-                          for idx in range(late, len(ts))])
+        tails = 2.0 * (partial - running[late:])
         items.append(CheckItem.upper_bound(
             "late_energy_vs_tail",
             "late-time energy to the endpoint bounded by the tail integral",
@@ -909,7 +907,6 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
 
     # boundedness monitor for the k = 1 energy along the path
     cap0 = e1_path[0] + 2.0 * imj[0] - grad[0]
-    running = np.array([_simpson_uniform(imj[:idx + 1], dt) for idx in range(len(ts))])
     items.append(CheckItem.upper_bound(
         "energy_bounded_above",
         "k = 1 energy stays under its start-time cap along the path",

@@ -58,6 +58,7 @@ Array = np.ndarray
 
 FLOW_MODES = 24  # Chebyshev coefficients the flow steps
 MAX_DT = 5e-3    # inside the explicit stability bound of those modes at the round metric
+MAX_HALVINGS = 12  # step halvings before a run is truncated
 
 
 @dataclass
@@ -94,8 +95,7 @@ class FlowStack:
 
 
 def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
-             sample_every: int = 25, max_halvings: int = 12
-             ) -> FlowTrajectory | FlowStack:
+             sample_every: int = 25) -> FlowTrajectory | FlowStack:
     """Integrate the normalized flow from the metric of `start`, or from
     each row of a stacked `start`, for `steps` accepted steps of size dt.
 
@@ -106,8 +106,8 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
     metric, for every n; that bound covers starts near the round metric,
     and a start farther out relies on the step halving below once a
     candidate leaves the cone.  Samples (metric state, volume defect) every
-    `sample_every` accepted steps and at both endpoints.  If the step size
-    collapses entirely the trajectory is returned truncated, with the
+    `sample_every` accepted steps and at both endpoints.  After more than
+    MAX_HALVINGS halvings the trajectory is returned truncated, with the
     reason recorded, rather than raising.
 
     The rows of a stacked start step in lockstep until one of them leaves
@@ -162,14 +162,14 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
         q = 1.0 + candidate @ profiles_t
         if q.min() <= 0.0:
             if stacked:
-                rows = [run_flow(start[r], dt, steps, sample_every, max_halvings)
+                rows = [run_flow(start[r], dt, steps, sample_every)
                         for r in range(len(start.phi))]
                 return FlowStack(rows, MetricState.stack([row.states for row in rows]),
                                  np.cumsum([0] + [len(row.times) for row in rows]))
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > MAX_HALVINGS:
                 status = "truncated"
-                reason = (f"step size collapsed after {max_halvings} halvings: "
+                reason = (f"step size collapsed after {MAX_HALVINGS} halvings: "
                           f"{_cone_error(q, size)}")
                 break
             dt *= 0.5  # sticky: the run stays at the smaller step

@@ -38,9 +38,11 @@ a stacked state is bitwise the state of that row alone.
 stacks too; a single density integrates to a Python float, a stack to one
 value per row.  A stacked integral takes one dot product per row, never one
 matrix-vector product over the stack (which sums in another order), so
-each value is bitwise the integral of that row alone; indexing a stacked
-state (`state[i]`, `state[a:b]`) gives its rows as views, and
-`MetricState.stack` joins states into one stack without rebuilding them.
+each value is bitwise the integral of that row alone.  Every array of a
+Background or a MetricState is read-only: indexing a stacked state gives
+views for a basic index (`state[i]`, `state[a:b]`) and read-only copies
+for an index array or a mask, and `MetricState.stack` joins states into
+one stack without rebuilding them.
 
 The computations are arranged in perturbation form (differentiating only
 phi-dependent quantities, never the identity profile) so the reference
@@ -73,8 +75,8 @@ BAND_MODES = 64
 class Background:
     """Immutable grid-plus-reference-metric bundle.
 
-    Built once and passed to every computation on its grid; all arrays are
-    frozen after construction.
+    Built once and passed to every computation on its grid; every array
+    it holds or caches is read-only.
     """
 
     model: str
@@ -96,6 +98,9 @@ class Background:
     cheb_analysis: Array | None = None
     cheb_synthesis: Array | None = None
     reference: "MetricState | None" = field(default=None, repr=False)
+
+    def __post_init__(self):
+        _freeze(*vars(self).values())
 
     @property
     def length(self) -> float:
@@ -149,10 +154,11 @@ class Background:
         return P
 
     def lowpass(self, values: Array, modes: int) -> Array:
-        """Project onto the first `modes` Chebyshev coefficients."""
-        coeffs = self.cheb_analysis @ values
-        coeffs[modes:] = 0.0
-        return self.cheb_synthesis @ coeffs
+        """Project onto the first `modes` Chebyshev coefficients; each row
+        of a (B, N) stack bitwise as that row alone."""
+        coeffs = _rows(self.cheb_analysis, values)
+        coeffs[..., modes:] = 0.0
+        return _rows(self.cheb_synthesis, coeffs)
 
 
 @dataclass
@@ -171,7 +177,7 @@ class FormSlot:
 
 @dataclass
 class MetricState:
-    """A validated radial metric with its curvature data cached."""
+    """A validated radial metric with its curvature data cached, read-only."""
 
     bg: Background
     phi: Array
@@ -196,8 +202,13 @@ class MetricState:
         low = np.minimum(self.lam_r.min(axis=-1), self.lam_s.min(axis=-1))
         return float(low) if low.ndim == 0 else low
 
+    def __post_init__(self):
+        _freeze(*vars(self).values())
+
     def __getitem__(self, index) -> "MetricState":
-        """A row, or a range of rows, of a stacked state, as views."""
+        """Rows of a stacked state, read-only like every state: views for a
+        basic index (`state[i]`, `state[a:b]`), copies for an index array
+        or a mask."""
         return MetricState(**{k: v if k == "bg" or v is None else v[index]
                               for k, v in vars(self).items()})
 
@@ -211,15 +222,14 @@ class MetricState:
             joined = np.concatenate([np.atleast_2d(getattr(s, k)) for s in states])
             return joined if order is None else joined[order]
 
-        fields = {k: v if k == "bg" or v is None else join(k)
-                  for k, v in vars(states[0]).items()}
-        _freeze(*(v for k, v in fields.items() if k != "bg"))
-        return MetricState(**fields)
+        return MetricState(**{k: v if k == "bg" or v is None else join(k)
+                              for k, v in vars(states[0]).items()})
 
 
-def _freeze(*arrays: Array | None) -> None:
-    for a in arrays:
-        if a is not None:
+def _freeze(*values) -> None:
+    for a in values:
+        # a view of a frozen array is read-only already and skips the call
+        if isinstance(a, np.ndarray) and a.flags.writeable:
             a.setflags(write=False)
 
 
@@ -274,9 +284,6 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
             ref_measure=np.full(grid_size, 1.0 / grid_size), volume=1.0,
             moment_mean=0.0, D2=D2,
         )
-
-    _freeze(bg.x, bg.D, bg.ref_measure, bg.w0, bg.w0_x, bg.w0_over_x,
-            bg.D2, bg.D_w0_D, bg.bary_w, bg.cheb_analysis, bg.cheb_synthesis)
 
     ref = make_metric(bg, np.zeros(bg.size))
     bg.reference = ref
@@ -400,16 +407,12 @@ def make_metric(bg: Background, phi) -> MetricState:
     else:
         lam_s = G_over_x / m_over_x
 
-    state = MetricState(
+    return MetricState(
         bg=bg, phi=values.copy(), rho=rho, log_rho=log_rho,
         lam_r=lam_r, lam_s=lam_s,
         m=m, m_x=m_x, m_over_x=m_over_x, r=r,
         G=G, G_x=G_x, G_over_x=G_over_x,
     )
-    _freeze(state.phi, state.rho, state.log_rho, state.lam_r, state.lam_s,
-            state.m, state.m_x, state.m_over_x, state.r, state.G, state.G_x,
-            state.G_over_x)
-    return state
 
 
 def check_moment_profile(m_x: Array, m_over_x: Array) -> None:
@@ -442,13 +445,10 @@ def _make_metric_torus(bg: Background, values: Array) -> MetricState:
     log_rho = np.log(rho)
     ric_flat = -_rows(bg.D2, log_rho)
     lam = ric_flat / rho
-    state = MetricState(
+    return MetricState(
         bg=bg, phi=values.copy(), rho=rho, log_rho=log_rho,
         lam_r=lam, lam_s=lam.copy(), ric_flat=ric_flat,
     )
-    _freeze(state.phi, state.rho, state.log_rho, state.lam_r, state.lam_s,
-            state.ric_flat)
-    return state
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@ class Antiderivative:
 
     def __init__(self, D: Array):
         self._inv = np.linalg.inv(D[1:, 1:])
+        self._inv.setflags(write=False)
 
     def __call__(self, f: Array) -> Array:
         F = np.zeros(np.shape(f))

@@ -18,7 +18,7 @@ import pytest
 from kahler_lab import continuity, energies
 from kahler_lab import flow as flow_module
 from kahler_lab.continuity import (LAMBDA1_RITZ_TOL, NEWTON_TOL, _extrapolate,
-                                   _newton_solve, _simpson_uniform, _solve_density,
+                                   _cumulative_simpson, _newton_solve, _solve_density,
                                    check_lemma_3_4, check_lemma_4_1,
                                    check_section5, lambda1_radial,
                                    path_monitors, ricci_positive_generator,
@@ -877,11 +877,15 @@ def test_curvature_potential_drives_prescribed_equation(bg_cp2, probe_cp2):
 
 
 def test_simpson_rule_matches_scipy_on_every_length():
+    # every prefix of the cumulative integral is scipy's Simpson of it
     from scipy.integrate import simpson
     rng = np.random.default_rng(0)
     for size in range(1, 61):
         y = rng.standard_normal(size)
         for dt in (0.02, 0.25):
-            scale = dt * np.abs(y).sum()
-            assert _simpson_uniform(y, dt) == pytest.approx(
-                float(simpson(y, dx=dt)), rel=0.0, abs=1e-14 * scale), size
+            running = _cumulative_simpson(y, dt)
+            assert running.shape == (size,)
+            for k in range(1, size + 1):
+                scale = dt * np.abs(y[:k]).sum()
+                assert running[k - 1] == pytest.approx(
+                    float(simpson(y[:k], dx=dt)), rel=0.0, abs=1e-14 * scale), (size, k)

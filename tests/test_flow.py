@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kahler_lab import flow
 from kahler_lab.errors import (NotKahlerError, ParameterError,
                                UnsupportedModelError)
 from kahler_lab.families import generate_probe
@@ -20,8 +21,9 @@ from kahler_lab.flow import run_flow
 from kahler_lab.geometry import fs_background, make_metric
 
 
-def grid_space_flow(bg, phi0, dt, steps, modes=24, max_halvings=12):
-    """Oracle: (phi after `steps` accepted steps, final dt, halvings)."""
+def grid_space_flow(bg, phi0, dt, steps, modes=24):
+    """Oracle: (phi after `steps` accepted steps, final dt, halvings), with
+    the flow's halving limit."""
     phi = bg.lowpass(np.asarray(phi0, dtype=float), modes)
     phi = phi - bg.mean(phi)
     state = make_metric(bg, phi)
@@ -34,7 +36,7 @@ def grid_space_flow(bg, phi0, dt, steps, modes=24, max_halvings=12):
             new_state = make_metric(bg, candidate)
         except NotKahlerError:
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > flow.MAX_HALVINGS:
                 raise
             dt *= 0.5
             continue
@@ -100,15 +102,16 @@ def test_near_boundary_start_halves_step_stickily(bg48):
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_collapsed_step_truncates_with_reason(bg48, sign):
+def test_collapsed_step_truncates_with_reason(bg48, sign, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_HALVINGS", 0)
     phi0 = sign * near_boundary_start(bg48)
-    traj = run_flow(make_metric(bg48, phi0), dt=1e-3, steps=50, max_halvings=0)
+    traj = run_flow(make_metric(bg48, phi0), dt=1e-3, steps=50)
     assert traj.status == "truncated"
     assert traj.steps == 0
     assert traj.times.tolist() == [0.0, 0.0]
     # the cone test reports the node and value make_metric reports
     with pytest.raises(NotKahlerError) as grid_exc:
-        grid_space_flow(bg48, phi0, 1e-3, 1, max_halvings=0)
+        grid_space_flow(bg48, phi0, 1e-3, 1)
     assert traj.reason == (
         f"step size collapsed after 0 halvings: {grid_exc.value}")
 
@@ -164,14 +167,14 @@ def test_stacked_rows_match_their_single_runs(bg48):
         assert row.states.phi.tobytes() == runs.states.phi[a:b].tobytes()
 
 
-def test_stack_with_one_truncating_row(bg48):
+def test_stack_with_one_truncating_row(bg48, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_HALVINGS", 0)
     phis = [near_boundary_start(bg48), bg48.reference.phi]
-    runs = run_flow(stack(bg48, phis), dt=1e-3, steps=50, max_halvings=0)
+    runs = run_flow(stack(bg48, phis), dt=1e-3, steps=50)
     assert [row.status for row in runs.rows] == ["truncated", "completed"]
     assert [row.steps for row in runs.rows] == [0, 50]
     for row, phi in zip(runs.rows, phis):
-        assert_same_run(row, run_flow(make_metric(bg48, phi), dt=1e-3, steps=50,
-                                      max_halvings=0))
+        assert_same_run(row, run_flow(make_metric(bg48, phi), dt=1e-3, steps=50))
 
 
 def test_stack_counts_are_row_sums(bg48):

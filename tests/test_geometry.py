@@ -91,7 +91,14 @@ def test_background_request_validation():
         fs_background("sphere", 1, 64)
 
 
-def test_background_arrays_are_frozen(bg_cp2):
+def test_background_arrays_are_frozen(bg_cp2, bg_torus):
+    # every array a background holds or caches, its reference state's too
+    for bg in (bg_cp2, bg_torus):
+        arrays = [v for obj in (bg, bg.reference) for v in vars(obj).values()
+                  if isinstance(v, np.ndarray)]
+        if bg.model == "cpn":
+            arrays += [bg.antider._inv, *bg.ritz_basis, bg.density_preconditioner]
+        assert len(arrays) > 6 and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         bg_cp2.x[0] = 1.0
     with pytest.raises(ValueError):
@@ -314,6 +321,21 @@ def test_metric_state_stack_rows_are_their_sources(fixture, request):
                 want = getattr(source, f.name)
                 assert got[i].tobytes() == want.tobytes(), (i, f.name)
     assert joined.min_ricci.tolist() == [s.min_ricci for s in sources]
+
+
+@pytest.mark.parametrize("fixture", MODELS)
+def test_metric_state_rows_by_index_array_or_mask_are_read_only(fixture, request):
+    bg = request.getfixturevalue(fixture)
+    state = make_metric(bg, _stack(bg))
+    size = len(state.phi)
+    for index in (np.array([4, 1, 4]), np.arange(size) % 2 == 0):
+        picked = state[index]
+        sources = np.arange(size)[index]
+        for name, got in vars(picked).items():
+            if isinstance(got, np.ndarray):
+                assert not got.flags.writeable, name
+                for i, source in enumerate(sources):
+                    assert got[i].tobytes() == getattr(state[source], name).tobytes()
 
 
 def _inadmissible(bg):
@@ -630,3 +652,10 @@ def test_lowpass_keeps_low_modes_exactly(bg_cp2):
     # truncating everything but the constant leaves the mean alone
     flat = bg_cp2.lowpass(vals, 1)
     assert np.abs(flat - flat[0]).max() < 1e-12
+    # a stack projects row by row, each row bitwise its own projection
+    noise = np.random.default_rng(0).standard_normal((3, bg_cp2.size))
+    rows = np.vstack([vals, noise])
+    projected = bg_cp2.lowpass(rows, 8)
+    assert projected.shape == rows.shape
+    for got, row in zip(projected, rows):
+        assert got.tobytes() == bg_cp2.lowpass(row, 8).tobytes()
