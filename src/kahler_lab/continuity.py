@@ -12,33 +12,15 @@ potential f, and are parametrized by t in [0, 1]:
   the metric whose Ricci form equals w.
 
 One Newton solve of  log(w_phi^n / w^n) + t phi = target  on (Lap + t I)
-serves both.  It works on a (B, N) stack of points sharing t, a single
-point being the one-row stack, warm-started from the moment inversion at
-t = 0 (the prescribed-volume points, the bending path's start) and from the
-quadratic extrapolation through the last three solved points at t > 0.
-At t = 0 the linearization has the constants as its kernel, at t = 1 the
-rotation potential u = m - n of the endpoint metric; there the solve fixes
-the free direction by the gauge  int phi u w_phi^n = 0 .  At t = 0 that is
-the constant which continues the path smoothly.  At t = 1, differentiating
-the path equation gives (Lap_t + t) d/dt phi = -phi_t, solvable only when
-phi_1 is orthogonal to u, so the gauge selects the limit of the path.
-Each t = 0 correction is matrix-free: GMRES on the bordered system with
-its rows scaled by m_x, whose principal part D_w0_D is then the round one,
-preconditioned by the round metric's bordered inverse, and a stack holds
-no (B, N+1, N+1) matrix.  At 0 < t < 1 the correction splits into a part
-in the t = 0 gauge and a constant, which the Laplacian annihilates, so the
-same bordered system with t m_x added to its diagonal and the same cached
-inverse serve every t: on grids of at least KRYLOV_MIN_SIZE nodes and
-n >= 2 those steps are Krylov too.  The t = 1 steps (bordered by m - n),
-the steps at n = 1 (whose round preconditioner is singular) and those on
-smaller grids, where an LU of the N x N matrix is cheaper than the GMRES
-iterations, are dense solves.  Each GMRES solve stops at an inexact-Newton
-forcing term, a relative tolerance just tight enough to take the residual
-well below NEWTON_TOL.
-A step that leaves the admissible cone is halved, at most seven times.
-Failed bending steps trigger internal substepping; reported points always
-stay on the requested uniform grid, and a path that cannot reach the
-requested end is returned truncated with a stall record rather than raising.
+serves both (`_newton_solve`, whose docstring states its gauge, its
+choice of step and its halving).  It works on a (B, N) stack of points
+sharing t, a single point being the one-row stack, warm-started from the
+moment inversion at t = 0 (the prescribed-volume points, the bending
+path's start) and from the quadratic extrapolation through the last three
+solved points at t > 0.  Failed bending steps trigger internal
+substepping; reported points always stay on the requested uniform grid
+(`_time_grid`), and a path that cannot reach the requested end is
+returned truncated with a stall record rather than raising.
 
 The solvers take the MetricState of the reference metric (a probe, say)
 and read the background from it; the trajectory keeps that same state as
@@ -255,41 +237,31 @@ def _ritz_lambda1(bg: Background, wdiag: Array, mass: Array,
 
 def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array):
     """Solve  log(w_phi^n / w^n) + t phi = target  for the potential phi
-    over the metric w of `ref_state` from the warm start `guess` by
-    `_newton_rows`.  Returns (phi, state, iterations, residual): stacked in
-    row order for a (B, N) stack, and for a single target the one-row
-    stack's row.
-    """
-    if np.ndim(guess) == 1:
-        [(_, phi, state, iterations, residual)] = _newton_rows(
-            ref_state, target[None], t, guess[None])
-        return phi[0], state[0], iterations, float(residual[0])
-    rows, phi, states, iterations, residual = zip(*_newton_rows(ref_state, target, t, guess))
-    order = np.argsort(np.concatenate(rows))
-    return (np.concatenate(phi)[order], MetricState.stack(states, order),
-            np.repeat(iterations, [len(r) for r in rows])[order],
-            np.concatenate(residual)[order])
+    over the metric w of `ref_state` from the warm start `guess`, by
+    Newton's method on J = Lap + t I for each row of a (B, N) stack of
+    targets and guesses in lockstep, each row bitwise its solve alone; a
+    single (N,) target and guess are the one-row stack.  Returns (phi,
+    state, iterations, residual), per row in stack order, and for a single
+    target that row's (a 1-d phi, its state, an int and a float).
 
-
-def _newton_rows(ref_state: MetricState, target: Array, t: float, guess: Array) -> list:
-    """Newton's method on J = Lap + t I for each row of a (B, N) stack of
-    targets and guesses in lockstep, each row bitwise its solve alone.
-    Returns, per Newton iteration in which rows were solved, their stack
-    rows, potentials, stacked state, the Newton steps they took and their
-    residuals.
-
-    At t = 0 and t = 1, J is singular along its kernel u (1, resp. m - n),
-    and the step solves the bordered system
-    [J u; l^T 0] [delta; mu] = [-R; -l.phi] with l = u w_phi^n, imposing
-    the gauge  int phi u w_phi^n = 0.  A row is solved once both its
-    residual and its gauge defect are within NEWTON_TOL.  The step is
-    `_density_step`'s matrix-free GMRES solve at t = 0, and at 0 < t < 1
-    when n >= 2 on grids of at least KRYLOV_MIN_SIZE nodes.  Otherwise
-    (t = 1, n = 1, smaller grids) it is the dense J of `laplacian_matrix`,
-    bordered at t = 1, by `np.linalg.solve`.  A row's GMRES tolerance is
-    the inexact-Newton forcing term  max(GMRES_TOL, NEWTON_TOL / (100
-    max|R|))  (Eisenstat & Walker 1996): the step need only take the
-    residual well below NEWTON_TOL, not to GMRES_TOL of a large R.
+    At t = 0 and t = 1, J is singular along its kernel u (1, resp. the
+    rotation potential m - n of the endpoint metric), and the step solves
+    the bordered system [J u; l^T 0] [delta; mu] = [-R; -l.phi] with
+    l = u w_phi^n, imposing the gauge  int phi u w_phi^n = 0.  At t = 0
+    that is the constant which continues the path smoothly.  At t = 1,
+    differentiating the path equation gives (Lap_t + t) d/dt phi = -phi_t,
+    solvable only when phi_1 is orthogonal to u, so the gauge selects the
+    limit of the path.  A row is solved once both its residual and its
+    gauge defect are within NEWTON_TOL.  The step is `_density_step`'s
+    matrix-free GMRES solve at t = 0, and at 0 < t < 1 when n >= 2 on grids
+    of at least KRYLOV_MIN_SIZE nodes.  Otherwise (t = 1; n = 1, whose
+    round preconditioner is singular; smaller grids, where an LU of the
+    N x N matrix is cheaper than the GMRES iterations) it is the dense J of
+    `laplacian_matrix`, bordered at t = 1, by `np.linalg.solve`.  A row's
+    GMRES tolerance is the inexact-Newton forcing term  max(GMRES_TOL,
+    NEWTON_TOL / (100 max|R|))  (Eisenstat & Walker 1996): the step need
+    only take the residual well below NEWTON_TOL, not to GMRES_TOL of a
+    large R.
 
     When a trial step leaves the cone, every row that left halves its step
     and the stack is built again, so each row takes the largest admissible
@@ -301,18 +273,18 @@ def _newton_rows(ref_state: MetricState, target: Array, t: float, guess: Array) 
     """
     bg = ref_state.bg
     size = bg.size
-    phi = np.array(guess, dtype=float)    # the iterates of the rows solving
-    rows = np.arange(len(phi))            # their rows in the stack
+    single = np.ndim(guess) == 1
+    phi = np.array(guess, dtype=float, ndmin=2)  # the iterates of the rows solving
+    rows = np.arange(len(phi))                   # their rows in the stack
+    target = np.atleast_2d(target)
     at_one = abs(t - 1.0) < 1e-12
-    bordered = t == 0.0 or at_one
     krylov = t == 0.0 or (not at_one and bg.n > 1 and size >= KRYLOV_MIN_SIZE)
-    solved = []
+    solved = []  # (rows, phi, state, steps, residuals) of each iteration that solved rows
     error = None
 
-    def border(state):
-        """The kernel u and the gauge row l = u w_phi^n of each row."""
-        u = state.m - bg.moment_mean if t else 1.0
-        return u, bg.ref_measure * state.rho * u
+    def gauge(state):
+        """The gauge row l = u w_phi^n of each row, at t = 0 and t = 1."""
+        return bg.ref_measure * state.rho * (state.m - bg.moment_mean if t else 1.0)
 
     def fail(j, message, residual=None):
         """Fail row rows[j]; only the rows before it solve on."""
@@ -331,8 +303,8 @@ def _newton_rows(ref_state: MetricState, target: Array, t: float, guess: Array) 
         R = state.log_rho - ref_state.log_rho - target + t * phi
         res = np.abs(R).max(axis=1)
         done = res <= NEWTON_TOL
-        if bordered:
-            R = np.concatenate((R, _dots(border(state)[1], phi)[:, None]), axis=1)
+        if t == 0.0 or at_one:
+            R = np.concatenate((R, _dots(gauge(state), phi)[:, None]), axis=1)
             done &= np.abs(R[:, size]) <= NEWTON_TOL
         if done.any():
             # the last rows to solve leave as they are, with no copy
@@ -352,9 +324,9 @@ def _newton_rows(ref_state: MetricState, target: Array, t: float, guess: Array) 
         else:
             J = laplacian_matrix(state)
             np.einsum("bii->bi", J)[...] += t
-            if bordered:
-                u, l = border(state)
-                J = np.block([[J, u[:, :, None]], [l[:, None], np.zeros((len(rows), 1, 1))]])
+            if at_one:
+                u = (state.m - bg.moment_mean)[:, :, None]
+                J = np.block([[J, u], [gauge(state)[:, None], np.zeros((len(rows), 1, 1))]])
             delta = np.linalg.solve(J, -R[:, :, None])[:, :size, 0]
         scale = np.ones((len(rows), 1))
         while len(rows):
@@ -374,7 +346,17 @@ def _newton_rows(ref_state: MetricState, target: Array, t: float, guess: Array) 
         fail(0, "Newton did not converge", float(res[0]))
     if error is not None:
         raise error
-    return solved
+    rows, phi, states, iters, res = zip(*solved)
+    iters = np.repeat(iters, [len(r) for r in rows])
+    if len(solved) == 1:    # the rows as their last iteration built them
+        phi, state, res = phi[0], states[0], res[0]
+    else:
+        order = np.argsort(np.concatenate(rows))
+        phi, state = np.concatenate(phi)[order], MetricState.stack(states)[order]
+        iters, res = iters[order], np.concatenate(res)[order]
+    if single:
+        return phi[0], state[0], int(iters[0]), float(res[0])
+    return phi, state, iters, res
 
 
 def _density_step(state: MetricState, R: Array, t: float = 0.0, tol=GMRES_TOL):
@@ -483,6 +465,14 @@ def _solve_density(ref_state: MetricState, target: Array):
 # the prescribed-volume path
 
 
+def _time_grid(dt: float) -> Array:
+    """The reported path times 0, dt, 2 dt, ..., 1.  Raises ParameterError
+    unless dt is positive and splits [0, 1] into whole steps."""
+    if not (dt > 0.0 and abs(round(1.0 / dt) * dt - 1.0) <= 1e-9):
+        raise ParameterError(f"path step must be positive and divide [0, 1], got {dt}")
+    return np.arange(round(1.0 / dt) + 1) * dt
+
+
 def solve_yau_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
     """Solve the prescribed-volume path from the metric of `ref_state` on a
     uniform grid in t over [0, 1].
@@ -492,8 +482,8 @@ def solve_yau_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
     zero reference mean; the recorded c_t makes the volume identity exact.
     """
     bg = ref_state.bg
+    ts = _time_grid(dt)
     f, _ = ricci_potential(ref_state)
-    ts = np.arange(int(round(1.0 / dt)) + 1) * dt
     c_t = -np.log(bg.integrate(np.exp(ts[:, None] * f) * ref_state.rho) / bg.volume)
     try:
         psi, states, iters, res = _solve_density(ref_state, ts[:, None] * f + c_t[:, None])
@@ -528,18 +518,17 @@ def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory
     truncated with a stall record.
     """
     bg = ref_state.bg
+    grid = _time_grid(dt).tolist()
     f, _ = ricci_potential(ref_state)
     tilde, state, iters, res = _solve_density(ref_state, f)
     # the reported points' (t, tilde, state, iterations, residual)
     points = [(0.0, tilde, state, iters, res)]
 
-    steps = int(round(1.0 / dt))
     # the last three accepted (t, tilde) pairs, substeps included, newest
     # last; they feed the quadratic warm-start extrapolation
     ts, tildes = [0.0], [tilde]
     reason = ""
-    for i in range(1, steps + 1):
-        t_target = i * dt
+    for t_target in grid[1:]:
         sub = t_target - ts[-1]
         while ts[-1] < t_target - 1e-12:
             t_try = min(ts[-1] + sub, t_target)

@@ -116,17 +116,12 @@ def _ek_integrands(state: MetricState, dot: Array) -> list[Array]:
     lap_dot = laplacian(state, dot)
     ric = slot_ricci(state)
     met = slot_metric(state)
-    # wedge[j]: j Ricci factors against n-j metric factors
-    wedge = [wedge_density(bg, [ric] * j + [met] * (n - j)) for j in range(n + 1)]
-    out = []
-    for k in range(n + 1):
-        first = (k + 1) * bg.integrate(lap_dot * wedge[k])
-        if k == n:
-            out.append(first / bg.volume)
-            continue
-        second = (n - k) * bg.integrate(dot * (wedge[k + 1] - mu_k(bg, k) * state.rho))
-        out.append((first - second) / bg.volume)
-    return out
+    # wedge[j]: j Ricci factors against n-j metric factors; the zero
+    # wedge[n + 1] meets the factor n - k = 0 of the k = n term
+    wedge = [wedge_density(bg, [ric] * j + [met] * (n - j)) for j in range(n + 1)] + [0.0]
+    return [((k + 1) * bg.integrate(lap_dot * wedge[k])
+             - (n - k) * bg.integrate(dot * (wedge[k + 1] - mu_k(bg, k) * state.rho)))
+            / bg.volume for k in range(n + 1)]
 
 
 def e_k_path(state: MetricState, path: str = "linear") -> PathEnergies:

@@ -32,15 +32,8 @@ tests of `make_metric`, with its errors.  A candidate that leaves the
 admissible cone is retried with a halved (sticky) step size.
 
 `run_flow` takes the MetricState of one start metric, or a (B, N) stack
-of them, and reads the background from it.  All rows step through one
-lockstep loop and share its step size, time, step count and halving
-count.  The coefficients of a stack are a (B, 1, K) stack (a single start
-keeps its (K,) vector), and each product takes it against a transposed
-view of a skinny operator, which numpy evaluates as one matrix-vector
-product per row, the product a single start makes.  The first time any
-row's candidate leaves the cone, every row of the stack is rerun alone
-and the runs are joined, so every row of a stacked run is bitwise the run
-of that row alone, halvings and truncation included.  Only the samples
+of them, and steps every row through one lockstep loop; its docstring
+states how a stack is stepped, rerun and returned.  Only the samples
 build full metric states on the grid, every sample of every row in one
 stacked `make_metric` at the end.
 """
@@ -110,18 +103,27 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
     MAX_HALVINGS halvings the trajectory is returned truncated, with the
     reason recorded, rather than raising.
 
-    The rows of a stacked start step in lockstep until one of them leaves
-    the cone; then each row is rerun alone, so rows halve and truncate
-    independently (a truncated row's reason quotes its own cone error).  A
-    stack returns a FlowStack whose steps and halvings are the sums over
-    its rows; each row's trajectory equals, field by field and bitwise, the
-    FlowTrajectory of that row run alone.
+    The rows of a stacked start step in lockstep, sharing the step size,
+    time, step count and halving count.  Their coefficients are a (B, 1, K)
+    stack (a single start keeps its (K,) vector), and each product takes it
+    against a transposed view of a skinny operator, which numpy evaluates
+    as one matrix-vector product per row, the product a single start
+    makes.  The first time any row leaves the cone, each row is rerun
+    alone, so rows halve and truncate independently (a truncated row's
+    reason quotes its own cone error).  A stack returns a FlowStack whose
+    steps and halvings are the sums over its rows; each row's trajectory
+    equals, field by field and bitwise, the FlowTrajectory of that row run
+    alone.
+
+    Raises ParameterError unless dt is positive, steps and sample_every
+    are at least 1 and the limits above hold.
     """
     bg = start.bg
     if bg.model != "cpn":
         raise UnsupportedModelError("the normalized flow is for the projective model")
-    if dt > MAX_DT + 1e-15:
-        raise ParameterError(f"step size must not exceed {MAX_DT:g}, got {dt}")
+    if not (0.0 < dt <= MAX_DT + 1e-15 and steps >= 1 and sample_every >= 1):
+        raise ParameterError(f"need 0 < dt <= {MAX_DT:g} and steps, sample_every >= 1, got "
+                             f"dt = {dt}, steps = {steps}, sample_every = {sample_every}")
     if dt * steps > 10.0 + 1e-9:
         raise ParameterError("total flow time must not exceed 10")
 
@@ -152,8 +154,7 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
     c = recenter(phi0 @ analysis_t)
     q = 1.0 + c @ profiles_t
     if q.min() <= 0.0:
-        rows_q = q.reshape(-1, 2 * size)
-        check_moment_profile(rows_q[:, :size], rows_q[:, size:])
+        raise _cone_error(q, size)
     log_rho = log_density(q)
     samples = [(0.0, c)]
     t, accepted, halvings, status, reason = 0.0, 0, 0, "completed", ""
@@ -199,8 +200,9 @@ def run_flow(start: MetricState, dt: float = 1e-3, steps: int = 1000,
 
 def _cone_error(q: Array, size: int) -> NotKahlerError:
     """The error `make_metric` raises for the moment profiles q = (m_x, m/x)
-    of a row that leaves the cone."""
+    of the rows of a start or candidate, some row of which leaves the cone."""
+    rows = q.reshape(-1, 2 * size)
     try:
-        check_moment_profile(q[:size], q[size:])
+        check_moment_profile(rows[:, :size], rows[:, size:])
     except NotKahlerError as exc:
         return exc

@@ -213,17 +213,14 @@ class MetricState:
                               for k, v in vars(self).items()})
 
     @staticmethod
-    def stack(states: list["MetricState"], order: Array | None = None) -> "MetricState":
+    def stack(states: list["MetricState"]) -> "MetricState":
         """One stacked state whose rows are the rows of `states` (single or
-        stacked states of one background) in order, or the joined rows
-        order[0], order[1], ...: their arrays joined, no metric rebuilt, so
-        each row is bitwise its source."""
-        def join(k):
-            joined = np.concatenate([np.atleast_2d(getattr(s, k)) for s in states])
-            return joined if order is None else joined[order]
-
-        return MetricState(**{k: v if k == "bg" or v is None else join(k)
-                              for k, v in vars(states[0]).items()})
+        stacked states of one background) in order: their arrays joined, no
+        metric rebuilt, so each row is bitwise its source."""
+        return MetricState(**{
+            k: v if k == "bg" or v is None
+            else np.concatenate([np.atleast_2d(getattr(s, k)) for s in states])
+            for k, v in vars(states[0]).items()})
 
 
 def _freeze(*values) -> None:

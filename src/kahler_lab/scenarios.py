@@ -107,6 +107,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
         value = getattr(cfg, key)
         if not isinstance(value, int) or not low <= value <= high:
             raise ParameterError(f"{key} must be an integer in [{low}, {high}], got {value!r}")
+    # the grid resolves fewer modes than half its nodes, and aliases beyond
+    if cfg.modes >= cfg.grid_size // 2:
+        raise ParameterError(f"modes must be below grid_size // 2, got {cfg.modes}")
     # json.load parses NaN and Infinity: numbers must be finite, here and below
     if cfg.amplitude is not None and not (isinstance(cfg.amplitude, (int, float))
                                           and 0 <= cfg.amplitude <= sys.float_info.max):
@@ -398,9 +401,9 @@ def _run_futaki(cfg, bg, report, art):
             float(arr.max() - arr.min()), 0.0, t["spread"]))
 
     # derivative of the energy along the rotation orbit equals the invariant
-    base = probes[1] if len(probes) > 1 else probes[0]
+    base = min(1, len(probes) - 1)  # the first probe past the round metric, if any
     h = 0.02
-    orbit = [make_metric(bg, orbit_potential(base, s))
+    orbit = [make_metric(bg, orbit_potential(probes[base], s))
              for s in 0.1 + h * np.arange(-2, 3)]
     for k in range(min(bg.n, 2) + 1):
         samples = np.array([[e_k_closed(point, k)] for point in orbit])
@@ -408,7 +411,7 @@ def _run_futaki(cfg, bg, report, art):
         report.add(CheckItem.identity(
             f"orbit_derivative_k{k}",
             "orbit derivative of the energy equals the normalized invariant",
-            deriv, values[k][1] if len(probes) > 1 else values[k][0],
+            deriv, values[k][base],
             t["orbit_derivative"]))
 
 
@@ -513,13 +516,9 @@ def _run_properness_probe(cfg, bg, report, art):
         return
     x = np.log([j for _, j in usable])
     y = np.log([e1 for e1, _ in usable])
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, res_, *_ = np.linalg.lstsq(A, y, rcond=None)
+    coef, cov = np.polyfit(x, y, 1, cov=True)  # cov on len(x) - 2 degrees of freedom
     slope = float(coef[0])
-    resid = y - A @ coef
-    dof = len(x) - 2
-    se = float(np.sqrt(resid @ resid / dof / ((x - x.mean()) @ (x - x.mean()))))
-    half = _T975[dof - 1] * se
+    half = _T975[len(x) - 3] * float(np.sqrt(cov[0, 0]))
     report.add(CheckItem.info(
         "empirical_exponent",
         "least-squares growth exponent of log-energy against log-J", slope))

@@ -78,6 +78,17 @@ def test_non_string_out_dir_is_a_config_error(tmp_path):
         assert cli.main(["run", "--config", path]) == 2, out_dir
 
 
+def test_modes_must_lie_below_half_the_grid(tmp_path):
+    # mode grid_size // 2 aliases on the grid, and 10^9 modes would be
+    # drawn before any other check
+    assert parse_config({"scenario": "fs_anchors", "grid_size": 48, "modes": 23}).modes == 23
+    for modes in (24, 10 ** 9):
+        with pytest.raises(ParameterError, match="modes"):
+            parse_config({"scenario": "fs_anchors", "grid_size": 48, "modes": modes})
+        path = _config(tmp_path, {"scenario": "fs_anchors", "grid_size": 48, "modes": modes})
+        assert cli.main(["validate", "--config", path]) == 2, modes
+
+
 def test_boolean_config_values_are_config_errors(tmp_path):
     # JSON true is an int to isinstance; "n": true would run as n = 1
     for key in ("n", "grid_size", "seed", "count", "amplitude", "modes"):

@@ -719,7 +719,7 @@ def test_bending_corrections_are_krylov_from_the_threshold_grid(monkeypatch, siz
     bg = fs_background("cpn", 2, size)
     probe = generate_probe(bg, seed=0, scenario="lemma32_34", index=0)
     solves, dense, krylov = [], [], []
-    for name, log in (("_newton_rows", solves), ("laplacian_matrix", dense),
+    for name, log in (("_newton_solve", solves), ("laplacian_matrix", dense),
                       ("_density_step", krylov)):
         def tagged(*args, _original=getattr(continuity, name), _log=log):
             _log.append(args[2] if _log is solves else solves[-1])
@@ -848,6 +848,15 @@ def test_bending_solve_builds_each_newton_iterate_once(monkeypatch):
     assert steps >= 1
     assert sum(ok for _, ok in calls) == 1 + steps
     assert np.array_equal(state.phi, probe.phi + phi)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, 0.03, np.nan, np.inf])
+def test_path_solvers_reject_a_step_that_does_not_split_the_unit_interval(bg_cp2, dt):
+    # dt = 0.03 would end both grids at t = 0.99, which the endpoint rows
+    # would read as t = 1
+    for solve in (solve_aubin_path, solve_yau_path):
+        with pytest.raises(ParameterError):
+            solve(bg_cp2.reference, dt)
 
 
 def test_suites_reject_mismatched_path_kinds(bg_cp2, yau_cp2, aubin_cp2):

@@ -129,6 +129,11 @@ def test_parameter_and_model_errors(bg48):
         run_flow(bg48.reference, dt=1e-3, steps=20_000)
     with pytest.raises(ParameterError):
         run_flow(make_metric(bg48, np.full(bg48.size, np.nan)), steps=10)
+    # a step that does not move forward, and a run or sampling with no steps
+    for kwargs in ({"dt": 0.0}, {"dt": -1e-3}, {"dt": np.nan}, {"steps": 0},
+                   {"sample_every": 0}):
+        with pytest.raises(ParameterError):
+            run_flow(bg48.reference, **{"steps": 10, **kwargs})
     torus = fs_background("torus", 1, 32)
     with pytest.raises(UnsupportedModelError):
         run_flow(torus.reference, steps=10)

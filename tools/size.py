@@ -10,7 +10,12 @@ Python's tokenizer:
                string that opens a module, class or function body);
 * blank     -- the rest: empty or whitespace-only lines outside docstrings.
 
-Prints one row per module and a total row; the columns add up to `total`.
+A last column, `defaults`, counts the function parameters that carry a
+default: the values a caller may set but need not.  It counts parameters,
+not lines, and stays outside the line classes.
+
+Prints one row per module and a total row; the line columns add up to
+`total`.
 """
 
 from __future__ import annotations
@@ -37,6 +42,13 @@ def docstring_starts(source: str) -> set[tuple[int, int]]:
     return starts
 
 
+def defaults(source: str) -> int:
+    """Parameters with a default, over every function and lambda."""
+    return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
 def count(path: Path) -> dict[str, int]:
     source = path.read_text()
     docs = docstring_starts(source)
@@ -52,16 +64,16 @@ def count(path: Path) -> dict[str, int]:
     total = len(source.splitlines())
     doc = len(doc_lines - code_lines)
     return {"total": total, "code": len(code_lines), "doc": doc,
-            "blank": total - len(code_lines) - doc}
+            "blank": total - len(code_lines) - doc, "defaults": defaults(source)}
 
 
 def main() -> None:
-    columns = ("total", "code", "doc", "blank")
+    columns = ("total", "code", "doc", "blank", "defaults")
     rows = [(path.name, count(path)) for path in sorted(SRC.glob("*.py"))]
     rows.append(("total", {c: sum(r[c] for _, r in rows) for c in columns}))
-    print(f"{'module':<16}" + "".join(f"{c:>8}" for c in columns))
+    print(f"{'module':<16}" + "".join(f"{c:>10}" for c in columns))
     for name, row in rows:
-        print(f"{name:<16}" + "".join(f"{row[c]:>8}" for c in columns))
+        print(f"{name:<16}" + "".join(f"{row[c]:>10}" for c in columns))
 
 
 if __name__ == "__main__":
