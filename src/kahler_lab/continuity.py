@@ -284,7 +284,7 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
 
     def gauge(state):
         """The gauge row l = u w_phi^n of each row, at t = 0 and t = 1."""
-        return bg.ref_measure * state.rho * (state.m - bg.moment_mean if t else 1.0)
+        return bg.ref_measure * state.rho * (state.m - bg.n if t else 1.0)
 
     def fail(j, message, residual=None):
         """Fail row rows[j]; only the rows before it solve on."""
@@ -325,7 +325,7 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
             J = laplacian_matrix(state)
             np.einsum("bii->bi", J)[...] += t
             if at_one:
-                u = (state.m - bg.moment_mean)[:, :, None]
+                u = (state.m - bg.n)[:, :, None]
                 J = np.block([[J, u], [gauge(state)[:, None], np.zeros((len(rows), 1, 1))]])
             delta = np.linalg.solve(J, -R[:, :, None])[:, :size, 0]
         scale = np.ones((len(rows), 1))

@@ -38,11 +38,12 @@ a stacked state is bitwise the state of that row alone.
 stacks too; a single density integrates to a Python float, a stack to one
 value per row.  A stacked integral takes one dot product per row, never one
 matrix-vector product over the stack (which sums in another order), so
-each value is bitwise the integral of that row alone.  Every array of a
-Background or a MetricState is read-only: indexing a stacked state gives
-views for a basic index (`state[i]`, `state[a:b]`) and read-only copies
-for an index array or a mask, and `MetricState.stack` joins states into
-one stack without rebuilding them.
+each value is bitwise the integral of that row alone.  No field of a
+Background or a MetricState can be reassigned, and every array it holds is
+read-only; a Background builds its reference and class constants on first
+read.  Indexing a stacked state gives views for a basic index (`state[i]`,
+`state[a:b]`) and read-only copies for an index array or a mask, and
+`MetricState.stack` joins states into one stack without rebuilding them.
 
 The computations are arranged in perturbation form (differentiating only
 phi-dependent quantities, never the identity profile) so the reference
@@ -52,7 +53,7 @@ L'Hopital gymnastics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
@@ -71,12 +72,13 @@ MIN_GRID = 16
 BAND_MODES = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class Background:
     """Immutable grid-plus-reference-metric bundle.
 
-    Built once and passed to every computation on its grid; every array
-    it holds or caches is read-only.
+    Built once and passed to every computation on its grid.  Its fields
+    cannot be reassigned, every array it holds or caches is read-only, and
+    `reference` and `mu` are built on first read.
     """
 
     model: str
@@ -86,21 +88,35 @@ class Background:
     D: Array                  # spectral differentiation matrix
     ref_measure: Array        # weights integrating densities against omega^n
     volume: float
-    moment_mean: float
     w0: Array | None = None
     w0_x: Array | None = None
     w0_over_x: Array | None = None
     D2: Array | None = None   # torus second derivative
     D_w0_D: Array | None = None  # D diag(w0) D, the weighted second derivative
-    mu: tuple[float, ...] = ()
     antider: spectral.Antiderivative | None = None
     bary_w: Array | None = None
     cheb_analysis: Array | None = None
     cheb_synthesis: Array | None = None
-    reference: "MetricState | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         _freeze(*vars(self).values())
+
+    @cached_property
+    def reference(self) -> "MetricState":
+        """The reference metric: the round one, or the flat one on the torus."""
+        return make_metric(self, np.zeros(self.size))
+
+    @cached_property
+    def mu(self) -> tuple[float, ...]:
+        """Class constants mu_k, k = 0..n, from the reference by quadrature:
+        the wedge of k+1 Ricci factors and n-k-1 metric factors, and at k = n
+        the full Ricci wedge (no functional reads that value; every
+        prefactor multiplying it vanishes)."""
+        ric, met = slot_ricci(self.reference), slot_metric(self.reference)
+        return tuple(
+            self.integrate(wedge_density(
+                self, [ric] * min(k + 1, self.n) + [met] * max(self.n - k - 1, 0)))
+            / self.volume for k in range(self.n + 1))
 
     @property
     def length(self) -> float:
@@ -175,7 +191,7 @@ class FormSlot:
     as_: Array
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricState:
     """A validated radial metric with its curvature data cached, read-only."""
 
@@ -230,15 +246,6 @@ def _freeze(*values) -> None:
             a.setflags(write=False)
 
 
-def _validate_request(model: str, n: int, grid_size: int) -> None:
-    if model not in MODELS:
-        raise ParameterError(f"unknown model {model!r}; expected one of {MODELS}")
-    if not 1 <= n <= MAX_N[model]:
-        raise ParameterError(f"model {model!r} supports 1 <= n <= {MAX_N[model]}, got {n}")
-    if grid_size < MIN_GRID:
-        raise ParameterError(f"grid_size must be at least {MIN_GRID}, got {grid_size}")
-
-
 def fs_background(model: str, n: int, grid_size: int) -> Background:
     """Build the reference background and validate its curvature anchors.
 
@@ -248,7 +255,14 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
     eigenvalues are not identically 1 to tight tolerance, so every
     convention drift is caught here before anything else runs.
     """
-    _validate_request(model, n, grid_size)
+    if model not in MODELS:
+        raise ParameterError(f"unknown model {model!r}; expected one of {MODELS}")
+    if not 1 <= n <= MAX_N[model]:
+        raise ParameterError(f"model {model!r} supports 1 <= n <= {MAX_N[model]}, got {n}")
+    if grid_size < MIN_GRID:
+        raise ParameterError(f"grid_size must be at least {MIN_GRID}, got {grid_size}")
+    if model == "torus" and grid_size % 2:
+        raise ParameterError(f"torus grid_size must be even, got {grid_size}")
 
     if model == "cpn":
         length = float(n + 1)
@@ -264,27 +278,22 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
         C, V = spectral.cheb_transform(grid_size)
         bg = Background(
             model=model, n=n, size=grid_size, x=x, D=D,
-            ref_measure=ref_measure, volume=volume, moment_mean=float(n),
+            ref_measure=ref_measure, volume=volume,
             w0=w0, w0_x=w0_x, w0_over_x=w0_over_x,
             D_w0_D=D @ (w0[:, None] * D),
             antider=spectral.Antiderivative(D), bary_w=bary_w,
             cheb_analysis=C, cheb_synthesis=V,
         )
     else:
-        if grid_size % 2:
-            grid_size += 1  # even periodic grids keep the Nyquist mode tidy
         x = spectral.fourier_nodes(grid_size)
         D = spectral.fourier_diff(grid_size, 1)
         D2 = spectral.fourier_diff(grid_size, 2)
         bg = Background(
             model=model, n=n, size=grid_size, x=x, D=D,
-            ref_measure=np.full(grid_size, 1.0 / grid_size), volume=1.0,
-            moment_mean=0.0, D2=D2,
+            ref_measure=np.full(grid_size, 1.0 / grid_size), volume=1.0, D2=D2,
         )
 
-    ref = make_metric(bg, np.zeros(bg.size))
-    bg.reference = ref
-
+    ref = bg.reference
     lam = 1.0 if model == "cpn" else 0.0
     dev = max(abs(ref.lam_r - lam).max(), abs(ref.lam_s - lam).max())
     if dev > 1e-8:
@@ -292,26 +301,7 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
             f"reference curvature anchor failed: eigenvalue deviation {dev:.3e}"
         )
 
-    bg.mu = tuple(_mu_from_reference(bg, k) for k in range(n + 1))
     return bg
-
-
-def _mu_from_reference(bg: Background, k: int) -> float:
-    """Class constant from the reference metric by quadrature.
-
-    The defining wedge carries k+1 Ricci factors against n-k-1 metric
-    factors; at the top index k = n the metric exponent would be -1, so we
-    integrate the full Ricci wedge instead (the value never enters any
-    functional there, every prefactor multiplying it vanishes).
-    """
-    ref = bg.reference
-    ric = slot_ricci(ref)
-    met = slot_metric(ref)
-    if k < bg.n:
-        slots = [ric] * (k + 1) + [met] * (bg.n - k - 1)
-    else:
-        slots = [ric] * bg.n
-    return bg.integrate(wedge_density(bg, slots)) / bg.volume
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,12 @@ from . import spectral
 
 @dataclass
 class ScenarioConfig:
+    """One scenario run's settings; a field left None takes the scenario's
+    default when `parse_config` reads the config."""
+
     scenario: str
-    model: str = "cpn"
-    n: int = 2
+    model: str | None = None
+    n: int | None = None
     grid_size: int = 96
     seed: int = 0
     modes: int = DEFAULT_MODES
@@ -107,6 +110,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         value = getattr(cfg, key)
         if not isinstance(value, int) or not low <= value <= high:
             raise ParameterError(f"{key} must be an integer in [{low}, {high}], got {value!r}")
+    if cfg.model == "torus" and cfg.grid_size % 2:
+        raise ParameterError(f"torus grid_size must be even, got {cfg.grid_size}")
     # the grid resolves fewer modes than half its nodes, and aliases beyond
     if cfg.modes >= cfg.grid_size // 2:
         raise ParameterError(f"modes must be below grid_size // 2, got {cfg.modes}")
@@ -162,9 +167,35 @@ def _suffixed(items: list[CheckItem], idx: int) -> list[CheckItem]:
 
 
 # ---------------------------------------------------------------------------
-# scenario runners
+# scenario runners, each registered with its spec
 
 
+@dataclass
+class ScenarioSpec:
+    runner: object
+    description: str
+    default_n: int = 2
+    default_count: int = 10
+    models: tuple = ("cpn",)
+    tolerances: dict = field(default_factory=dict)
+    needs_background: bool = True
+
+
+_REGISTRY: dict[str, ScenarioSpec] = {}
+
+
+def _scenario(description: str, **spec):
+    """Register the decorated runner `_run_<name>` as scenario <name>; the
+    registration order is the scenario order."""
+    def register(runner):
+        _REGISTRY[runner.__name__.removeprefix("_run_")] = ScenarioSpec(
+            runner, description, **spec)
+        return runner
+    return register
+
+
+@_scenario("exact integer/rational verification of the combinatorial identities",
+           default_n=1, needs_background=False)
 def _run_exact_identities(cfg, bg, report, art):
     start = time.perf_counter()
     for result in run_exact():
@@ -178,6 +209,9 @@ def _run_exact_identities(cfg, bg, report, art):
         elapsed, 1.0, 0.0))
 
 
+@_scenario("round-metric curvature, class-constant, and spectrum anchors",
+           models=("cpn", "torus"),
+           tolerances={"eigenvalue": 1e-9, "mu": 1e-10, "residual": 1e-8, "lambda1": 1e-8})
 def _run_fs_anchors(cfg, bg, report, art):
     t = cfg.tolerances
     ref = bg.reference
@@ -226,6 +260,8 @@ def _run_fs_anchors(cfg, bg, report, art):
         bg.integrate(ref.rho) / bg.volume, 1.0, 1e-12))
 
 
+@_scenario("energy agrees across segments and with the closed form",
+           default_count=20, tolerances={"path": 1e-8, "closed": 1e-6})
 def _run_ek_path_independence(cfg, bg, report, art):
     t = cfg.tolerances
     for idx, state in enumerate(_probes(bg, cfg)):
@@ -244,6 +280,8 @@ def _run_ek_path_independence(cfg, bg, report, art):
                 lin[k], closed, t["closed"], relative_to=scale))
 
 
+@_scenario("closed-form energy: definition agreement and shift invariance",
+           default_count=5, tolerances={"closed": 1e-6, "shift": 1e-9})
 def _run_prop21_agreement(cfg, bg, report, art):
     t = cfg.tolerances
     probes = _probes(bg, cfg)
@@ -273,6 +311,8 @@ def _run_prop21_agreement(cfg, bg, report, art):
                 shifted, closed, t["shift"], relative_to=max(1.0, abs(closed))))
 
 
+@_scenario("two-step composition and antisymmetry of the energy",
+           default_count=20, tolerances={"cocycle": 1e-7})
 def _run_cocycle(cfg, bg, report, art):
     t = cfg.tolerances
     first = _probes(bg, cfg)
@@ -294,6 +334,8 @@ def _run_cocycle(cfg, bg, report, art):
                 anti, 0.0, t["cocycle"]))
 
 
+@_scenario("nonnegativity over positively curved probes, minimum at the round metric",
+           default_count=25, tolerances={"energy_floor": 1e-7, "argmin_deviation": 1e-2})
 def _run_theorem1(cfg, bg, report, art):
     t = cfg.tolerances
     seeds = [bg.reference] + _probes(bg, cfg, count=cfg.count - 1)
@@ -332,6 +374,8 @@ def _run_theorem1(cfg, bg, report, art):
             note=f"minimum at probe {arg}"))
 
 
+@_scenario("k = 1 energy floor over arbitrary probes with the two-leg split",
+           default_count=50, tolerances={"energy_floor": 1e-7, "cocycle": 1e-7})
 def _run_theorem2(cfg, bg, report, art):
     t = cfg.tolerances
     for idx, probe in enumerate(_probes(bg, cfg)):
@@ -360,6 +404,8 @@ def _run_theorem2(cfg, bg, report, art):
                 back, 0.0, t["energy_floor"]))
 
 
+@_scenario("bending-path structure: rate equation, curvature identity, "
+           "eigenvalue bound, monotonicity, endpoint identity", default_count=3)
 def _run_lemma32_34(cfg, bg, report, art):
     for idx, probe in enumerate(_probes(bg, cfg)):
         traj = solve_aubin_path(probe)
@@ -371,6 +417,8 @@ def _run_lemma32_34(cfg, bg, report, art):
         art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, rows))
 
 
+@_scenario("prescribed-volume path: rate equation and endpoint energy identity",
+           default_count=20)
 def _run_lemma41(cfg, bg, report, art):
     for idx, probe in enumerate(_probes(bg, cfg)):
         traj = solve_yau_path(probe)
@@ -379,6 +427,8 @@ def _run_lemma41(cfg, bg, report, art):
             art.write("trajectory_volume_0.csv", trajectory_csv(bg, path_monitors(traj)))
 
 
+@_scenario("rotation-field invariants vanish, metric-independently",
+           tolerances={"futaki": 1e-6, "spread": 1e-6, "orbit_derivative": 1e-6})
 def _run_futaki(cfg, bg, report, art):
     t = cfg.tolerances
     probes = [bg.reference] + _probes(bg, cfg, count=cfg.count - 1)
@@ -415,6 +465,8 @@ def _run_futaki(cfg, bg, report, art):
             t["orbit_derivative"]))
 
 
+@_scenario("growth control along both paths: two-time identity, bridge "
+           "identity, decay bounds, boundedness monitor", default_count=2)
 def _run_section5(cfg, bg, report, art):
     for idx, probe in enumerate(_probes(bg, cfg)):
         aubin = solve_aubin_path(probe)
@@ -427,6 +479,8 @@ def _run_section5(cfg, bg, report, art):
         art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(bg, rows))
 
 
+@_scenario("energies and invariants flat along the rotation orbit while J grows",
+           default_count=1, tolerances={"energy": 1e-5, "futaki": 1e-6, "spread": 1e-6})
 def _run_orbit_flatness(cfg, bg, report, art):
     t = cfg.tolerances
     s_values = [-1.2, -1.0, -0.7, -0.4, -0.2, -0.1, 0.1, 0.2, 0.4, 0.7, 1.0, 1.2]
@@ -474,6 +528,9 @@ _T975 = (12.706204736174694, 4.302652729749462, 3.1824463052837078,
          2.364624251592784, 2.306004135204166, 2.262157162798205, 2.228138851986274)
 
 
+@_scenario("empirical growth exponent on a scaling family (documented "
+           "substitute for the unverifiable polynomial bound)",
+           default_count=1, tolerances={"energy_floor": 1e-7, "monotone_slack": 1e-9})
 def _run_properness_probe(cfg, bg, report, art):
     t = cfg.tolerances
     report.note(
@@ -528,6 +585,10 @@ def _run_properness_probe(cfg, bg, report, art):
         "exponent_ci_high", "95% confidence upper bound", slope + half))
 
 
+@_scenario("flow monitors: stationarity, energy monotonicity, volume "
+           "conservation, long-time convergence",
+           default_count=20, tolerances={"stationary": 1e-8, "monotone": 1e-7,
+                                         "volume": 1e-9, "convergence": 1e-3})
 def _run_krf_monotone(cfg, bg, report, art):
     t = cfg.tolerances
 
@@ -586,6 +647,9 @@ def _run_krf_monotone(cfg, bg, report, art):
                         + (f" ({traj.reason})" if traj.reason else ""))
 
 
+@_scenario("flat-model branch: manifest nonnegativity and formula reduction",
+           default_n=1, default_count=50, models=("torus",),
+           tolerances={"floor": 1e-10, "agreement": 1e-9, "path": 1e-8})
 def _run_cy_torus(cfg, bg, report, art):
     t = cfg.tolerances
     ref = bg.reference
@@ -621,103 +685,8 @@ def _run_cy_torus(cfg, bg, report, art):
 
 
 # ---------------------------------------------------------------------------
-# registry and entry point
+# entry point
 
-
-@dataclass
-class ScenarioSpec:
-    runner: object
-    description: str
-    default_n: int = 2
-    default_count: int = 10
-    models: tuple = ("cpn",)
-    tolerances: dict = field(default_factory=dict)
-    needs_background: bool = True
-
-
-_REGISTRY: dict[str, ScenarioSpec] = {
-    "exact_identities": ScenarioSpec(
-        _run_exact_identities,
-        "exact integer/rational verification of the combinatorial identities",
-        default_n=1, needs_background=False, models=("cpn",)),
-    "fs_anchors": ScenarioSpec(
-        _run_fs_anchors,
-        "round-metric curvature, class-constant, and spectrum anchors",
-        models=("cpn", "torus"),
-        tolerances={"eigenvalue": 1e-9, "mu": 1e-10, "residual": 1e-8,
-                    "lambda1": 1e-8}),
-    "ek_path_independence": ScenarioSpec(
-        _run_ek_path_independence,
-        "energy agrees across segments and with the closed form",
-        default_count=20,
-        tolerances={"path": 1e-8, "closed": 1e-6}),
-    "prop21_agreement": ScenarioSpec(
-        _run_prop21_agreement,
-        "closed-form energy: definition agreement and shift invariance",
-        default_count=5,
-        tolerances={"closed": 1e-6, "shift": 1e-9}),
-    "cocycle": ScenarioSpec(
-        _run_cocycle,
-        "two-step composition and antisymmetry of the energy",
-        default_count=20,
-        tolerances={"cocycle": 1e-7}),
-    "theorem1": ScenarioSpec(
-        _run_theorem1,
-        "nonnegativity over positively curved probes, minimum at the round metric",
-        default_count=25,
-        tolerances={"energy_floor": 1e-7, "argmin_deviation": 1e-2}),
-    "theorem2": ScenarioSpec(
-        _run_theorem2,
-        "k = 1 energy floor over arbitrary probes with the two-leg split",
-        default_count=50,
-        tolerances={"energy_floor": 1e-7, "cocycle": 1e-7}),
-    "lemma32_34": ScenarioSpec(
-        _run_lemma32_34,
-        "bending-path structure: rate equation, curvature identity, "
-        "eigenvalue bound, monotonicity, endpoint identity",
-        default_count=3,
-        tolerances={}),
-    "lemma41": ScenarioSpec(
-        _run_lemma41,
-        "prescribed-volume path: rate equation and endpoint energy identity",
-        default_count=20,
-        tolerances={}),
-    "futaki": ScenarioSpec(
-        _run_futaki,
-        "rotation-field invariants vanish, metric-independently",
-        default_count=10,
-        tolerances={"futaki": 1e-6, "spread": 1e-6, "orbit_derivative": 1e-6}),
-    "section5": ScenarioSpec(
-        _run_section5,
-        "growth control along both paths: two-time identity, bridge "
-        "identity, decay bounds, boundedness monitor",
-        default_count=2,
-        tolerances={}),
-    "orbit_flatness": ScenarioSpec(
-        _run_orbit_flatness,
-        "energies and invariants flat along the rotation orbit while J grows",
-        default_count=1,
-        tolerances={"energy": 1e-5, "futaki": 1e-6, "spread": 1e-6}),
-    "properness_probe": ScenarioSpec(
-        _run_properness_probe,
-        "empirical growth exponent on a scaling family (documented "
-        "substitute for the unverifiable polynomial bound)",
-        default_count=1,
-        tolerances={"energy_floor": 1e-7, "monotone_slack": 1e-9}),
-    "krf_monotone": ScenarioSpec(
-        _run_krf_monotone,
-        "flow monitors: stationarity, energy monotonicity, volume "
-        "conservation, long-time convergence",
-        default_count=20,
-        tolerances={"stationary": 1e-8, "monotone": 1e-7, "volume": 1e-9,
-                    "convergence": 1e-3}),
-    "cy_torus": ScenarioSpec(
-        _run_cy_torus,
-        "flat-model branch: manifest nonnegativity and formula reduction",
-        default_n=1, default_count=50,
-        models=("torus",),
-        tolerances={"floor": 1e-10, "agreement": 1e-9, "path": 1e-8}),
-}
 
 SCENARIO_NAMES = tuple(_REGISTRY)
 
@@ -740,9 +709,12 @@ def list_scenarios() -> list[tuple[str, str]]:
 def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> CheckReport:
     """Execute one scenario and write its artifacts.
 
-    Returns the in-memory report; report.json, checks.csv and any
-    trajectory CSVs land under <out>/<scenario>/.
+    The config passes through `parse_config` first (a parsed one comes back
+    unchanged), so a directly built ScenarioConfig runs on its scenario's
+    defaults.  Returns the in-memory report; report.json, checks.csv and
+    any trajectory CSVs land under <out>/<scenario>/.
     """
+    cfg = parse_config(asdict(cfg))
     spec = _REGISTRY[cfg.scenario]
     base = out_dir if out_dir is not None else cfg.out_dir
     art = _Artifacts(Path(base) / cfg.scenario if base is not None else None)

@@ -89,6 +89,13 @@ def test_modes_must_lie_below_half_the_grid(tmp_path):
         assert cli.main(["validate", "--config", path]) == 2, modes
 
 
+def test_odd_torus_grid_is_a_config_error(tmp_path):
+    raw = {"scenario": "cy_torus", "model": "torus", "grid_size": 33, "count": 2}
+    assert cli.main(["validate", "--config", _config(tmp_path, raw)]) == 2
+    assert cli.main(["run", "--config", _config(tmp_path, raw), "--out", str(tmp_path)]) == 2
+    assert parse_config({**raw, "grid_size": 34}).grid_size == 34
+
+
 def test_boolean_config_values_are_config_errors(tmp_path):
     # JSON true is an int to isinstance; "n": true would run as n = 1
     for key in ("n", "grid_size", "seed", "count", "amplitude", "modes"):
@@ -151,3 +158,4 @@ def test_parse_config_rejects_or_returns_a_json_config(raw):
     except ParameterError:
         return
     json.dumps(asdict(cfg), allow_nan=False)
+    assert parse_config(asdict(cfg)) == cfg

@@ -683,7 +683,7 @@ def test_bending_path_endpoint_is_the_limit_of_the_path(bg_cp2_fine,
                     - 5.0 * tilde[-5] + tilde[-6])
     assert np.abs(tilde[-1] - extrapolated).max() <= 1e-7
     # Lap + 1 at the endpoint annihilates the rotation potential u ...
-    u = end.m - bg.moment_mean
+    u = end.m - bg.n
     kernel = (laplacian_matrix(end) + np.eye(bg.size)) @ u
     assert np.abs(kernel).max() <= 1e-9 * np.abs(u).max()
     # ... and the endpoint potential is orthogonal to it

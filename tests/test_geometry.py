@@ -37,7 +37,6 @@ def test_round_reference_frozen_anchors(n, size):
     # volume of the anticanonical class: (2 pi)^n (n+1)^n
     assert abs(bg.volume - (2.0 * np.pi) ** n * (n + 1) ** n) < 1e-9 * bg.volume
     # average of the moment coordinate against x^{n-1} dx on [0, n+1] is n
-    assert bg.moment_mean == float(n)
     assert bg.mean(bg.x) == pytest.approx(float(n), abs=1e-11)
     # quadrature of the constant density recovers the volume
     assert bg.integrate(np.ones(size)) == pytest.approx(bg.volume, rel=1e-13)
@@ -75,9 +74,9 @@ def test_flat_torus_background_anchors(bg_torus):
     assert np.abs(ref.rho - 1.0).max() < 1e-12
 
 
-def test_torus_grid_size_rounded_up_to_even():
-    bg = fs_background("torus", 1, 33)
-    assert bg.size == 34
+def test_odd_torus_grid_size_is_rejected():
+    with pytest.raises(ParameterError, match="even"):
+        fs_background("torus", 1, 33)
 
 
 def test_background_request_validation():
@@ -103,6 +102,14 @@ def test_background_arrays_are_frozen(bg_cp2, bg_torus):
         bg_cp2.x[0] = 1.0
     with pytest.raises(ValueError):
         bg_cp2.reference.rho[0] = 2.0
+
+
+def test_backgrounds_and_states_reject_reassignment(bg_cp2, probe_cp2):
+    for obj, name, value in ((bg_cp2, "n", 7), (bg_cp2, "reference", None),
+                             (bg_cp2, "mu", ()), (probe_cp2, "rho", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    assert bg_cp2.n == 2 and bg_cp2.reference is not None and probe_cp2.rho.shape == (72,)
 
 
 # ---------------------------------------------------------------------------

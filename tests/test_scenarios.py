@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,52 @@ import pytest
 import kahler_lab
 from kahler_lab import energies, scenarios
 from kahler_lab.flow import FlowStack
-from kahler_lab.scenarios import _T975, SCENARIO_NAMES, parse_config, run_scenario
+from kahler_lab.scenarios import (_T975, SCENARIO_NAMES, ScenarioConfig, list_scenarios,
+                                  parse_config, run_scenario)
 
 # rows per scenario at grid_size 48, count 2, seed 0, in SCENARIO_NAMES order
 ROW_COUNTS = dict(zip(SCENARIO_NAMES, (4, 12, 12, 15, 12, 15, 8, 22, 8, 9, 22,
                                        12, 16, 8, 11)))
+
+# each scenario's description and the model, n, count and tolerances that
+# `parse_config({"scenario": name})` returns, in SCENARIO_NAMES order
+SPECS = [
+    ("exact_identities",
+     "exact integer/rational verification of the combinatorial identities",
+     "cpn", 1, 10, {}),
+    ("fs_anchors", "round-metric curvature, class-constant, and spectrum anchors",
+     "cpn", 2, 10, {"eigenvalue": 1e-09, "mu": 1e-10, "residual": 1e-08, "lambda1": 1e-08}),
+    ("ek_path_independence", "energy agrees across segments and with the closed form",
+     "cpn", 2, 20, {"path": 1e-08, "closed": 1e-06}),
+    ("prop21_agreement", "closed-form energy: definition agreement and shift invariance",
+     "cpn", 2, 5, {"closed": 1e-06, "shift": 1e-09}),
+    ("cocycle", "two-step composition and antisymmetry of the energy",
+     "cpn", 2, 20, {"cocycle": 1e-07}),
+    ("theorem1",
+     "nonnegativity over positively curved probes, minimum at the round metric",
+     "cpn", 2, 25, {"energy_floor": 1e-07, "argmin_deviation": 0.01}),
+    ("theorem2", "k = 1 energy floor over arbitrary probes with the two-leg split",
+     "cpn", 2, 50, {"energy_floor": 1e-07, "cocycle": 1e-07}),
+    ("lemma32_34", "bending-path structure: rate equation, curvature identity, "
+     "eigenvalue bound, monotonicity, endpoint identity", "cpn", 2, 3, {}),
+    ("lemma41", "prescribed-volume path: rate equation and endpoint energy identity",
+     "cpn", 2, 20, {}),
+    ("futaki", "rotation-field invariants vanish, metric-independently",
+     "cpn", 2, 10, {"futaki": 1e-06, "spread": 1e-06, "orbit_derivative": 1e-06}),
+    ("section5", "growth control along both paths: two-time identity, bridge identity, "
+     "decay bounds, boundedness monitor", "cpn", 2, 2, {}),
+    ("orbit_flatness", "energies and invariants flat along the rotation orbit while J grows",
+     "cpn", 2, 1, {"energy": 1e-05, "futaki": 1e-06, "spread": 1e-06}),
+    ("properness_probe", "empirical growth exponent on a scaling family (documented "
+     "substitute for the unverifiable polynomial bound)",
+     "cpn", 2, 1, {"energy_floor": 1e-07, "monotone_slack": 1e-09}),
+    ("krf_monotone", "flow monitors: stationarity, energy monotonicity, volume "
+     "conservation, long-time convergence",
+     "cpn", 2, 20, {"stationary": 1e-08, "monotone": 1e-07, "volume": 1e-09,
+                    "convergence": 0.001}),
+    ("cy_torus", "flat-model branch: manifest nonnegativity and formula reduction",
+     "torus", 1, 50, {"floor": 1e-10, "agreement": 1e-09, "path": 1e-08}),
+]
 
 TRAJECTORIES = {
     "lemma32_34": ["trajectory_bending_0.csv", "trajectory_bending_1.csv"],
@@ -52,6 +94,21 @@ def test_t_quantile_table_matches_scipy():
     assert len(_T975) == 10
     for dof, value in enumerate(_T975, start=1):
         assert value == float(stdtrit(dof, 0.975)), dof
+
+
+def test_scenario_names_descriptions_and_defaults_are_pinned():
+    assert list_scenarios() == [(name, description) for name, description, *_ in SPECS]
+    for name, _, model, n, count, tolerances in SPECS:
+        cfg = parse_config({"scenario": name})
+        assert (cfg.model, cfg.n, cfg.count, cfg.tolerances) == (model, n, count, tolerances)
+        # a parsed config parses to itself
+        assert parse_config(asdict(cfg)) == cfg, name
+
+
+@pytest.mark.parametrize("name", ["fs_anchors", "cocycle", "cy_torus"])
+def test_directly_built_config_runs_on_its_defaults(name):
+    report = run_scenario(ScenarioConfig(name))
+    assert report.all_passed, [i.name for i in report.items if not i.passed]
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
