@@ -54,7 +54,7 @@ L'Hopital gymnastics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -67,6 +67,7 @@ Array = np.ndarray
 MODELS = ("cpn", "torus")
 MAX_N = {"cpn": 4, "torus": 1}
 MIN_GRID = 16
+MAX_GRID = 1024
 # resolved Chebyshev modes: where derivative consumers truncate, and the
 # Ritz trial space of the first eigenvalue
 BAND_MODES = 64
@@ -246,6 +247,7 @@ def _freeze(*values) -> None:
             a.setflags(write=False)
 
 
+@lru_cache(maxsize=4)
 def fs_background(model: str, n: int, grid_size: int) -> Background:
     """Build the reference background and validate its curvature anchors.
 
@@ -253,14 +255,17 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
     anticanonical normalization (moment interval [0, n+1], volume
     (2 pi)^n (n+1)^n); construction fails loudly if the computed Ricci
     eigenvalues are not identically 1 to tight tolerance, so every
-    convention drift is caught here before anything else runs.
+    convention drift is caught here before anything else runs.  Cached per
+    (model, n, grid_size), the four latest per process, so the callers of
+    a grid share one read-only instance; grid_size lies in [MIN_GRID,
+    MAX_GRID], and a request that raises is not cached.
     """
     if model not in MODELS:
         raise ParameterError(f"unknown model {model!r}; expected one of {MODELS}")
     if not 1 <= n <= MAX_N[model]:
         raise ParameterError(f"model {model!r} supports 1 <= n <= {MAX_N[model]}, got {n}")
-    if grid_size < MIN_GRID:
-        raise ParameterError(f"grid_size must be at least {MIN_GRID}, got {grid_size}")
+    if not MIN_GRID <= grid_size <= MAX_GRID:
+        raise ParameterError(f"grid_size must be in [{MIN_GRID}, {MAX_GRID}], got {grid_size}")
     if model == "torus" and grid_size % 2:
         raise ParameterError(f"torus grid_size must be even, got {grid_size}")
 

@@ -89,6 +89,17 @@ def test_modes_must_lie_below_half_the_grid(tmp_path):
         assert cli.main(["validate", "--config", path]) == 2, modes
 
 
+def test_grid_size_is_bounded_above(tmp_path):
+    # a million nodes would ask for terabytes before any other check
+    assert parse_config({"scenario": "fs_anchors", "grid_size": 1024}).grid_size == 1024
+    for size in (1025, 10 ** 6):
+        with pytest.raises(ParameterError, match="grid_size"):
+            parse_config({"scenario": "fs_anchors", "grid_size": size})
+        path = _config(tmp_path, {"scenario": "fs_anchors", "grid_size": size})
+        assert cli.main(["validate", "--config", path]) == 2, size
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path)]) == 2, size
+
+
 def test_odd_torus_grid_is_a_config_error(tmp_path):
     raw = {"scenario": "cy_torus", "model": "torus", "grid_size": 33, "count": 2}
     assert cli.main(["validate", "--config", _config(tmp_path, raw)]) == 2

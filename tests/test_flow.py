@@ -1,46 +1,91 @@
 """Tests for the normalized Ricci flow.
 
-The oracle is the straightforward grid-space loop: every step evaluates
-the right-hand side from a full metric state, projects the update onto
-the leading Chebyshev modes on the grid and re-centers it.  The flow
-proper steps the same recursion on the coefficients, so the two agree to
-rounding.  A stacked start is checked against the runs of its rows one
-at a time, which it must reproduce bitwise.
+The oracle is the same ETD2RK recursion stepped on grid values: every
+stage evaluates the nonlinear remainder from a full metric state, projects
+onto the leading Chebyshev modes on the grid and re-centers.  Its
+exponentials come from `scipy.linalg.expm` of the linearization built from
+the round metric's `laplacian_matrix`, so it shares neither the flow's
+skinny operators nor its Pade exponential, and the two agree to rounding.
+A stacked start is checked against the runs of its rows one at a time,
+which it must reproduce bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kahler_lab import flow
 from kahler_lab.errors import (NotKahlerError, ParameterError,
                                UnsupportedModelError)
 from kahler_lab.families import generate_probe
 from kahler_lab.flow import run_flow
-from kahler_lab.geometry import fs_background, make_metric
+from kahler_lab.geometry import fs_background, laplacian_matrix, make_metric
+
+
+def block_matrix(linear, h):
+    """[[hL, I, 0], [0, 0, I], [0, 0, 0]], whose exponential's top block row
+    is exp(hL), phi1(hL), phi2(hL)."""
+    k = len(linear)
+    block = np.zeros((3 * k, 3 * k))
+    block[:k, :k] = h * linear
+    block[:k, k:2 * k] = block[k:2 * k, 2 * k:] = np.eye(k)
+    return block
+
+
+def block_exponentials(linear, h):
+    """exp(hL), h phi1(hL) and h phi2(hL) by scipy."""
+    k = len(linear)
+    top = scipy.linalg.expm(block_matrix(linear, h))[:k]
+    return top[:, :k], h * top[:, k:2 * k], h * top[:, 2 * k:]
+
+
+def round_linearization(bg, modes=24):
+    """L in column form on the kept coefficients: C_m (I + Lap), then the
+    reference-mean projection, with Lap the round metric's Laplacian."""
+    analysis, synthesis = bg.cheb_analysis[:modes], bg.cheb_synthesis[:, :modes]
+    lap = laplacian_matrix(bg.reference)
+    linear = analysis @ (np.eye(bg.size) + lap) @ synthesis
+    linear[0] -= bg.mean(synthesis.T) @ linear
+    return linear, lap
 
 
 def grid_space_flow(bg, phi0, dt, steps, modes=24):
-    """Oracle: (phi after `steps` accepted steps, final dt, halvings), with
-    the flow's halving limit."""
-    phi = bg.lowpass(np.asarray(phi0, dtype=float), modes)
-    phi = phi - bg.mean(phi)
-    state = make_metric(bg, phi)
-    halvings = 0
-    accepted = 0
+    """Oracle: (phi after `steps` accepted ETD2RK steps, final dt,
+    halvings), with the flow's halving limit."""
+    analysis, synthesis = bg.cheb_analysis[:modes], bg.cheb_synthesis[:, :modes]
+    linear, lap = round_linearization(bg, modes)
+
+    def center(phi):
+        phi = bg.lowpass(phi, modes)
+        return phi - bg.mean(phi)
+
+    def remainder(phi):
+        # raises NotKahlerError outside the cone
+        return make_metric(bg, phi).log_rho - lap @ phi
+
+    def grid_operators(h):
+        return [synthesis @ op @ analysis for op in block_exponentials(linear, h)]
+
+    phi = center(np.asarray(phi0, dtype=float))
+    nonlinear = remainder(phi)
+    E, phi1, phi2 = grid_operators(dt)
+    halvings = accepted = 0
     while accepted < steps:
-        candidate = bg.lowpass(phi + dt * (state.log_rho + phi), modes)
-        candidate = candidate - bg.mean(candidate)
         try:
-            new_state = make_metric(bg, candidate)
+            a = center(E @ phi + phi1 @ nonlinear)
+            nonlinear_a = remainder(a)
+            candidate = center(a + phi2 @ (nonlinear_a - nonlinear))
+            nonlinear_c = remainder(candidate)
         except NotKahlerError:
             halvings += 1
             if halvings > flow.MAX_HALVINGS:
                 raise
             dt *= 0.5
+            E, phi1, phi2 = grid_operators(dt)
             continue
-        phi, state = candidate, new_state
+        phi, nonlinear = candidate, nonlinear_c
         accepted += 1
     return phi, dt, halvings
 
@@ -62,7 +107,7 @@ def bg96():
 
 
 def test_round_metric_is_bitwise_stationary(bg96):
-    traj = run_flow(bg96.reference, dt=1e-3, steps=400)
+    traj = run_flow(bg96.reference, dt=1e-3, steps=400, sample_every=25)
     assert traj.status == "completed" and traj.steps == 400
     assert traj.halvings == 0 and traj.dt_final == 1e-3
     assert len(traj.times) == 400 // 25 + 1
@@ -82,6 +127,42 @@ def test_coefficient_steps_match_grid_space_loop(size):
     assert np.abs(traj.states.phi[-1] - expected).max() <= 1e-13
     # the flow moves the potential, so the agreement is not vacuous
     assert np.abs(expected - traj.states.phi[0]).max() > 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_linearization_is_the_round_laplacian_on_the_kept_modes(n):
+    bg = fs_background("cpn", n, 96)
+    linear = flow._operators(bg)[-1]
+    expected = round_linearization(bg)[0].T  # the flow acts on row vectors
+    assert np.abs(linear - expected).max() <= 1e-14 * np.abs(expected).max()
+    # the stiff mode an explicit step would have to resolve
+    stiffest = {1: -275.0, 2: -190.667, 3: -148.5, 4: -123.2}[n]
+    assert np.linalg.eigvals(linear).real.min() == pytest.approx(stiffest, rel=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pade_exponential_matches_scipy_on_the_flow_blocks(n):
+    linear = flow._operators(fs_background("cpn", n, 96))[-1]
+    for h in (0.025, 0.25, 0.125):
+        block = block_matrix(linear, h)
+        expected = scipy.linalg.expm(block)
+        assert np.abs(flow._expm(block) - expected).max() <= 1e-13 * np.abs(expected).max()
+        for ours, theirs in zip(flow._etd_operators(linear, h),
+                                block_exponentials(linear, h)):
+            assert np.abs(ours - theirs).max() <= 1e-13 * np.abs(theirs).max()
+
+
+def test_steps_converge_at_second_order(bg96):
+    start = generate_probe(bg96, seed=0, scenario="krf_monotone", index=0)
+
+    def at_time_one(h):
+        steps = round(1.0 / h)
+        return run_flow(start, dt=h, steps=steps, sample_every=steps).states.phi[-1]
+
+    reference = at_time_one(0.0125 / 16)
+    errors = [np.abs(at_time_one(h) - reference).max() for h in (0.05, 0.025, 0.0125)]
+    assert errors[2] > 0.0
+    assert errors[1] <= errors[0] / 3 and errors[2] <= errors[1] / 3
 
 
 def test_volume_is_conserved(bg96):
@@ -124,7 +205,7 @@ def test_inadmissible_start_raises(bg48):
 
 def test_parameter_and_model_errors(bg48):
     with pytest.raises(ParameterError):
-        run_flow(bg48.reference, dt=1e-2, steps=10)
+        run_flow(bg48.reference, dt=0.5, steps=21)
     with pytest.raises(ParameterError):
         run_flow(bg48.reference, dt=1e-3, steps=20_000)
     with pytest.raises(ParameterError):

@@ -19,7 +19,7 @@ import pytest
 from kahler_lab.errors import (NotKahlerError, ParameterError,
                                UnsupportedModelError)
 from kahler_lab.families import generate_probe
-from kahler_lab.geometry import (FormSlot, MetricState, _div_by_w0, fs_background,
+from kahler_lab.geometry import (MAX_GRID, FormSlot, MetricState, _div_by_w0, fs_background,
                                  laplacian, laplacian_matrix, make_metric,
                                  osc, potential_from_density,
                                  ricci_potential, sigma_k, slot_gradsq,
@@ -88,6 +88,32 @@ def test_background_request_validation():
         fs_background("cpn", 2, 8)
     with pytest.raises((ParameterError, UnsupportedModelError)):
         fs_background("sphere", 1, 64)
+
+
+def test_backgrounds_are_shared_per_grid():
+    fs_background.cache_clear()
+    bg = fs_background("cpn", 2, 48)
+    assert fs_background("cpn", 2, 48) is bg
+    assert fs_background("cpn", 3, 48) is not bg
+    assert fs_background("torus", 1, 48) is not bg
+
+
+def test_fifth_grid_evicts_the_oldest_background():
+    fs_background.cache_clear()
+    grids = [("cpn", 1, size) for size in (16, 20, 24, 28, 32)]
+    first, *kept = [fs_background(*grid) for grid in grids]
+    assert fs_background.cache_info().currsize == 4
+    assert all(fs_background(*grid) is bg for grid, bg in zip(grids[1:], kept))
+    assert fs_background(*grids[0]) is not first
+
+
+def test_background_requests_that_raise_are_not_cached():
+    fs_background.cache_clear()
+    for size in (10 ** 6, MAX_GRID + 1, 10 ** 6):
+        with pytest.raises(ParameterError, match="grid_size"):
+            fs_background("cpn", 2, size)
+    info = fs_background.cache_info()
+    assert (info.misses, info.currsize) == (3, 0)
 
 
 def test_background_arrays_are_frozen(bg_cp2, bg_torus):

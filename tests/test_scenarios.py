@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import kahler_lab
-from kahler_lab import energies, scenarios
+from kahler_lab import energies, geometry, scenarios, spectral
 from kahler_lab.flow import FlowStack
 from kahler_lab.scenarios import (_T975, SCENARIO_NAMES, ScenarioConfig, list_scenarios,
                                   parse_config, run_scenario)
@@ -221,10 +221,10 @@ def test_flow_scenario_notes_halved_and_truncated_runs(monkeypatch, tmp_path):
     monkeypatch.setattr(scenarios, "run_flow", marked)
     report = run_scenario(cfg, out_dir=str(tmp_path / "marked"))
     assert report.notes == [
-        "flow row 2 (probe 1): completed after 1000 steps with 2 halvings, "
+        "flow row 2 (probe 1): completed after 40 steps with 2 halvings, "
         "dt_final = 0.00025",
-        "long-run flow: truncated after 2000 steps with 13 halvings, "
-        "dt_final = 0.005 (marked)"]
+        "long-run flow: truncated after 40 steps with 13 halvings, "
+        "dt_final = 0.25 (marked)"]
     data = json.loads((tmp_path / "marked" / "krf_monotone" / "report.json").read_text())
     assert data["notes"] == report.notes
 
@@ -232,8 +232,8 @@ def test_flow_scenario_notes_halved_and_truncated_runs(monkeypatch, tmp_path):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("size", [96, 384])
 def test_flow_scenario_long_run_never_halves_at_its_step(n, size, monkeypatch):
-    # the long run steps at the flow's cap, inside the explicit Euler bound
-    # of the linearized flow at the round metric (tightest at n = 1)
+    # the long run's exponential steps of 0.25 treat the stiff linear part
+    # exactly, and no run halves at any n
     runs = []
     original = scenarios.run_flow
 
@@ -246,10 +246,29 @@ def test_flow_scenario_long_run_never_halves_at_its_step(n, size, monkeypatch):
                         "count": 1, "seed": 0})
     report = run_scenario(cfg)
     kwargs, long_run = runs[-1]
-    assert kwargs == {"dt": 5e-3, "steps": 2000, "sample_every": 400}
-    assert (long_run.status, long_run.halvings, long_run.steps) == ("completed", 0, 2000)
+    assert kwargs == {"dt": 0.25, "steps": 40, "sample_every": 8}
+    assert (long_run.status, long_run.halvings, long_run.steps) == ("completed", 0, 40)
     [row] = [item for item in report.items if item.name == "long_time_convergence"]
     assert row.passed
+
+
+def test_second_run_on_a_grid_builds_no_background(monkeypatch, tmp_path):
+    builds = []
+    original = spectral.Antiderivative
+
+    def counting(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spectral, "Antiderivative", counting)
+    geometry.fs_background.cache_clear()
+    cfg = parse_config({"scenario": "lemma41", "grid_size": 48, "count": 1})
+    first = run_scenario(cfg, out_dir=str(tmp_path / "first"))
+    assert len(builds) == 1
+    second = run_scenario(cfg, out_dir=str(tmp_path / "second"))
+    assert len(builds) == 1
+    assert ([(i.name, i.lhs, i.rhs) for i in first.items]
+            == [(i.name, i.lhs, i.rhs) for i in second.items])
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
