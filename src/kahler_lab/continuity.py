@@ -60,7 +60,6 @@ from .geometry import (
     laplacian,
     laplacian_matrix,
     make_metric,
-    osc,
     potential_from_density,
     ricci_potential,
     slot_hessian,
@@ -286,7 +285,7 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
         """The gauge row l = u w_phi^n of each row, at t = 0 and t = 1."""
         return bg.ref_measure * state.rho * (state.m - bg.n if t else 1.0)
 
-    def fail(j, message, residual=None):
+    def fail(j, message, residual):
         """Fail row rows[j]; only the rows before it solve on."""
         nonlocal error, rows, phi, target
         error = SolverError(message, t=t, residual=residual, row=int(rows[j]))
@@ -295,7 +294,7 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
     try:
         state = make_metric(bg, ref_state.phi + phi)
     except NotKahlerError as exc:
-        fail(exc.row, f"left the admissible cone during solve: {exc}")
+        fail(exc.row, f"left the admissible cone during solve: {exc}", None)
         state = make_metric(bg, ref_state.phi + phi) if len(rows) else None
     for iters in range(NEWTON_ITERS):
         if not len(rows):
@@ -359,7 +358,7 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
     return phi, state, iters, res
 
 
-def _density_step(state: MetricState, R: Array, t: float = 0.0, tol=GMRES_TOL):
+def _density_step(state: MetricState, R: Array, t: float, tol):
     """The Newton correction delta on J = Lap + t I, t < 1, of each row of
     the (B, N) stacked `state`, by GMRES: from its row of the (B, N+1)
     bordered residual R = [log-density residual, gauge defect] at t = 0,
@@ -857,7 +856,7 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
         end = states[-1]
         imj_end = imj[-1]
         tilde = aubin.stacked_exact()
-        gap_osc = osc(tilde - tilde[-1])
+        gap_osc = np.ptp(tilde - tilde[-1], axis=-1)  # oscillation of each row
         late = int(np.searchsorted(ts, 0.5 - 1e-12))
         # E_1 and J between the endpoint metric and the time-t metrics
         e_between = e_k_closed(states[late:], 1, end)

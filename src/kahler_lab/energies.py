@@ -33,6 +33,8 @@ the critical-equation residual sigma_{k+1} - Lap sigma_k - const, the
 degree-k Futaki-type invariants of the generating holomorphic field, the
 one-parameter pullback orbit of that field, and the explicit nonnegative
 closed form the k = 1 energy reduces to on the Ricci-flat torus model.
+`e_k_closed`, `i_and_j` and `futaki_k` take stacked states as well, one
+value per row, each bitwise the value of that row alone.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def _ek_integrands(state: MetricState, dot: Array) -> list[Array]:
             / bg.volume for k in range(n + 1)]
 
 
-def e_k_path(state: MetricState, path: str = "linear") -> PathEnergies:
+def e_k_path(state: MetricState, path: str) -> PathEnergies:
     """Energies E_0 .. E_n of the state's metric relative to the background
     reference, through the time integral along the named segment.
 
@@ -274,8 +276,9 @@ def critical_residual(state: MetricState, k: int) -> Array:
 # Futaki-type invariants and the pullback orbit
 
 
-def futaki_k(state: MetricState, k: int) -> float:
-    """Degree-k invariant of the generating rotation field at a metric.
+def futaki_k(state: MetricState, k: int) -> float | Array:
+    """Degree-k invariant of the generating rotation field at a metric; one
+    value per row of a stacked state, bitwise that row's value alone.
 
     The Hamiltonian is the moment profile of the state, normalized to zero
     average in the state's own volume form:
@@ -289,7 +292,7 @@ def futaki_k(state: MetricState, k: int) -> float:
     if bg.model != "cpn":
         raise UnsupportedModelError("the rotation field lives on the projective model")
     n = bg.n
-    h = state.m - bg.mean(state.m, state.rho)
+    h = state.m - np.asarray(bg.mean(state.m, state.rho))[..., None]
 
     ric = slot_ricci(state)
     met = slot_metric(state)

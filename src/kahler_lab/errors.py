@@ -23,13 +23,13 @@ class NotKahlerError(LabError):
     lists every failing row of the stack, `row` first.
     """
 
-    def __init__(self, message: str, node: int, value: float, row: int = 0,
-                 rows: list[int] | None = None):
+    def __init__(self, message: str, node: int, value: float, row: int,
+                 rows: list[int]):
         super().__init__(f"{message} (node {node}, value {value:.6e})")
         self.node = node
         self.value = value
         self.row = row
-        self.rows = [row] if rows is None else rows
+        self.rows = rows
 
 
 class SolverError(LabError):

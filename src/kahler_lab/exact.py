@@ -33,10 +33,10 @@ class ExactResult:
         return not self.failures
 
 
-def verify_zero_identity(max_n: int = 12) -> ExactResult:
+def verify_zero_identity() -> ExactResult:
     """(n-i+1) C(k+1,i) - (k+1) C(k,i) - (n-k) C(k+1,i) == 0.
 
-    Checked for every 0 <= k <= n <= max_n and 1 <= i <= k+1, with the
+    Checked for every 0 <= k <= n <= 12 and 1 <= i <= k+1, with the
     standard convention C(a, b) = 0 for b > a.  That convention settles the
     boundary tuples where i exceeds k (for example n = 1, k = 0, i = 1,
     where the middle term carries C(0, 1) = 0 and the identity reads
@@ -45,7 +45,7 @@ def verify_zero_identity(max_n: int = 12) -> ExactResult:
     """
     failures = []
     cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 13):
         for k in range(0, n + 1):
             for i in range(1, k + 2):
                 cases += 1
@@ -57,11 +57,12 @@ def verify_zero_identity(max_n: int = 12) -> ExactResult:
     return ExactResult("zero_identity", cases, failures)
 
 
-def verify_binomial_identity(max_k: int = 30) -> ExactResult:
-    """sum_{i=j+1}^{k} C(k+1,i+1) C(i-1,j) (-1)^{i+j} == j - k  for 0 <= j < k."""
+def verify_binomial_identity() -> ExactResult:
+    """sum_{i=j+1}^{k} C(k+1,i+1) C(i-1,j) (-1)^{i+j} == j - k  for
+    0 <= j < k <= 30."""
     failures = []
     cases = 0
-    for k in range(1, max_k + 1):
+    for k in range(1, 31):
         for j in range(0, k):
             cases += 1
             total = 0
@@ -92,11 +93,12 @@ def _sigma_by_subsets(n: int, k: int) -> Counter:
                    for subset in combinations(roots, k))
 
 
-def verify_sigma_expansion(max_n: int = 4) -> ExactResult:
-    """Closed-form sigma_k matches the subset sum exactly."""
+def verify_sigma_expansion() -> ExactResult:
+    """Closed-form sigma_k matches the subset sum exactly, for
+    0 <= k <= n <= 4."""
     failures = []
     cases = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         for k in range(0, n + 1):
             cases += 1
             closed, subsets = _sigma_closed_form(n, k), _sigma_by_subsets(n, k)
@@ -106,5 +108,5 @@ def verify_sigma_expansion(max_n: int = 4) -> ExactResult:
 
 
 def run_all() -> list[ExactResult]:
-    """All three families over their default index ranges."""
+    """All three families over their index ranges."""
     return [verify_zero_identity(), verify_binomial_identity(), verify_sigma_expansion()]

@@ -97,10 +97,10 @@ def run_flow(start: MetricState, dt: float = 0.025, steps: int = 40,
 
     The rows of a stacked start step in lockstep, sharing the step size,
     time, step count and halving count.  Their coefficients are a (B, 1, K)
-    stack (a single start keeps its (K,) vector), and each product takes it
-    against a skinny operator, which numpy evaluates as one matrix-vector
-    product per row, the product a single start makes.  The first time any
-    row leaves the cone, each row is rerun alone, so rows halve and
+    stack, a single start being the one-row stack, and each product takes
+    it against a skinny operator, which numpy evaluates as one
+    matrix-vector product per row.  The first time any row of a stack of
+    two or more leaves the cone, each row is rerun alone, so rows halve and
     truncate independently (a truncated row's reason quotes its own cone
     error).  A stack returns a FlowStack whose steps and halvings are the
     sums over its rows; each row's trajectory equals, field by field and
@@ -122,7 +122,7 @@ def run_flow(start: MetricState, dt: float = 0.025, steps: int = 40,
     analysis_t, synthesis, profiles_t, mean_row, linear = _operators(bg)
 
     def recenter(c: Array) -> Array:
-        c.T[0] -= (c @ mean_row).T  # the constant mode, a scalar for one start
+        c[..., 0] -= c @ mean_row  # the constant mode
         if not np.isfinite(c).all():
             raise ParameterError("potential contains non-finite values")
         return c
@@ -138,10 +138,7 @@ def run_flow(start: MetricState, dt: float = 0.025, steps: int = 40,
         return (u[..., :size] + (n - 1) * u[..., size:]) @ analysis_t
 
     E, phi1, phi2 = _etd_operators(linear, dt)
-    # coefficients are (K,) for a single start and (B, 1, K) for a stack
-    stacked = start.phi.ndim == 2
-    phi0 = start.phi[:, None, :] if stacked else start.phi
-    c = recenter(phi0 @ analysis_t)
+    c = recenter(np.atleast_2d(start.phi)[:, None, :] @ analysis_t)  # (B, 1, K)
     nonlinear = remainder(c)
     samples = [(0.0, c)]
     t, accepted, halvings, status, reason = 0.0, 0, 0, "completed", ""
@@ -151,7 +148,7 @@ def run_flow(start: MetricState, dt: float = 0.025, steps: int = 40,
             candidate = recenter(a + (remainder(a) - nonlinear) @ phi2)
             nonlinear_c = remainder(candidate)
         except NotKahlerError as exc:
-            if stacked:
+            if len(c) > 1:
                 rows = [run_flow(start[r], dt, steps, sample_every)
                         for r in range(len(start.phi))]
                 return FlowStack(rows, MetricState.stack([row.states for row in rows]),
@@ -175,15 +172,15 @@ def run_flow(start: MetricState, dt: float = 0.025, steps: int = 40,
     times, coefs = zip(*samples)
     times = np.array(times)
     # each row's samples are consecutive rows of one stacked build
-    coefs = np.stack(coefs, axis=-2).reshape(-1, c.shape[-1])
+    coefs = np.concatenate(coefs, axis=-2).reshape(-1, c.shape[-1])
     states = make_metric(bg, _rows(synthesis, coefs))
     defects = np.abs(bg.integrate(states.rho) - bg.volume) / bg.volume
-    if not stacked:
-        return FlowTrajectory(times, states, defects, dt, halvings, accepted,
-                              status, reason)
     per_row = len(times)
     rows = [FlowTrajectory(times, states[a:a + per_row], defects[a:a + per_row], dt,
-                           halvings, accepted) for a in range(0, len(coefs), per_row)]
+                           halvings, accepted, status, reason)
+            for a in range(0, len(coefs), per_row)]
+    if start.phi.ndim == 1:
+        return rows[0]
     return FlowStack(rows, states, np.arange(len(rows) + 1) * per_row)
 
 

@@ -4,11 +4,12 @@ Rotation-invariant metrics on CP^n (1 <= n <= 4) are encoded by potentials
 phi(x) in the background moment coordinate x in [0, n+1]; every curvature
 quantity and wedge-product integrand collapses to one-dimensional algebra in
 x.  A flat-torus branch (n = 1, periodic unit cell) provides the
-zero-first-Chern-class model.  It supports `fs_background`, `make_metric`,
-`slot_metric`, `slot_ricci`, `wedge_density`, `sigma_k`, `laplacian` and
-`spectral_tail`; every other call here is for the projective model only,
-and `ricci_potential` and `potential_from_density` raise
-UnsupportedModelError on the torus.
+zero-first-Chern-class model.  It supports `check_grid`, `fs_background`,
+`make_metric`, `slot_metric`, `slot_ricci`, `wedge_density`, `sigma_k`,
+`laplacian` and `spectral_tail`; every other call here is for the
+projective model only, and `ricci_potential` and `potential_from_density`
+raise UnsupportedModelError on the torus.  `check_grid` holds every rule
+on which grids exist, for `fs_background` and the config reader alike.
 
 Conventions, all pinned by the round-metric anchor:
 
@@ -26,6 +27,9 @@ Conventions, all pinned by the round-metric anchor:
 
 On the round reference all of lam_r, lam_s equal 1 and the moment function
 x has Laplacian n - x; both facts are validated at construction time.
+`MetricState.einstein_defect` measures the first from any state: the
+largest distance of lam_r, lam_s from the reference's value (1 on the
+projective model, 0 on the torus).
 
 `make_metric` takes one potential of shape (N,) or a stack of B potentials
 of shape (B, N) and returns a MetricState whose fields have the same
@@ -219,6 +223,16 @@ class MetricState:
         low = np.minimum(self.lam_r.min(axis=-1), self.lam_s.min(axis=-1))
         return float(low) if low.ndim == 0 else low
 
+    @property
+    def einstein_defect(self) -> float | Array:
+        """The largest distance of a Ricci eigenvalue from the reference's
+        (1 on the projective model, 0 on the torus); one per row of a
+        stack."""
+        lam = 1.0 if self.bg.model == "cpn" else 0.0
+        dev = np.maximum(abs(self.lam_r - lam).max(axis=-1),
+                         abs(self.lam_s - lam).max(axis=-1))
+        return float(dev) if dev.ndim == 0 else dev
+
     def __post_init__(self):
         _freeze(*vars(self).values())
 
@@ -247,6 +261,20 @@ def _freeze(*values) -> None:
             a.setflags(write=False)
 
 
+def check_grid(model: str, n: int, grid_size: int) -> None:
+    """Raise ParameterError unless the model is known, 1 <= n <= MAX_N of
+    the model, MIN_GRID <= grid_size <= MAX_GRID, and a torus grid is
+    even."""
+    if model not in MODELS:
+        raise ParameterError(f"unknown model {model!r}; expected one of {MODELS}")
+    if not 1 <= n <= MAX_N[model]:
+        raise ParameterError(f"model {model!r} supports 1 <= n <= {MAX_N[model]}, got {n}")
+    if not MIN_GRID <= grid_size <= MAX_GRID:
+        raise ParameterError(f"grid_size must be in [{MIN_GRID}, {MAX_GRID}], got {grid_size}")
+    if model == "torus" and grid_size % 2:
+        raise ParameterError(f"torus grid_size must be even, got {grid_size}")
+
+
 @lru_cache(maxsize=4)
 def fs_background(model: str, n: int, grid_size: int) -> Background:
     """Build the reference background and validate its curvature anchors.
@@ -257,18 +285,10 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
     eigenvalues are not identically 1 to tight tolerance, so every
     convention drift is caught here before anything else runs.  Cached per
     (model, n, grid_size), the four latest per process, so the callers of
-    a grid share one read-only instance; grid_size lies in [MIN_GRID,
-    MAX_GRID], and a request that raises is not cached.
+    a grid share one read-only instance; a request `check_grid` rejects
+    raises ParameterError and is not cached.
     """
-    if model not in MODELS:
-        raise ParameterError(f"unknown model {model!r}; expected one of {MODELS}")
-    if not 1 <= n <= MAX_N[model]:
-        raise ParameterError(f"model {model!r} supports 1 <= n <= {MAX_N[model]}, got {n}")
-    if not MIN_GRID <= grid_size <= MAX_GRID:
-        raise ParameterError(f"grid_size must be in [{MIN_GRID}, {MAX_GRID}], got {grid_size}")
-    if model == "torus" and grid_size % 2:
-        raise ParameterError(f"torus grid_size must be even, got {grid_size}")
-
+    check_grid(model, n, grid_size)
     if model == "cpn":
         length = float(n + 1)
         x = spectral.cheb_nodes(grid_size, length)
@@ -298,9 +318,7 @@ def fs_background(model: str, n: int, grid_size: int) -> Background:
             ref_measure=np.full(grid_size, 1.0 / grid_size), volume=1.0, D2=D2,
         )
 
-    ref = bg.reference
-    lam = 1.0 if model == "cpn" else 0.0
-    dev = max(abs(ref.lam_r - lam).max(), abs(ref.lam_s - lam).max())
+    dev = bg.reference.einstein_defect
     if dev > 1e-8:
         raise RuntimeError(
             f"reference curvature anchor failed: eigenvalue deviation {dev:.3e}"
@@ -482,8 +500,6 @@ def wedge_density(bg: Background, slots: list[FormSlot]) -> Array:
         raise ParameterError(f"wedge of degree {len(slots)} on an n = {bg.n} model")
 
     n = bg.n
-    if n == 1:
-        return slots[0].ar.copy()
     total = 0.0
     for j in range(n):
         term = slots[j].ar
@@ -509,11 +525,9 @@ def sigma_k(state: MetricState, k: int) -> Array:
         raise ParameterError(f"sigma index must lie in [0, {n}], got {k}")
     if k == 0:
         return np.ones(state.bg.size)
-    out = np.zeros(state.bg.size)
-    if comb(n - 1, k):
-        out += comb(n - 1, k) * state.lam_s ** k
-    out += comb(n - 1, k - 1) * state.lam_s ** (k - 1) * state.lam_r
-    return out
+    # C(n-1, k) = 0 at k = n: no transverse term
+    return (comb(n - 1, k) * state.lam_s ** k
+            + comb(n - 1, k - 1) * state.lam_s ** (k - 1) * state.lam_r)
 
 
 def laplacian(state: MetricState, u) -> Array:
@@ -555,7 +569,7 @@ def ricci_potential(state: MetricState) -> tuple[Array, float]:
     if bg.model != "cpn":
         raise UnsupportedModelError("Ricci potentials require the positive model")
     f_raw = -(state.log_rho + state.phi)
-    mass = float(bg.ref_measure @ (state.rho * np.exp(f_raw)))
+    mass = bg.integrate(state.rho * np.exp(f_raw))
     f = f_raw - np.log(mass / bg.volume)
 
     hess = slot_hessian(bg, f)
@@ -610,11 +624,3 @@ def spectral_tail(bg: Background, values) -> float:
         return 0.0
     tail = max(1, len(coeffs) // 10)
     return float(coeffs[-tail:].max() / scale)
-
-
-def osc(values: Array) -> float | Array:
-    """Oscillation (max minus min) of a sample vector; one per row of a
-    (B, N) stack."""
-    vals = np.asarray(values, dtype=float)
-    spread = vals.max(axis=-1) - vals.min(axis=-1)
-    return float(spread) if spread.ndim == 0 else spread

@@ -127,7 +127,7 @@ def fourier_nodes(size: int) -> Array:
     return np.arange(size) / size
 
 
-def fourier_diff(size: int, order: int = 1) -> Array:
+def fourier_diff(size: int, order: int) -> Array:
     """Dense spectral differentiation matrix for 1-periodic functions."""
     k = np.fft.fftfreq(size, d=1.0 / size)
     mult = (2j * np.pi * k) ** order

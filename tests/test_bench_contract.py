@@ -47,7 +47,7 @@ def test_fields_the_tracer_hooks_read():
     _tracer()._polish_hook(totals, args, {}, potential_from_density(*args))
     assert totals["polished_calls"] == 0
     # the hook adds `intervals` to a float total: the highest order any k needed
-    intervals = e_k_path(probe).intervals
+    intervals = e_k_path(probe, "linear").intervals
     assert isinstance(intervals, int) and intervals > 0
     # at this grid the path stalls just short of t = 1, which the hook
     # counts; it needs only the fields

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, fields
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from kahler_lab import cli
 from kahler_lab.errors import ParameterError, SolverError
+from kahler_lab.geometry import MAX_N, check_grid, fs_background
 from kahler_lab.scenarios import _REGISTRY, SCENARIO_NAMES, ScenarioConfig, parse_config
 
 
@@ -98,6 +100,33 @@ def test_grid_size_is_bounded_above(tmp_path):
         path = _config(tmp_path, {"scenario": "fs_anchors", "grid_size": size})
         assert cli.main(["validate", "--config", path]) == 2, size
         assert cli.main(["run", "--config", path, "--out", str(tmp_path)]) == 2, size
+
+
+def test_config_and_background_apply_the_grid_rules_of_check_grid():
+    # every boundary of check_grid: the config is rejected exactly when the
+    # grid is, with its message for a known model, and fs_background raises
+    # that message too; no valid grid is built
+    cases = [(model, n, size) for model in ("cpn", "torus")
+             for n in sorted({0, 1, MAX_N[model], MAX_N[model] + 1})
+             for size in (15, 16, 33, 1024, 1025)] + [("sphere", 1, 64)]
+    rejected = 0
+    for model, n, size in cases:
+        raw = {"scenario": "fs_anchors", "model": model, "n": n, "grid_size": size,
+               "modes": 1}
+        try:
+            check_grid(model, n, size)
+        except ParameterError as exc:
+            rejected += 1
+            message = re.escape(str(exc)) if model in MAX_N else None
+            with pytest.raises(ParameterError, match=message):
+                parse_config(raw)
+            with pytest.raises(ParameterError, match=re.escape(str(exc))):
+                fs_background(model, n, size)
+        else:
+            assert parse_config(raw).grid_size == size
+    assert (len(cases), rejected) == (36, 28)
+    with pytest.raises(ParameterError, match=re.escape("supports 1 <= n <= 4, got 5")):
+        parse_config({"scenario": "fs_anchors", "n": 5})
 
 
 def test_odd_torus_grid_is_a_config_error(tmp_path):

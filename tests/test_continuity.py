@@ -499,7 +499,8 @@ def test_density_step_agrees_with_dense_bordered_solve(n, size, count):
     targets = _path_targets(probe, np.linspace(0.0, 1.0, 51))[-count:]
     gauge = bg.integrate(probe.rho * probe.phi)
     R = np.concatenate((probe.log_rho - targets, np.full((count, 1), gauge)), axis=1)
-    delta, steps = continuity._density_step(MetricState.stack([probe] * count), R)
+    delta, steps = continuity._density_step(MetricState.stack([probe] * count), R, 0.0,
+                                            continuity.GMRES_TOL)
     K = np.zeros((size + 1, size + 1))
     K[:size, :size] = laplacian_matrix(probe)
     K[:size, size] = 1.0
@@ -524,7 +525,8 @@ def test_krylov_step_at_positive_t_agrees_with_dense_solve(n, size):
         i = int(round(t / traj.dt))
         state, tilde = traj.states[i - 1], traj.stacked_exact()[i - 1]
         R = state.log_rho - probe.log_rho - f + t * tilde
-        delta, steps = continuity._density_step(state[None], R[None], t)
+        delta, steps = continuity._density_step(state[None], R[None], t,
+                                                continuity.GMRES_TOL)
         dense = np.linalg.solve(laplacian_matrix(state) + t * np.eye(size), -R)
         err = np.abs(delta[0] - dense).max() / np.abs(dense).max()
         assert err <= 1e-9, (t, err)

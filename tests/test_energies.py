@@ -25,7 +25,7 @@ from kahler_lab.energies import (GAUSS_ORDERS, GAUSS_TOL, PathEnergies,
                                  mu_k, orbit_potential)
 from kahler_lab.errors import ParameterError, UnsupportedModelError
 from kahler_lab.families import generate_probe
-from kahler_lab.geometry import (fs_background, laplacian, make_metric,
+from kahler_lab.geometry import (MetricState, fs_background, laplacian, make_metric,
                                  slot_metric, slot_ricci, wedge_density)
 
 
@@ -107,11 +107,11 @@ def test_energy_of_zero_potential_vanishes(bg_cp2):
     zero = make_metric(bg_cp2, np.zeros(bg_cp2.size))
     for k in range(3):
         assert e_k_closed(zero, k) == pytest.approx(0.0, abs=1e-12)
-    assert e_k_path(zero).values == pytest.approx([0.0] * 3, abs=1e-12)
+    assert e_k_path(zero, "linear").values == pytest.approx([0.0] * 3, abs=1e-12)
 
 
 def test_energy_value_carries_metadata(probe_cp1):
-    out = e_k_path(probe_cp1)
+    out = e_k_path(probe_cp1, "linear")
     assert isinstance(out, PathEnergies)
     assert len(out.values) == len(out.est_errors) == 2
     # escalation needs two orders before it can stop
@@ -339,6 +339,16 @@ def test_rotation_invariant_vanishes_on_round_and_probes(bg_cp2, probe_cp2):
         assert abs(futaki_k(round_state, k)) < 1e-9 * bg_cp2.volume
         # the invariant is metric-independent and zero in this class
         assert abs(futaki_k(probe_cp2, k)) < 1e-7 * bg_cp2.volume
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rotation_invariant_of_a_stack_is_bitwise_per_row(n, request):
+    bg = request.getfixturevalue(f"bg_cp{n}")
+    states = [bg.reference] + [generate_probe(bg, seed=4, scenario="futaki", index=i)
+                               for i in range(3)]
+    stacked = MetricState.stack(states)
+    for k in range(n + 1):
+        assert futaki_k(stacked, k).tolist() == [futaki_k(s, k) for s in states], k
 
 
 def test_rotation_invariant_requires_projective_model(probe_torus):

@@ -270,3 +270,17 @@ def test_stack_counts_are_row_sums(bg48):
     assert type(runs.steps) is int and type(runs.halvings) is int
     assert runs.steps == sum(row.steps for row in runs.rows) == 90
     assert runs.halvings == sum(row.halvings for row in runs.rows) > 0
+
+
+@pytest.mark.parametrize("max_halvings", [flow.MAX_HALVINGS, 0])
+def test_single_start_is_its_one_row_stack(bg48, max_halvings, monkeypatch):
+    # a probe, a start that halves its step and, with no halvings allowed,
+    # one that truncates: each single run is the row of its one-row stack
+    monkeypatch.setattr(flow, "MAX_HALVINGS", max_halvings)
+    probe = generate_probe(bg48, seed=5, scenario="krf_monotone", index=1)
+    for phi in (probe.phi, near_boundary_start(bg48)):
+        alone = run_flow(make_metric(bg48, phi), dt=1e-3, steps=50, sample_every=10)
+        runs = run_flow(stack(bg48, [phi]), dt=1e-3, steps=50, sample_every=10)
+        assert isinstance(alone, flow.FlowTrajectory) and isinstance(runs, flow.FlowStack)
+        assert len(runs.rows) == 1 and runs.offsets.tolist() == [0, len(alone.times)]
+        assert_same_run(runs.rows[0], alone)

@@ -21,7 +21,7 @@ from kahler_lab.errors import (NotKahlerError, ParameterError,
 from kahler_lab.families import generate_probe
 from kahler_lab.geometry import (MAX_GRID, FormSlot, MetricState, _div_by_w0, fs_background,
                                  laplacian, laplacian_matrix, make_metric,
-                                 osc, potential_from_density,
+                                 potential_from_density,
                                  ricci_potential, sigma_k, slot_gradsq,
                                  slot_hessian, slot_metric, slot_ricci,
                                  spectral_tail, wedge_density)
@@ -88,6 +88,19 @@ def test_background_request_validation():
         fs_background("cpn", 2, 8)
     with pytest.raises((ParameterError, UnsupportedModelError)):
         fs_background("sphere", 1, 64)
+
+
+def test_einstein_defect_of_references_and_stacks(bg_cp1, bg_cp2, bg_cp3, bg_cp4,
+                                                 bg_torus):
+    assert bg_torus.reference.einstein_defect == 0.0
+    for bg in (bg_cp1, bg_cp2, bg_cp3, bg_cp4, bg_torus):
+        if bg.model == "cpn":
+            assert bg.reference.einstein_defect <= 1e-12
+        states = [bg.reference] + [generate_probe(bg, seed=6, scenario="unit", index=i)
+                                   for i in range(3)]
+        defects = MetricState.stack(states).einstein_defect
+        assert defects.tolist() == [s.einstein_defect for s in states]
+        assert type(states[1].einstein_defect) is float and defects.shape == (4,)
 
 
 def test_backgrounds_are_shared_per_grid():
@@ -665,10 +678,6 @@ def test_torus_density_inversion_is_unsupported(bg_torus, probe_torus):
 
 # ---------------------------------------------------------------------------
 # small diagnostics
-
-
-def test_osc_frozen_value():
-    assert osc(np.array([1.0, 4.0, 2.0])) == 3.0
 
 
 def test_spectral_tail_separates_smooth_from_noise(bg_cp2):

@@ -21,6 +21,8 @@ import pytest
 
 import kahler_lab
 from kahler_lab import energies, geometry, scenarios, spectral
+from kahler_lab.continuity import monitors
+from kahler_lab.families import generate_probe
 from kahler_lab.flow import FlowStack
 from kahler_lab.scenarios import (_T975, SCENARIO_NAMES, ScenarioConfig, list_scenarios,
                                   parse_config, run_scenario)
@@ -161,6 +163,20 @@ def test_bending_scenario_passes_at_n3_on_the_fine_grid(tmp_path):
                         "count": 1, "seed": 0})
     report = run_scenario(cfg, out_dir=str(tmp_path))
     assert report.all_passed, [i.name for i in report.items if not i.passed]
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_trajectory_csv_columns_are_the_monitor_records(n, request):
+    # the column list lives in `monitors` alone; the benchmark reads the
+    # header's first three names
+    bg = request.getfixturevalue(f"bg_cp{n}")
+    states = geometry.MetricState.stack(
+        [bg.reference, generate_probe(bg, seed=0, scenario="unit", index=0)])
+    rows = monitors(states, t=np.array([0.0, 0.5]), c_t=np.zeros(2))
+    header = scenarios.trajectory_csv(rows).splitlines()[0].split(",")
+    assert header == [name for name in rows.dtype.names if name != "I_minus_J"]
+    assert header == (["t", "c_t"] + [f"E_{k}" for k in range(n + 1)]
+                      + ["I", "J", "lambda1_radial", "min_ricci"])
 
 
 def test_flow_scenario_evaluates_each_sample_energy_once(monkeypatch, tmp_path):
