@@ -14,7 +14,7 @@ A nonnegative margin means the check passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -62,7 +62,10 @@ class CheckItem:
                          0.0, True, "info", note)
 
     def as_dict(self) -> dict:
-        d = asdict(self)
+        """The row as the report writes it: its fields in order, with
+        `passed` last as `pass`; a shallow copy, every field being a
+        scalar or a string."""
+        d = dict(vars(self))
         d["pass"] = d.pop("passed")
         return d
 

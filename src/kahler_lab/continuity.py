@@ -78,7 +78,7 @@ NEWTON_TOL = 1e-11
 MIN_SUBSTEP = 1e-4
 # Krylov Newton corrections: GMRES iteration cap, the floor of its relative
 # tolerance on the scaled bordered residual, and the smallest grid on which
-# the steps at 0 < t < 1 are Krylov too (below it the dense solve is faster)
+# the steps at 0 < t <= 1 are Krylov too (below it the dense solve is faster)
 GMRES_ITERS = 20
 GMRES_TOL = 1e-13
 KRYLOV_MIN_SIZE = 192
@@ -252,15 +252,17 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
     solvable only when phi_1 is orthogonal to u, so the gauge selects the
     limit of the path.  A row is solved once both its residual and its
     gauge defect are within NEWTON_TOL.  The step is `_density_step`'s
-    matrix-free GMRES solve at t = 0, and at 0 < t < 1 when n >= 2 on grids
-    of at least KRYLOV_MIN_SIZE nodes.  Otherwise (t = 1; n = 1, whose
-    round preconditioner is singular; smaller grids, where an LU of the
-    N x N matrix is cheaper than the GMRES iterations) it is the dense J of
+    matrix-free GMRES solve at t = 0, and at 0 < t <= 1 when n >= 2 on grids
+    of at least KRYLOV_MIN_SIZE nodes.  Otherwise (n = 1, whose round
+    preconditioner is singular; smaller grids, where an LU of the N x N
+    matrix is cheaper than the GMRES iterations) it is the dense J of
     `laplacian_matrix`, bordered at t = 1, by `np.linalg.solve`.  A row's
     GMRES tolerance is the inexact-Newton forcing term  max(GMRES_TOL,
     NEWTON_TOL / (100 max|R|))  (Eisenstat & Walker 1996): the step need
     only take the residual well below NEWTON_TOL, not to GMRES_TOL of a
-    large R.
+    large R.  Its gauge defect counts times the volume, as GMRES sees it
+    divided by the volume; unweighted, a t = 1 Krylov step at n = 4 leaves
+    the defect near 2e-10, and the solve stalls there.
 
     When a trial step leaves the cone, every row that left halves its step
     and the stack is built again, so each row takes the largest admissible
@@ -277,7 +279,7 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
     rows = np.arange(len(phi))                   # their rows in the stack
     target = np.atleast_2d(target)
     at_one = abs(t - 1.0) < 1e-12
-    krylov = t == 0.0 or (not at_one and bg.n > 1 and size >= KRYLOV_MIN_SIZE)
+    krylov = t == 0.0 or (bg.n > 1 and size >= KRYLOV_MIN_SIZE)
     solved = []  # (rows, phi, state, steps, residuals) of each iteration that solved rows
     error = None
 
@@ -314,7 +316,9 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
                 break
             phi, target, state, R, res = (a[keep] for a in (phi, target, state, R, res))
         if krylov:
-            eta = np.maximum(GMRES_TOL, NEWTON_TOL / (100.0 * np.abs(R).max(axis=1)))
+            weighted = np.abs(R)
+            weighted[:, size:] *= bg.volume
+            eta = np.maximum(GMRES_TOL, NEWTON_TOL / (100.0 * weighted.max(axis=1)))
             delta, steps = _density_step(state, R, t, eta)
             if not steps.all():
                 j = int(np.argmin(steps))
@@ -359,37 +363,50 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
 
 
 def _density_step(state: MetricState, R: Array, t: float, tol):
-    """The Newton correction delta on J = Lap + t I, t < 1, of each row of
-    the (B, N) stacked `state`, by GMRES: from its row of the (B, N+1)
-    bordered residual R = [log-density residual, gauge defect] at t = 0,
-    and of the (B, N) residual at t > 0.
+    """The Newton correction delta on J = Lap + t I of each row of the
+    (B, N) stacked `state`, by GMRES: from its row of the (B, N+1)
+    bordered residual R = [log-density residual, gauge defect] at t = 0
+    and t = 1, and of the (B, N) residual at 0 < t < 1.
 
-    The bordered system [Lap 1; l^T 0] [delta; mu] = -R is applied
-    matrix-free with its first N rows scaled by m_x, so that its principal
-    part is the round D_w0_D, and its gauge row divided by the volume, a
-    mean: unscaled, the n = 4 preconditioned operator has condition number
-    4e7 and stalls near 1e-10, scaled about 1.1.  At t > 0 the correction
-    splits as delta_0 + c, with delta_0 in the gauge  l.delta_0 = 0 , and
-    Lap annihilates the constant c, so J delta = -R is the same bordered
-    system with t m_x delta_0 added to its first N rows, mu = t c and a
-    zero gauge defect; the correction is delta_0 + mu / t.  Both are
-    right-preconditioned by the round metric's bordered t = 0 inverse P
-    (`Background.density_preconditioner`): one product with P, D_w0_D and D
-    each per iteration.  The rows iterate in lockstep, each leaves once its
-    residual estimate is within its relative tolerance `tol` (one value, or
-    one per row) of its right-hand side, and every product is row by row,
-    so a row of a stack is bitwise its solve alone.  Returns delta and the
-    iterations per row, 0 for a row not converged in GMRES_ITERS.
+    The bordered system [J u; l^T 0] [delta; mu] = -R, with the kernel
+    u = 1 at t = 0 and the rotation potential m - n at t = 1 (as in
+    `_newton_solve`), is applied matrix-free as K: its first N rows scaled
+    by m_x, so that its principal part is the round D_w0_D, and its gauge
+    row divided by the volume, a mean.  Unscaled, the n = 4 preconditioned
+    operator has condition number 4e7 and stalls near 1e-10, scaled about
+    1.1.  At 0 < t < 1 the correction splits as delta_0 + c, with delta_0
+    in the t = 0 gauge  l.delta_0 = 0 , and Lap annihilates the constant c,
+    so J delta = -R is the system bordered by u = 1, with mu = t c and a
+    zero gauge defect; the correction is delta_0 + mu / t.  At t = 0 and
+    t = 1 it is delta itself.
+
+    K is right-preconditioned by the inverse P of K0, the t = 0 K of the
+    round metric (`Background.density_preconditioner`).  With z = P v,
+    K P v = K0 z + (K - K0) z = v + (K - K0) z, up to the rounding of
+    K0 P = I (at most 2.4e-11 on the grids up to N = 384).  K - K0 is
+    diagonal but for its coupling (n - 1)(m_x r - w0/x) D, its border
+    column and its gauge row, so an iteration takes one product with P and
+    one with D, where K itself would stream D_w0_D as well.  The rows
+    iterate in lockstep, each leaves once its residual estimate is within
+    its relative tolerance `tol` (one value, or one per row) of its
+    right-hand side, and every product is row by row, so a row of a stack
+    is bitwise its solve alone.  Returns delta and the iterations per row,
+    0 for a row not converged in GMRES_ITERS.
     """
     bg = state.bg
     size = bg.size
     P = bg.density_preconditioner
-    m_x = state.m_x
-    coupling = (bg.n - 1) * m_x * state.r
-    l = bg.ref_measure / bg.volume * state.rho
+    bordered = R.shape[1] > size
+    kernel = state.m - bg.n if bordered and t else 1.0
+    # K - K0 row by row: the coupling to D, the diagonal shift, the border
+    # column and the gauge row, each less its round value
+    coupling = (bg.n - 1) * (state.m_x * state.r - bg.w0_over_x)
+    shift = t * state.m_x
+    edge = state.m_x * kernel - 1.0
+    l = bg.ref_measure / bg.volume * (state.rho * kernel - 1.0)
     b = np.zeros((len(R), size + 1))
     b[:, :R.shape[1]] = -R
-    b[:, :size] *= m_x
+    b[:, :size] *= state.m_x
     b[:, size] /= bg.volume
     beta = np.sqrt(_dots(b, b))
     tol = np.broadcast_to(tol, beta.shape)
@@ -402,12 +419,10 @@ def _density_step(state: MetricState, R: Array, t: float, tol):
     delta, steps = np.zeros((count, size)), np.zeros(count, dtype=int)
     for k in range(cap):
         z = _rows(P, V[:, k])
-        w = np.empty((len(rows), size + 1))
-        w[:, :size] = (_rows(bg.D_w0_D, z[:, :size]) + coupling * _rows(bg.D, z[:, :size])
-                       + z[:, size:] * m_x)
-        if t:
-            w[:, :size] += t * m_x * z[:, :size]
-        w[:, size] = _dots(l, z[:, :size])
+        w = V[:, k].copy()
+        w[:, :size] += (coupling * _rows(bg.D, z[:, :size]) + shift * z[:, :size]
+                        + edge * z[:, size:])
+        w[:, size] += _dots(l, z[:, :size])
         # classical Gram-Schmidt
         basis = V[:, :k + 1]
         h = (basis @ w[..., None])[..., 0]
@@ -428,12 +443,12 @@ def _density_step(state: MetricState, R: Array, t: float, tol):
             g = beta[done, None] * Qt[done, :k + 1, 0]
             y = np.linalg.solve(H[done, :k + 1, :k + 1], g[..., None])
             u = _rows(P, (y.transpose(0, 2, 1) @ V[done, :k + 1])[:, 0])
-            delta[rows[done]] = u[:, :size] + u[:, size:] / t if t else u[:, :size]
+            delta[rows[done]] = u[:, :size] if bordered else u[:, :size] + u[:, size:] / t
             steps[rows[done]] = k + 1
             if done.all():
                 break
-            rows, V, H, Qt, beta, m_x, coupling, l, tol = (
-                a[~done] for a in (rows, V, H, Qt, beta, m_x, coupling, l, tol))
+            rows, V, H, Qt, beta, coupling, shift, edge, l, tol = (
+                a[~done] for a in (rows, V, H, Qt, beta, coupling, shift, edge, l, tol))
     return delta, steps
 
 
