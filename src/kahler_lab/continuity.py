@@ -140,11 +140,6 @@ class PathTrajectory:
         return self.status == "completed"
 
     @property
-    def reached_end(self) -> bool:
-        """Completed through t = 1, as the endpoint rows need."""
-        return self.completed and abs(self.ts[-1] - 1.0) < 1e-12
-
-    @property
     def dt(self) -> float:
         if len(self.ts) < 2:
             raise SolverError("trajectory has fewer than two points")
@@ -480,11 +475,11 @@ def _solve_density(ref_state: MetricState, target: Array):
 
 
 def _time_grid(dt: float) -> Array:
-    """The reported path times 0, dt, 2 dt, ..., 1.  Raises ParameterError
-    unless dt is positive and splits [0, 1] into whole steps."""
+    """The reported path times 0, dt, ..., ending at exactly t = 1.  Raises
+    ParameterError unless dt is positive and splits [0, 1] into whole steps."""
     if not (dt > 0.0 and abs(round(1.0 / dt) * dt - 1.0) <= 1e-9):
         raise ParameterError(f"path step must be positive and divide [0, 1], got {dt}")
-    return np.arange(round(1.0 / dt) + 1) * dt
+    return np.linspace(0.0, 1.0, round(1.0 / dt) + 1)
 
 
 def solve_yau_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
@@ -724,7 +719,7 @@ def check_lemma_3_4(traj: PathTrajectory, *,
         "i_minus_j_monotone", "I - J nondecreasing along the path",
         float(np.diff(monitors["I_minus_J"]).min()), 0.0, 1e-9))
 
-    if traj.reached_end:
+    if traj.completed:
         # endpoint energy identity, one row per k
         pairing_integral = _cumulative_simpson((1.0 - ts) * pair, traj.dt)[-1]
         q0 = _gradient_wedges(states[0], ref_state)
@@ -749,7 +744,7 @@ def check_lemma_3_4(traj: PathTrajectory, *,
         items.append(CheckItem.info(
             "endpoint_identity_skipped", "path did not complete; endpoint "
             "rows need the full parameter range",
-            ts[-1], note="stalled" if not traj.completed else "partial"))
+            ts[-1], note="stalled"))
     return items
 
 
@@ -858,7 +853,7 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
         "accumulated_imj", "value of the accumulated I - J integral", partial))
 
     # bridge identity through both paths (needs the complete bending path)
-    if aubin.reached_end:
+    if aubin.completed:
         sq_integral = _squared_rate_integral(yau, yau.exact_rate())
         rhs = (2.0 * partial + 2.0 * sq_integral / bg.volume
                - _reference_term(yau, 1) / bg.volume)

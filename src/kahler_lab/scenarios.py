@@ -1,11 +1,12 @@
 """Config-driven verification scenarios.
 
 Each scenario draws a seeded family of probe metrics (as MetricStates, which
-the runners pass on and never rebuild), exercises one slice of the
-functional machinery, and emits CheckItem rows plus on-disk artifacts
-(report.json, checks.csv, trajectory CSVs).  Scenario names, config keys,
-and the report/CSV schemas are part of the tool's public contract; anything
-unknown in a config is rejected up front.
+the runners pass on and never rebuild) and exercises one slice of the
+functional machinery.  A runner returns records: CheckItem rows in the
+report and trajectory `monitors` records by file name; `run_scenario` alone
+formats and writes the files (report.json, checks.csv, trajectory CSVs).
+Scenario names, config keys, and the report/CSV schemas are part of the
+tool's public contract; anything unknown in a config is rejected up front.
 """
 
 from __future__ import annotations
@@ -412,7 +413,7 @@ def _run_lemma32_34(cfg, bg, report, art):
         if not traj.completed:
             report.note(f"probe {idx}: path stalled at t = {traj.ts[-1]}"
                         f" ({traj.reason})")
-        art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(rows))
+        art[f"trajectory_bending_{idx}.csv"] = rows
 
 
 @_scenario("prescribed-volume path: rate equation and endpoint energy identity",
@@ -422,7 +423,7 @@ def _run_lemma41(cfg, bg, report, art):
         traj = solve_yau_path(probe)
         report.extend(_suffixed(check_lemma_4_1(traj), idx))
         if idx == 0:
-            art.write("trajectory_volume_0.csv", trajectory_csv(path_monitors(traj)))
+            art["trajectory_volume_0.csv"] = path_monitors(traj)
 
 
 @_scenario("rotation-field invariants vanish, metric-independently",
@@ -470,7 +471,7 @@ def _run_section5(cfg, bg, report, art):
         if not aubin.completed:
             report.note(f"probe {idx}: bending path stalled at "
                         f"t = {aubin.ts[-1]}")
-        art.write(f"trajectory_bending_{idx}.csv", trajectory_csv(rows))
+        art[f"trajectory_bending_{idx}.csv"] = rows
 
 
 @_scenario("energies and invariants flat along the rotation orbit while J grows",
@@ -589,18 +590,16 @@ def _run_krf_monotone(cfg, bg, report, art):
         "round_stationary", "round metric is an exact fixed point of the flow",
         float(np.abs(flows.rows[0].states.phi).max()), 0.0, t["stationary"]))
 
-    # E_0 and E_1 of the later probes' samples, one stacked call per k
+    # E_0 and E_1 of every probe's samples: probe 0's from the monitors
+    # behind its CSV, the later probes' from one stacked call per k
+    first = flows.rows[1]
+    rows = monitors(first.states, t=first.times, c_t=np.zeros(len(first.times)))
+    art["trajectory_flow_0.csv"] = rows
     later = flows.states[flows.offsets[2]:]
-    later_e = {k: e_k_closed(later, k) for k in (0, 1)} if len(probes) > 1 else {}
+    all_e0, all_e1 = (np.concatenate([rows[f"E_{k}"], e_k_closed(later, k)]) for k in (0, 1))
     for idx, traj in enumerate(flows.rows[1:]):
-        if idx == 0:
-            rows = monitors(traj.states, t=traj.times,
-                            c_t=np.zeros(len(traj.times)))
-            art.write("trajectory_flow_0.csv", trajectory_csv(rows))
-            e0, e1 = rows["E_0"], rows["E_1"]
-        else:
-            span = slice(*(flows.offsets[idx + 1:idx + 3] - flows.offsets[2]))
-            e0, e1 = later_e[0][span], later_e[1][span]
+        span = slice(*(flows.offsets[idx + 1:idx + 3] - flows.offsets[1]))
+        e0, e1 = all_e0[span], all_e1[span]
         # E_1 rises between samples whose curvature both stay above -1
         flags = traj.states.min_ricci >= -1.0
         e1_rises = np.diff(e1)[flags[:-1] & flags[1:]]
@@ -679,41 +678,36 @@ def _run_cy_torus(cfg, bg, report, art):
 SCENARIO_NAMES = tuple(_REGISTRY)
 
 
-class _Artifacts:
-    def __init__(self, base: Path | None):
-        self.base = base
-        if base is not None:
-            base.mkdir(parents=True, exist_ok=True)
-
-    def write(self, name: str, text: str) -> None:
-        if self.base is not None:
-            (self.base / name).write_text(text)
-
-
 def list_scenarios() -> list[tuple[str, str]]:
     return [(name, _REGISTRY[name].description) for name in SCENARIO_NAMES]
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> CheckReport:
-    """Execute one scenario and write its artifacts.
+    """Execute one scenario and return its in-memory report.
 
     The config passes through `parse_config` first (a parsed one comes back
     unchanged), so a directly built ScenarioConfig runs on its scenario's
-    defaults.  Returns the in-memory report; report.json, checks.csv and
-    any trajectory CSVs land under <out>/<scenario>/.
+    defaults.  Files are written only given an output directory (`out_dir`,
+    else the config's): <out>/<scenario>/ is made first, and every file is
+    written after the runner returns, so a run that raises leaves it empty.
     """
     cfg = parse_config(asdict(cfg))
     spec = _REGISTRY[cfg.scenario]
     base = out_dir if out_dir is not None else cfg.out_dir
-    art = _Artifacts(Path(base) / cfg.scenario if base is not None else None)
+    if base is not None:
+        base = Path(base) / cfg.scenario
+        base.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     report = CheckReport(cfg.scenario)
     bg = None
     if spec.needs_background:
         bg = fs_background(cfg.model, cfg.n, cfg.grid_size)
+    art = {}  # trajectory file name -> its monitors records
     spec.runner(cfg, bg, report, art)
     runtime = time.perf_counter() - start
+    if base is None:
+        return report
 
     payload = {
         "scenario": cfg.scenario,
@@ -724,7 +718,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> CheckReport
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "notes": list(report.notes),
     }
-    art.write("report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    files = {name: trajectory_csv(rows) for name, rows in art.items()}
+    files["report.json"] = json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     lines = ["name,anchor,lhs,rhs,tol,margin,pass"]
     for item in report.items:
@@ -732,5 +727,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> CheckReport
         lines.append(
             f'{item.name},"{anchor}",{_fmt(item.lhs)},{_fmt(item.rhs)},'
             f'{_fmt(item.tol)},{_fmt(item.margin)},{item.passed}')
-    art.write("checks.csv", "\n".join(lines) + "\n")
+    files["checks.csv"] = "\n".join(lines) + "\n"
+    for name, text in files.items():
+        (base / name).write_text(text)
     return report

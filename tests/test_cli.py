@@ -44,6 +44,15 @@ def test_run_passes_and_writes_report(tmp_path):
     assert (out / "fs_anchors" / "checks.csv").is_file()
 
 
+def test_an_unwritable_output_is_a_config_error(tmp_path, capsys):
+    path = _config(tmp_path, {"scenario": "fs_anchors"})
+    (tmp_path / "file").write_text("")
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "file" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write the output: ")
+    assert "Traceback" not in err
+
+
 def test_run_with_a_failing_check_exits_one(tmp_path):
     # the residual rows sit at 8e-12 .. 6e-10, so a zero tolerance fails them
     path = _config(tmp_path, {"scenario": "fs_anchors",

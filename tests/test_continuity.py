@@ -520,7 +520,7 @@ def test_krylov_step_at_positive_t_agrees_with_dense_solve(n, size):
     probe = generate_probe(bg, seed=0, scenario="lemma32_34", index=0)
     f, _ = ricci_potential(probe)
     traj = solve_aubin_path(probe)
-    assert traj.reached_end, traj.reason
+    assert traj.completed, traj.reason
     for t in (0.02, 0.5, 0.98):
         i = int(round(t / traj.dt))
         state, tilde = traj.states[i - 1], traj.stacked_exact()[i - 1]
@@ -543,7 +543,7 @@ def test_krylov_step_at_one_agrees_with_dense_bordered_solve(n, size):
     probe = generate_probe(bg, seed=0, scenario="lemma32_34", index=0)
     f, _ = ricci_potential(probe)
     traj = solve_aubin_path(probe)
-    assert traj.reached_end, traj.reason
+    assert traj.completed, traj.reason
     state, tilde = traj.states[-2], traj.stacked_exact()[-2]
     u = state.m - n
     l = bg.ref_measure * state.rho * u
@@ -567,7 +567,7 @@ def test_krylov_steps_at_one_resolve_the_gauge_defect():
     bg = fs_background("cpn", 4, 192)
     for seed in (1, 2):
         traj = solve_aubin_path(generate_probe(bg, seed=seed, scenario="lemma32_34", index=0))
-        assert traj.reached_end, traj.reason
+        assert traj.completed, traj.reason
         assert traj.iterations[-1] <= 7, seed
 
 
@@ -627,7 +627,7 @@ def test_density_solves_at_n1_never_build_the_preconditioner():
         assert np.abs(bg.D_w0_D @ top).max() <= 1e-12 * np.abs(bg.D_w0_D).max()
         probe = generate_probe(bg, seed=3, scenario="paths", index=0)
         solve_yau_path(probe, dt=0.1)
-        assert solve_aubin_path(probe, dt=0.1).reached_end
+        assert solve_aubin_path(probe, dt=0.1).completed
         ricci_positive_generator(probe)
         assert "density_preconditioner" not in vars(bg)
 
@@ -771,7 +771,7 @@ def test_bending_path_takes_about_one_newton_step_per_point():
     for size in (96, 384):
         bg = fs_background("cpn", 2, size)
         traj = solve_aubin_path(generate_probe(bg, seed=0, scenario="lemma32_34", index=0))
-        assert traj.reached_end, traj.reason
+        assert traj.completed, traj.reason
         assert sum(traj.iterations) <= 64, size
 
 
@@ -790,7 +790,7 @@ def test_bending_corrections_are_krylov_from_the_threshold_grid(monkeypatch, siz
             return _original(*args)
         monkeypatch.setattr(continuity, name, tagged)
     traj = solve_aubin_path(probe)
-    assert traj.reached_end, traj.reason
+    assert traj.completed, traj.reason
     # no substep: the corrections are the reported points' Newton steps
     assert len(solves) == len(traj.ts)
     assert set(krylov) >= {0.0} and len(dense) + len(krylov) == sum(traj.iterations)
@@ -921,6 +921,20 @@ def test_path_solvers_reject_a_step_that_does_not_split_the_unit_interval(bg_cp2
     for solve in (solve_aubin_path, solve_yau_path):
         with pytest.raises(ParameterError):
             solve(bg_cp2.reference, dt)
+
+
+def test_a_step_inside_the_grid_tolerance_keeps_the_endpoint_rows(bg_cp2):
+    # dt = 0.1 + 5e-11 splits [0, 1] into ten steps to within 1e-9; ten such
+    # steps end at 1.0000000005, but the grid ends at t = 1 itself, so the
+    # completed path reports its endpoint rows rather than skipping them
+    probe = generate_probe(bg_cp2, seed=3, scenario="paths", index=0)
+    assert solve_yau_path(probe, dt=0.1 + 5e-11).ts[-1] == 1.0
+    traj = solve_aubin_path(probe, dt=0.1 + 5e-11)
+    assert traj.completed and traj.ts[-1] == 1.0, traj.reason
+    names = [c.name for c in check_lemma_3_4(traj, monitors=path_monitors(traj))]
+    assert [name for name in names if name.startswith("endpoint_")] == [
+        f"endpoint_{row}_k{k}" for k in range(bg_cp2.n + 1)
+        for row in ("identity", "monotone")]
 
 
 def test_suites_reject_mismatched_path_kinds(bg_cp2, yau_cp2, aubin_cp2):

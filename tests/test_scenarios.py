@@ -22,6 +22,7 @@ import pytest
 import kahler_lab
 from kahler_lab import energies, geometry, scenarios, spectral
 from kahler_lab.continuity import monitors
+from kahler_lab.errors import SolverError
 from kahler_lab.families import generate_probe
 from kahler_lab.flow import FlowStack
 from kahler_lab.scenarios import (_T975, SCENARIO_NAMES, ScenarioConfig, list_scenarios,
@@ -133,6 +134,44 @@ def test_scenario_runs_and_writes_consistent_artifacts(name, tmp_path):
 
     written = sorted(p.name for p in out.glob("trajectory_*.csv"))
     assert written == TRAJECTORIES.get(name, [])
+
+
+@pytest.mark.parametrize("name", ["lemma41", "krf_monotone"])
+def test_a_run_without_a_directory_formats_nothing(name, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("output formatted with no directory to write it to")
+
+    monkeypatch.setattr(scenarios, "trajectory_csv", unused)
+    monkeypatch.setattr(scenarios.json, "dumps", unused)
+    report = run_scenario(parse_config({"scenario": name, "grid_size": 48, "count": 1}))
+    assert report.items
+
+
+def test_a_run_that_raises_writes_no_file(monkeypatch, tmp_path):
+    # the second probe's path raises after the first one's trajectory is
+    # recorded: the scenario directory is made up front, and stays empty
+    calls, original = [], scenarios.solve_aubin_path
+
+    def failing(probe, *args, **kwargs):
+        calls.append(probe)
+        if len(calls) == 2:
+            raise SolverError("raised on purpose")
+        return original(probe, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "solve_aubin_path", failing)
+    cfg = parse_config({"scenario": "lemma32_34", "grid_size": 48, "count": 2})
+    with pytest.raises(SolverError):
+        run_scenario(cfg, out_dir=str(tmp_path))
+    assert len(calls) == 2
+    assert list((tmp_path / "lemma32_34").iterdir()) == []
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_flow_scenario_passes_with_one_or_two_probes(count):
+    report = run_scenario(parse_config({"scenario": "krf_monotone", "count": count}))
+    assert report.all_passed, [i.name for i in report.items if not i.passed]
+    assert [i.name for i in report.items if i.name.startswith("k0_decreasing")] == [
+        f"k0_decreasing_s{idx}" for idx in range(count)]
 
 
 @pytest.mark.parametrize("name", ["lemma32_34", "lemma41", "section5",
