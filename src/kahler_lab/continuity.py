@@ -17,17 +17,21 @@ choice of step and its halving).  It works on a (B, N) stack of points
 sharing t, a single point being the one-row stack, warm-started from the
 moment inversion at t = 0 (the prescribed-volume points, the bending
 path's start) and from the quadratic extrapolation through the last three
-solved points at t > 0.  Failed bending steps trigger internal
-substepping; reported points always stay on the requested uniform grid
-(`_time_grid`), and a path that cannot reach the requested end is
-returned truncated with a stall record rather than raising.
+solved points at t > 0.  The bending paths of several references march
+in lockstep, one stacked solve per grid time (`solve_aubin_paths`, whose
+one-row case is `solve_aubin_path`); a row whose step fails leaves the
+lockstep and substeps alone.  Reported points always stay on the
+requested uniform grid (`_time_grid`), and a path that cannot reach the
+requested end is returned truncated with a stall record rather than
+raising.
 
 The solvers take the MetricState of the reference metric (a probe, say)
 and read the background from it; the trajectory keeps that same state as
 `ref_state`, and holds the states its solves built as one stacked state,
 one row per point, as a flow holds its samples.
-`ricci_positive_generator` likewise takes a state and returns the state of
-its output metric.
+`ricci_positive_generator` likewise takes a state, or a stack of them,
+and returns the state of its output metric.  Every stacked result here,
+`lambda1_radial`'s included, is bitwise its row's result alone.
 
 `monitors` tabulates the energies, I, J, first eigenvalue and curvature
 minimum of every row of a stacked state, a path's or a flow's.  The
@@ -161,8 +165,9 @@ class PathTrajectory:
 # first nonzero eigenvalue of the metric Laplacian
 
 
-def lambda1_radial(state: MetricState) -> float:
-    """Smallest nonzero eigenvalue of minus the Laplacian of the state.
+def lambda1_radial(state: MetricState) -> float | Array:
+    """Smallest nonzero eigenvalue of minus the Laplacian of the state; one
+    value per row of a stacked state, each bitwise that row's value alone.
 
     Rayleigh-Ritz on the symmetric Dirichlet form: stiffness D^T W D with
     the metric-weighted quadrature W and the state's volume weights as
@@ -176,30 +181,34 @@ def lambda1_radial(state: MetricState) -> float:
     and the first physical one is next.
 
     The trial space is the first 32 polynomials, or the band if that is
-    smaller, and the band itself when the estimated drop from the
+    smaller, and the band itself for the rows whose estimated drop from the
     32-function value to the band's (see `_ritz_lambda1`) exceeds
-    LAMBDA1_RITZ_TOL relative to that value.  The trial spaces are nested,
-    so the smaller one's value bounds the band's from above: unchecked, it
-    would overestimate the eigenvalue and bias the check lambda_1 >= t
-    toward passing.  Projective model only.
+    LAMBDA1_RITZ_TOL relative to that value; those rows re-solve together.
+    The trial spaces are nested, so the smaller one's value bounds the
+    band's from above: unchecked, it would overestimate the eigenvalue and
+    bias the check lambda_1 >= t toward passing.  Projective model only.
     """
     bg = state.bg
     if bg.model != "cpn":
         raise UnsupportedModelError("the radial eigenvalue is for the projective model")
-    wdiag = bg.ref_measure * bg.w0 * state.m_over_x ** (bg.n - 1)
-    mass = bg.ref_measure * state.rho
+    wdiag = np.atleast_2d(bg.ref_measure * bg.w0 * state.m_over_x ** (bg.n - 1))
+    mass = np.atleast_2d(bg.ref_measure * state.rho)
     lam, drop = _ritz_lambda1(bg, wdiag, mass, min(32, bg.band))
-    if drop > LAMBDA1_RITZ_TOL * abs(lam):
-        lam, _ = _ritz_lambda1(bg, wdiag, mass, bg.band)
-    return lam
+    wide = np.flatnonzero(drop > LAMBDA1_RITZ_TOL * np.abs(lam))
+    if wide.size:
+        lam[wide] = _ritz_lambda1(bg, wdiag[wide], mass[wide], bg.band)[0]
+    return float(lam[0]) if state.phi.ndim == 1 else lam
 
 
 def _ritz_lambda1(bg: Background, wdiag: Array, mass: Array,
-                  size: int) -> tuple[float, float]:
+                  size: int) -> tuple[Array, Array]:
     """The first nonzero Ritz value of the pencil (stiffness, mass) with the
-    diagonal weights wdiag and mass on the first `size` functions of
-    `bg.ritz_basis`, and its estimated drop to the band's value (0 at the
-    band).  The Cholesky factor M = L L^T reduces the pencil to the
+    diagonal weights wdiag and mass, one row of each per pencil of a (B, N)
+    stack, on the first `size` functions of `bg.ritz_basis`, and its
+    estimated drop to the band's value (0 at the band); one of each per
+    row.  Every product and factorization is batched over the (B, size,
+    size) stack, one matrix at a time, so each row is bitwise its pencil
+    alone.  The Cholesky factor M = L L^T reduces the pencil to the
     symmetric L^-1 A L^-T.  The Ritz vector u, M-normalized, is one step of
     inverse iteration shifted below the value by a millionth of the gap
     above it.  The drop is the first-order Schur complement r^T S^-1 r
@@ -210,19 +219,24 @@ def _ritz_lambda1(bg: Background, wdiag: Array, mass: Array,
     than bounding it."""
     B, dB = bg.ritz_basis
     B, B_out, dB, dB_out = B[:, :size], B[:, size:], dB[:, :size], dB[:, size:]
-    A_m = dB.T @ (wdiag[:, None] * dB)
-    M_m = B.T @ (mass[:, None] * B)
-    L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (M_m + M_m.T)))
-    H = L_inv @ A_m @ L_inv.T
+    A_m = dB.T @ (wdiag[:, :, None] * dB)
+    M_m = B.T @ (mass[:, :, None] * B)
+    L_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (M_m + M_m.mT)))
+    H = L_inv @ A_m @ L_inv.mT
     vals = np.linalg.eigvalsh(H)
-    lam = float(vals[1])
+    lam = vals[:, 1]
     if size == bg.band:
-        return lam, 0.0
-    v = np.linalg.solve(H - (lam - 1e-6 * (vals[2] - lam)) * np.eye(size), np.ones(size))
-    u = L_inv.T @ (v / np.linalg.norm(v))
-    r = dB_out.T @ (wdiag * (dB @ u)) - lam * (B_out.T @ (mass * (B @ u)))
-    s = (dB_out ** 2).T @ wdiag - lam * ((B_out ** 2).T @ mass)
-    return lam, float(r @ (r / s)) if (s > 0).all() else np.inf
+        return lam, np.zeros(len(lam))
+    shift = (lam - 1e-6 * (vals[:, 2] - lam))[:, None, None] * np.eye(size)
+    v = np.linalg.solve(H - shift, np.ones((len(lam), size, 1)))[..., 0]
+    u = (L_inv.mT @ (v / np.sqrt(_dots(v, v))[:, None])[..., None])[..., 0]
+    r = (_rows(dB_out.T, wdiag * _rows(dB, u))
+         - lam[:, None] * _rows(B_out.T, mass * _rows(B, u)))
+    s = _rows((dB_out ** 2).T, wdiag) - lam[:, None] * _rows((B_out ** 2).T, mass)
+    drop = np.full(len(lam), np.inf)
+    ok = (s > 0).all(axis=1)
+    drop[ok] = _dots(r[ok], r[ok] / s[ok])
+    return lam, drop
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +248,9 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
     over the metric w of `ref_state` from the warm start `guess`, by
     Newton's method on J = Lap + t I for each row of a (B, N) stack of
     targets and guesses in lockstep, each row bitwise its solve alone; a
-    single (N,) target and guess are the one-row stack.  Returns (phi,
+    single (N,) target and guess are the one-row stack.  The reference is
+    one state for every row or a stacked state, one reference row per row,
+    whose rows leave the solve with their iterates.  Returns (phi,
     state, iterations, residual), per row in stack order, and for a single
     target that row's (a 1-d phi, its state, an int and a float).
 
@@ -273,6 +289,9 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
     phi = np.array(guess, dtype=float, ndmin=2)  # the iterates of the rows solving
     rows = np.arange(len(phi))                   # their rows in the stack
     target = np.atleast_2d(target)
+    # the reference potential and log-density of each row solving
+    ref_phi, ref_log_rho = (np.broadcast_to(a, phi.shape)
+                            for a in (ref_state.phi, ref_state.log_rho))
     at_one = abs(t - 1.0) < 1e-12
     krylov = t == 0.0 or (bg.n > 1 and size >= KRYLOV_MIN_SIZE)
     solved = []  # (rows, phi, state, steps, residuals) of each iteration that solved rows
@@ -284,19 +303,20 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
 
     def fail(j, message, residual):
         """Fail row rows[j]; only the rows before it solve on."""
-        nonlocal error, rows, phi, target
+        nonlocal error, rows, phi, target, ref_phi, ref_log_rho
         error = SolverError(message, t=t, residual=residual, row=int(rows[j]))
-        rows, phi, target = rows[:j], phi[:j], target[:j]
+        rows, phi, target, ref_phi, ref_log_rho = (
+            a[:j] for a in (rows, phi, target, ref_phi, ref_log_rho))
 
     try:
-        state = make_metric(bg, ref_state.phi + phi)
+        state = make_metric(bg, ref_phi + phi)
     except NotKahlerError as exc:
         fail(exc.row, f"left the admissible cone during solve: {exc}", None)
-        state = make_metric(bg, ref_state.phi + phi) if len(rows) else None
+        state = make_metric(bg, ref_phi + phi) if len(rows) else None
     for iters in range(NEWTON_ITERS):
         if not len(rows):
             break
-        R = state.log_rho - ref_state.log_rho - target + t * phi
+        R = state.log_rho - ref_log_rho - target + t * phi
         res = np.abs(R).max(axis=1)
         done = res <= NEWTON_TOL
         if t == 0.0 or at_one:
@@ -309,7 +329,8 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
             rows, keep = rows[~done], ~done
             if not len(rows):
                 break
-            phi, target, state, R, res = (a[keep] for a in (phi, target, state, R, res))
+            phi, target, state, R, res, ref_phi, ref_log_rho = (
+                a[keep] for a in (phi, target, state, R, res, ref_phi, ref_log_rho))
         if krylov:
             weighted = np.abs(R)
             weighted[:, size:] *= bg.volume
@@ -330,7 +351,7 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
         while len(rows):
             trial = phi + scale * delta
             try:
-                state = make_metric(bg, ref_state.phi + trial)
+                state = make_metric(bg, ref_phi + trial)
             except NotKahlerError as exc:
                 scale[exc.rows] *= 0.5
                 if scale.min() < 2.0 ** -7:
@@ -519,48 +540,81 @@ def _extrapolate(ts, values, t: float):
 
 def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory:
     """March the bending path from the metric of `ref_state` over a uniform
-    reported grid in t over [0, 1].
+    reported grid in t over [0, 1]: the one-row case of
+    `solve_aubin_paths`."""
+    return solve_aubin_paths([ref_state], dt)[0]
 
-    The t = 0 point is a density solve; a failure there raises
-    SolverError.  Internal substeps (not reported) bridge hard stretches;
-    if progress stalls below MIN_SUBSTEP the trajectory is returned
-    truncated with a stall record.
+
+def solve_aubin_paths(ref_states: list[MetricState],
+                      dt: float = 0.02) -> list[PathTrajectory]:
+    """March the bending paths from the metrics of `ref_states` in lockstep
+    over a uniform reported grid in t over [0, 1], one trajectory each,
+    each bitwise the path of its metric alone.
+
+    The references are stacked into one state, and every grid time is one
+    stacked `_newton_solve`.  The t = 0 point is a density solve; a
+    failure there raises SolverError naming its row.  A row whose stacked
+    solve fails leaves the lockstep and marches alone from its last three
+    accepted points, while the other rows retry the same time without it.
+    A lone row bridges hard stretches with internal substeps (not
+    reported); if progress stalls below MIN_SUBSTEP its trajectory is
+    returned truncated with a stall record.
     """
-    bg = ref_state.bg
-    grid = _time_grid(dt).tolist()
-    f, _ = ricci_potential(ref_state)
-    tilde, state, iters, res = _solve_density(ref_state, f)
-    # the reported points' (t, tilde, state, iterations, residual)
-    points = [(0.0, tilde, state, iters, res)]
+    ref = MetricState.stack(ref_states)
+    bg = ref.bg
+    f, _ = ricci_potential(ref)
+    tilde, state, iters, res = _solve_density(ref, f)
+    rows = np.arange(len(ref_states))
+    # the reported points of each group of rows marching together, as
+    # (t, rows, tilde, state, iterations, residual), a row per row
+    points = [(np.zeros(len(rows)), rows, tilde, state, iters, res)]
+    reasons = {}  # the reason of each stalled row
 
-    # the last three accepted (t, tilde) pairs, substeps included, newest
-    # last; they feed the quadratic warm-start extrapolation
-    ts, tildes = [0.0], [tilde]
-    reason = ""
-    for t_target in grid[1:]:
-        sub = t_target - ts[-1]
-        while ts[-1] < t_target - 1e-12:
-            t_try = min(ts[-1] + sub, t_target)
-            try:
-                tilde_new, state, iters, res = _newton_solve(
-                    ref_state, f, t_try, _extrapolate(ts, tildes, t_try))
-            except SolverError as exc:
-                sub *= 0.5
-                if sub < MIN_SUBSTEP:
-                    reason = f"no progress past t = {ts[-1]:.6f}: {exc}"
-                    break
-                continue
-            ts, tildes = ts[-2:] + [t_try], tildes[-2:] + [tilde_new]
-        if reason:
-            break
-        points.append((t_target, tildes[-1], state, iters, res))
+    def march(ref, f, rows, grid, ts, tildes):
+        """Advance the stacked rows `rows`, references `ref` and targets
+        `f`, over the reported times `grid` from their last three accepted
+        times `ts` and potentials `tildes`, substeps included, newest last;
+        they feed the quadratic warm-start extrapolation."""
+        for i, t_target in enumerate(grid):
+            sub = t_target - ts[-1]
+            while ts[-1] < t_target - 1e-12:
+                t_try = min(ts[-1] + sub, t_target)
+                try:
+                    tilde, state, iters, res = _newton_solve(
+                        ref, f, t_try, _extrapolate(ts, tildes, t_try))
+                except SolverError as exc:
+                    if len(rows) > 1:
+                        # the failing row marches alone; the others retry
+                        j = exc.row
+                        alone = slice(j, j + 1)
+                        march(ref[alone], f[alone], rows[alone], grid[i:], ts,
+                              [a[alone] for a in tildes])
+                        keep = rows != rows[j]
+                        ref, f, rows = ref[keep], f[keep], rows[keep]
+                        tildes = [a[keep] for a in tildes]
+                        continue
+                    sub *= 0.5
+                    if sub < MIN_SUBSTEP:
+                        reasons[int(rows[0])] = f"no progress past t = {ts[-1]:.6f}: {exc}"
+                        return
+                    continue
+                ts, tildes = ts[-2:] + [t_try], tildes[-2:] + [tilde]
+            points.append((np.full(len(rows), t_target), rows, tildes[-1], state, iters, res))
 
-    t, tilde, states, iterations, residuals = zip(*points)
-    tilde = np.array(tilde)
-    c_t = bg.mean(tilde, ref_state.rho)
-    return PathTrajectory("bending", bg, ref_state, f, np.array(t), tilde - c_t[:, None],
-                          c_t, MetricState.stack(states), list(iterations),
-                          list(residuals), "stalled" if reason else "completed", reason)
+    march(ref, f, rows, _time_grid(dt).tolist()[1:], [0.0], [tilde])
+    t, rows, tilde, states, iters, res = zip(*points)
+    t, rows, tilde, iters, res = map(np.concatenate, (t, rows, tilde, iters, res))
+    states = MetricState.stack(states)
+    trajectories = []
+    for row, ref_state in enumerate(ref_states):
+        mine = np.flatnonzero(rows == row)   # its points, in time order
+        c_t = bg.mean(tilde[mine], ref_state.rho)
+        reason = reasons.get(row, "")
+        trajectories.append(PathTrajectory(
+            "bending", bg, ref_state, f[row], t[mine], tilde[mine] - c_t[:, None], c_t,
+            states[mine], iters[mine].tolist(), res[mine].tolist(),
+            "stalled" if reason else "completed", reason))
+    return trajectories
 
 
 # ---------------------------------------------------------------------------
@@ -569,18 +623,21 @@ def solve_aubin_path(ref_state: MetricState, dt: float = 0.02) -> PathTrajectory
 
 def ricci_positive_generator(state: MetricState) -> MetricState:
     """The state of a metric with positive Ricci curvature, made from the
-    metric of `state`.
+    metric of `state`; a stacked state transports row by row in one
+    stacked density solve, each row bitwise its transport alone.
 
     One full prescribed-volume step turns the metric into the one whose
     Ricci form IS the input metric, hence strictly positive for any
-    admissible input.  Raises GeneratorError if the output curvature is
-    not positive.
+    admissible input.  Raises GeneratorError, naming the first row whose
+    output curvature is not positive.
     """
     f, _ = ricci_potential(state)
     _, out, _, _ = _solve_density(state, f)
-    if out.min_ricci <= 0.0:
+    low = np.atleast_1d(out.min_ricci)
+    if (low <= 0.0).any():
+        row = int(np.argmax(low <= 0.0))
         raise GeneratorError("transport step failed to reach positive curvature",
-                             out.min_ricci)
+                             float(low[row]), row)
     return out
 
 
@@ -598,8 +655,7 @@ def monitors(states: MetricState, ref: MetricState | None = None,
     for k in range(states.bg.n + 1):
         columns[f"E_{k}"] = e_k_closed(states, k, ref)
     columns["I"], columns["J"], columns["I_minus_J"] = i_and_j(states, ref)
-    columns["lambda1_radial"] = [lambda1_radial(states[i])
-                                 for i in range(len(states.phi))]
+    columns["lambda1_radial"] = lambda1_radial(states)
     columns["min_ricci"] = states.min_ricci
     return np.rec.fromarrays(list(columns.values()), names=list(columns))
 

@@ -44,8 +44,10 @@ class SolverError(LabError):
 
 
 class GeneratorError(LabError):
-    """The positivity-improving generator failed to certify its output."""
+    """The positivity-improving generator failed to certify its output (row
+    `row` of a stacked one)."""
 
-    def __init__(self, message: str, achieved_min: float):
+    def __init__(self, message: str, achieved_min: float, row: int):
         super().__init__(f"{message} (achieved minimum {achieved_min:.6e})")
         self.achieved_min = achieved_min
+        self.row = row

@@ -38,8 +38,8 @@ derivatives act row by row and background fields broadcast against it,
 so a single potential is the B = 1 case of the same code, and each row of
 a stacked state is bitwise the state of that row alone.
 `laplacian`, `laplacian_matrix`, `wedge_density`, the `slot_*` builders,
-`potential_from_density` and `Background.integrate` and `.mean` take
-stacks too; a single density integrates to a Python float, a stack to one
+`ricci_potential`, `potential_from_density` and `Background.integrate` and
+`.mean` take stacks too; a single density integrates to a Python float, a stack to one
 value per row.  A stacked integral takes one dot product per row, never one
 matrix-vector product over the stack (which sums in another order), so
 each value is bitwise the integral of that row alone.  No field of a
@@ -562,21 +562,22 @@ def ricci_potential(state: MetricState) -> tuple[Array, float]:
     Ric(omega_phi) - omega_phi = -i ddbar(log rho + phi): f is -(log rho +
     phi) plus the normalizing constant, in closed form.  Returns (f, defect)
     where the defect is the max-node residual of the defining identity
-    across both eigenvalue components.  Only the positive-first-Chern-class
-    model carries such a potential.
+    across both eigenvalue components; a stacked state gives one f and one
+    defect per row.  Only the positive-first-Chern-class model carries such
+    a potential.
     """
     bg = state.bg
     if bg.model != "cpn":
         raise UnsupportedModelError("Ricci potentials require the positive model")
     f_raw = -(state.log_rho + state.phi)
-    mass = bg.integrate(state.rho * np.exp(f_raw))
-    f = f_raw - np.log(mass / bg.volume)
+    mass = np.asarray(bg.integrate(state.rho * np.exp(f_raw)))
+    f = f_raw - np.log(mass / bg.volume)[..., None]
 
     hess = slot_hessian(bg, f)
     defect_r = np.abs(hess.ar - (state.G_x - state.m_x))
     defect_s = np.abs(hess.as_ - (state.G_over_x - state.m_over_x))
-    defect = float(max(defect_r.max(), defect_s.max()))
-    return f, defect
+    defect = np.maximum(defect_r.max(axis=-1), defect_s.max(axis=-1))
+    return f, float(defect) if defect.ndim == 0 else defect
 
 
 def potential_from_density(bg: Background, rho_target: Array) -> Array:

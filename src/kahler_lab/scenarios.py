@@ -30,7 +30,7 @@ from .continuity import (
     monitors,
     path_monitors,
     ricci_positive_generator,
-    solve_aubin_path,
+    solve_aubin_paths,
     solve_yau_path,
 )
 from .energies import (
@@ -314,62 +314,64 @@ def _run_prop21_agreement(cfg, bg, report, art):
            default_count=20, tolerances={"cocycle": 1e-7})
 def _run_cocycle(cfg, bg, report, art):
     t = cfg.tolerances
-    first = _probes(bg, cfg)
-    second = _probes(bg, cfg, index_offset=cfg.count)
+    first = MetricState.stack(_probes(bg, cfg))
+    second = MetricState.stack(_probes(bg, cfg, index_offset=cfg.count))
+    # per k, one stacked evaluation of each energy over the probe pairs
+    direct, via, anti = [], [], []
+    for k in range(bg.n + 1):
+        e_second = e_k_closed(second, k)
+        direct.append(e_k_closed(first, k))
+        via.append(e_second + e_k_closed(first, k, second))
+        anti.append(e_k_closed(bg.reference, k, second) + e_second)
 
-    for idx, (phi_state, psi_state) in enumerate(zip(first, second)):
+    for idx in range(cfg.count):
         for k in range(bg.n + 1):
-            direct = e_k_closed(phi_state, k)
-            via = e_k_closed(psi_state, k) + e_k_closed(phi_state, k, psi_state)
-            scale = max(abs(direct), abs(via))
+            scale = max(abs(direct[k][idx]), abs(via[k][idx]))
             report.add(CheckItem.identity(
                 f"cocycle_s{idx}_k{k}",
                 "energy composes along intermediate metrics",
-                direct, via, t["cocycle"], relative_to=scale))
-            anti = e_k_closed(bg.reference, k, psi_state) + e_k_closed(psi_state, k)
+                direct[k][idx], via[k][idx], t["cocycle"], relative_to=scale))
             report.add(CheckItem.identity(
                 f"antisymmetry_s{idx}_k{k}",
                 "energy reverses sign when the endpoints swap",
-                anti, 0.0, t["cocycle"]))
+                anti[k][idx], 0.0, t["cocycle"]))
 
 
 @_scenario("nonnegativity over positively curved probes, minimum at the round metric",
            default_count=25, tolerances={"energy_floor": 1e-7, "argmin_deviation": 1e-2})
 def _run_theorem1(cfg, bg, report, art):
     t = cfg.tolerances
-    seeds = [bg.reference] + _probes(bg, cfg, count=cfg.count - 1)
+    seeds = MetricState.stack([bg.reference] + _probes(bg, cfg, count=cfg.count - 1))
+    # the probes transported as one stack, and each energy in one call
+    states = ricci_positive_generator(seeds)
+    # the gradient term of each probe's potential over its Ricci form
+    q0 = _gradient_wedges(states, seeds)[0] / bg.volume
+    low, dev = states.min_ricci, states.einstein_defect
+    values = [e_k_closed(states, k) for k in range(bg.n + 1)]
 
-    per_k = {k: [] for k in range(bg.n + 1)}
-    for idx, theta in enumerate(seeds):
-        state = ricci_positive_generator(theta)
-        # the gradient term of the probe's potential over its Ricci form
-        q0 = _gradient_wedges(state, theta)[0] / bg.volume
-        dev = state.einstein_defect
+    for idx in range(cfg.count):
         report.add(CheckItem.lower_bound(
             f"probe_positivity_s{idx}",
-            "transported probe has positive curvature", state.min_ricci, 0.0, 0.0))
+            "transported probe has positive curvature", low[idx], 0.0, 0.0))
         for k in range(bg.n + 1):
-            value = e_k_closed(state, k)
-            per_k[k].append((value, dev))
             report.add(CheckItem.lower_bound(
                 f"energy_floor_s{idx}_k{k}",
                 "energy from the round metric to a positively curved probe "
                 "is nonnegative",
-                value, 0.0, t["energy_floor"]))
+                values[k][idx], 0.0, t["energy_floor"]))
             if k >= 1:
                 report.add(CheckItem.lower_bound(
                     f"gradient_refinement_s{idx}_k{k}",
                     "energy dominates the gradient term of the probe over "
                     "its curvature form",
-                    value, k * q0, t["energy_floor"]))
+                    values[k][idx], k * q0[idx], t["energy_floor"]))
 
     for k in range(bg.n + 1):
-        vals = per_k[k]
-        arg = min(range(len(vals)), key=lambda i: vals[i][0])
+        arg = int(np.argmin(values[k]))
         report.add(CheckItem.upper_bound(
             f"minimizer_near_round_k{k}",
             "family minimizer sits at the round metric's eigenvalue profile",
-            vals[arg][1], 0.0, t["argmin_deviation"],
+            dev[arg], 0.0, t["argmin_deviation"],
             note=f"minimum at probe {arg}"))
 
 
@@ -377,37 +379,38 @@ def _run_theorem1(cfg, bg, report, art):
            default_count=50, tolerances={"energy_floor": 1e-7, "cocycle": 1e-7})
 def _run_theorem2(cfg, bg, report, art):
     t = cfg.tolerances
-    for idx, probe in enumerate(_probes(bg, cfg)):
-        direct = e_k_closed(probe, 1)
+    probes = MetricState.stack(_probes(bg, cfg))
+    direct = e_k_closed(probes, 1)
+    # the first five probes split through their transports, as one stack
+    split = probes[:5]
+    ends = ricci_positive_generator(split)
+    total, back = e_k_closed(ends, 1), e_k_closed(ends, 1, split)
+    for idx in range(cfg.count):
         report.add(CheckItem.lower_bound(
             f"energy_floor_s{idx}",
             "k = 1 energy from the round metric is nonnegative on arbitrary "
             "probes",
-            direct, 0.0, t["energy_floor"]))
+            direct[idx], 0.0, t["energy_floor"]))
         if idx < 5:
-            end = ricci_positive_generator(probe)
-            total = e_k_closed(end, 1)
-            back = e_k_closed(end, 1, probe)
             report.add(CheckItem.identity(
                 f"split_cocycle_s{idx}",
                 "energy splits through the curvature-inverted midpoint",
-                direct, total - back, t["cocycle"],
-                relative_to=max(abs(direct), abs(total))))
+                direct[idx], total[idx] - back[idx], t["cocycle"],
+                relative_to=max(abs(direct[idx]), abs(total[idx]))))
             report.add(CheckItem.lower_bound(
                 f"split_positive_leg_s{idx}",
                 "leg ending at a positively curved metric is nonnegative",
-                total, 0.0, t["energy_floor"]))
+                total[idx], 0.0, t["energy_floor"]))
             report.add(CheckItem.upper_bound(
                 f"split_negative_leg_s{idx}",
                 "prescribed-volume endpoint leg is nonpositive",
-                back, 0.0, t["energy_floor"]))
+                back[idx], 0.0, t["energy_floor"]))
 
 
 @_scenario("bending-path structure: rate equation, curvature identity, "
            "eigenvalue bound, monotonicity, endpoint identity", default_count=3)
 def _run_lemma32_34(cfg, bg, report, art):
-    for idx, probe in enumerate(_probes(bg, cfg)):
-        traj = solve_aubin_path(probe)
+    for idx, traj in enumerate(solve_aubin_paths(_probes(bg, cfg))):
         rows = path_monitors(traj)
         report.extend(_suffixed(check_lemma_3_4(traj, monitors=rows), idx))
         if not traj.completed:
@@ -463,8 +466,8 @@ def _run_futaki(cfg, bg, report, art):
 @_scenario("growth control along both paths: two-time identity, bridge "
            "identity, decay bounds, boundedness monitor", default_count=2)
 def _run_section5(cfg, bg, report, art):
-    for idx, probe in enumerate(_probes(bg, cfg)):
-        aubin = solve_aubin_path(probe)
+    probes = _probes(bg, cfg)
+    for idx, (probe, aubin) in enumerate(zip(probes, solve_aubin_paths(probes))):
         yau = solve_yau_path(probe)
         rows = path_monitors(aubin)
         report.extend(_suffixed(check_section5(aubin, yau, monitors=rows), idx))

@@ -23,8 +23,8 @@ from kahler_lab.continuity import (LAMBDA1_RITZ_TOL, NEWTON_TOL, _extrapolate,
                                    check_section5, lambda1_radial,
                                    path_monitors, ricci_positive_generator,
                                    solve_aubin_path, solve_yau_path)
-from kahler_lab.errors import (NotKahlerError, ParameterError, SolverError,
-                               UnsupportedModelError)
+from kahler_lab.errors import (GeneratorError, NotKahlerError, ParameterError,
+                               SolverError, UnsupportedModelError)
 from kahler_lab.families import generate_probe
 from kahler_lab.flow import run_flow
 from kahler_lab.geometry import (MetricState, fs_background, laplacian_matrix,
@@ -109,13 +109,14 @@ def test_first_eigenvalue_matches_scipy_generalized_eigh(size):
 
 
 def _ritz_steps(monkeypatch, state):
-    """lambda1_radial of the state with the (basis size, Ritz value,
-    estimated drop to the band's value) of each Ritz solve it made."""
+    """lambda1_radial of the state, single or stacked, with the (basis size,
+    weight rows, Ritz values, estimated drops to the band's values) of each
+    batched Ritz solve it made."""
     steps, ritz = [], continuity._ritz_lambda1
 
     def recorded(bg, wdiag, mass, size):
         lam, drop = ritz(bg, wdiag, mass, size)
-        steps.append((size, lam, drop))
+        steps.append((size, wdiag.copy(), lam.copy(), drop.copy()))
         return lam, drop
 
     with monkeypatch.context() as patch:
@@ -124,17 +125,24 @@ def _ritz_steps(monkeypatch, state):
 
 
 def _assert_drop_rule(state, value, steps):
-    # one solve on min(32, band) functions, and a second on the band only
-    # when the first's estimated drop to the band's value exceeds the
-    # tolerance; the value is the last solve's
+    # one solve of every row on min(32, band) functions, and a second on
+    # the band of exactly the rows whose first estimated drop to the band's
+    # value exceeds the tolerance; each row's value is its last solve's
     band = state.bg.band
-    first, lam, drop = steps[0]
-    assert first == min(32, band)
-    if drop <= LAMBDA1_RITZ_TOL * lam:
-        assert [size for size, _, _ in steps] == [first]
+    values = np.atleast_1d(value)
+    (first, wdiag, lam, drop), *rest = steps
+    assert first == min(32, band) and len(wdiag) == len(values)
+    wide = np.flatnonzero(drop > continuity.LAMBDA1_RITZ_TOL * lam)
+    if wide.size:
+        ((size, wide_wdiag, wide_lam, _),) = rest
+        assert size == band
+        assert wide_wdiag.tobytes() == wdiag[wide].tobytes()
+        lam = lam.copy()
+        lam[wide] = wide_lam
     else:
-        assert [size for size, _, _ in steps] == [32, band]
-    assert value == steps[-1][1]
+        assert rest == []
+    assert values.tobytes() == lam.tobytes()
+    return wide
 
 
 def _full_band_lambda1(state):
@@ -184,8 +192,52 @@ def test_first_eigenvalue_escalates_to_the_band_on_a_high_mode_state(
         assert steps[-1][0] == 32
     else:
         assert steps[-1][0] == bg.band
-        assert steps[0][1] - value > 1e2 * LAMBDA1_RITZ_TOL * value
+        assert steps[0][2][0] - value > 1e2 * LAMBDA1_RITZ_TOL * value
     assert value == pytest.approx(_full_band_lambda1(state), rel=1e-12, abs=0.0)
+
+
+def _lambda1_states(size):
+    """Probes, bending-path points and high-mode states on one n = 2 grid,
+    as a list: some of them take the band re-solve where the grid's trial
+    space is not the whole band."""
+    bg = fs_background("cpn", 2, size)
+    probes = [generate_probe(bg, seed=seed, scenario="unit", index=0) for seed in range(3)]
+    traj = solve_aubin_path(probes[0], dt=0.25)
+    high = [make_metric(bg, 1e-4 * bg.cheb_synthesis[:, min(mode, bg.band - 1)])
+            for mode in (24, 40, 50)]
+    return probes + [traj.states[i] for i in range(len(traj.ts))] + high
+
+
+@pytest.mark.parametrize("size", [48, 96, 384])
+def test_stacked_first_eigenvalue_rows_are_their_solo_values(size, monkeypatch):
+    # on N = 48 the 32-function trial space is the whole 24-mode band, and
+    # no row re-solves; on N = 96 and 384 some rows do, in one batched call
+    states = _lambda1_states(size)
+    stack = MetricState.stack(states)
+    value, steps = _ritz_steps(monkeypatch, stack)
+    wide = _assert_drop_rule(stack, value, steps)
+    assert value.shape == (len(states),)
+    assert (wide.size > 0) == (size > 48)
+    for i, state in enumerate(states):
+        solo = lambda1_radial(state)
+        assert type(solo) is float
+        assert value[i].tobytes() == np.float64(solo).tobytes(), i
+
+
+def test_stacked_first_eigenvalue_re_solves_only_the_rows_past_the_tolerance(
+        monkeypatch):
+    # a tolerance between the rows' relative drops sends some rows, not
+    # all, to the band; each row is still bitwise its solo value under it
+    states = _lambda1_states(96)
+    stack = MetricState.stack(states)
+    _, _, lam, drop = _ritz_steps(monkeypatch, stack)[1][0]
+    monkeypatch.setattr(continuity, "LAMBDA1_RITZ_TOL", float(np.median(drop / lam)))
+    value, steps = _ritz_steps(monkeypatch, stack)
+    wide = _assert_drop_rule(stack, value, steps)
+    assert 0 < wide.size < len(states)
+    assert {len(steps[0][1]), len(steps[1][1])} == {len(states), wide.size}
+    for i, state in enumerate(states):
+        assert value[i].tobytes() == np.float64(lambda1_radial(state)).tobytes(), i
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +392,14 @@ def _path_targets(ref_state, ts):
     return np.array([t * f + c for t, c in zip(ts, c_t)])
 
 
+def _assert_same_state(state, solo, label):
+    """Every array field of `state` is bitwise that of `solo`."""
+    for f in dataclasses.fields(solo):
+        want = getattr(solo, f.name)
+        if isinstance(want, np.ndarray):
+            assert getattr(state, f.name).tobytes() == want.tobytes(), (label, f.name)
+
+
 def _assert_rows_are_solo_solves(stacked, solos):
     """Each row of a stacked solve is bitwise its solo solve: potential,
     every state field, iterations and residual."""
@@ -347,10 +407,7 @@ def _assert_rows_are_solo_solves(stacked, solos):
     assert phi.shape == states.phi.shape == (len(solos), states.bg.size)
     for i, (solo_phi, solo_state, steps, res) in enumerate(solos):
         assert phi[i].tobytes() == solo_phi.tobytes(), i
-        for f in dataclasses.fields(solo_state):
-            want = getattr(solo_state, f.name)
-            if isinstance(want, np.ndarray):
-                assert getattr(states, f.name)[i].tobytes() == want.tobytes(), (i, f.name)
+        _assert_same_state(states[i], solo_state, i)
         assert (int(iterations[i]), float(residuals[i])) == (steps, res), i
 
 
@@ -678,6 +735,30 @@ def test_transport_step_inverts_curvature_exactly(probe_cp2):
     assert out.min_ricci > 0.0
 
 
+@pytest.mark.parametrize("n,size", [(1, 48), (2, 96), (4, 96)])
+def test_stacked_transport_rows_are_their_solo_transports(n, size):
+    bg = fs_background("cpn", n, size)
+    thetas = [bg.reference] + [generate_probe(bg, seed=2, scenario="theorem1", index=i)
+                               for i in range(4)]
+    out = ricci_positive_generator(MetricState.stack(thetas))
+    for i, theta in enumerate(thetas):
+        _assert_same_state(out[i], ricci_positive_generator(theta), i)
+
+
+def test_stacked_transport_names_its_first_row_without_positive_curvature(monkeypatch):
+    # rows 1 and 2 of the density solve's output come back with negative
+    # curvature somewhere: the error names row 1 and its minimum
+    bg = fs_background("cpn", 2, 48)
+    probe = generate_probe(bg, seed=1, scenario="paths", index=2)
+    bent = make_metric(bg, np.array([probe.phi, 4.0 * probe.phi, 6.0 * probe.phi]))
+    assert bent.min_ricci[0] > 0.0 > bent.min_ricci[1] > bent.min_ricci[2]
+    monkeypatch.setattr(continuity, "_solve_density",
+                        lambda state, f: (f, bent, np.zeros(3, dtype=int), np.zeros(3)))
+    with pytest.raises(GeneratorError) as exc:
+        ricci_positive_generator(MetricState.stack([probe] * 3))
+    assert exc.value.row == 1 and exc.value.achieved_min == bent.min_ricci[1]
+
+
 # ---------------------------------------------------------------------------
 # monitors and check suites
 
@@ -798,6 +879,59 @@ def test_bending_corrections_are_krylov_from_the_threshold_grid(monkeypatch, siz
         assert len(dense) == sum(traj.iterations[1:]) and set(krylov) == {0.0}
     else:
         assert dense == [] and set(krylov) >= {0.0, 1.0}
+
+
+def _assert_same_trajectory(traj, solo):
+    """Two bending trajectories agree bitwise: times, potentials, constants,
+    every state field, iterations, residuals, status and reason."""
+    for name in ("ts", "phi", "c_t", "f"):
+        assert getattr(traj, name).tobytes() == getattr(solo, name).tobytes(), name
+    _assert_same_state(traj.states, solo.states, "states")
+    assert (traj.iterations, traj.residuals) == (solo.iterations, solo.residuals)
+    assert (traj.status, traj.reason) == (solo.status, solo.reason)
+
+
+def test_lockstep_bending_rows_that_fail_march_alone(monkeypatch):
+    # probe 1's solve raises at t = 0.3 in a stack of several rows (it is
+    # in one there once), so it leaves the lockstep and marches alone;
+    # probe 2's solves past t = 0.52 always raise, so it leaves at t = 0.55
+    # and substeps to a stall.  Every row is bitwise its lone march under
+    # the same faults
+    bg = fs_background("cpn", 2, 48)
+    probes = [generate_probe(bg, seed=3, scenario="paths", index=i) for i in range(3)]
+    which = {p.phi.tobytes(): i for i, p in enumerate(probes)}
+    original, stacks = continuity._newton_solve, []
+
+    def faulty(ref_state, target, t, guess):
+        rows = [which[row.tobytes()] for row in np.atleast_2d(ref_state.phi)]
+        stacks.append((t, rows))
+        for j, probe in enumerate(rows):
+            if ((probe == 1 and len(rows) > 1 and abs(t - 0.3) < 1e-12)
+                    or (probe == 2 and t > 0.52)):
+                raise SolverError(f"forced failure at t = {t}", t=t, row=j)
+        return original(ref_state, target, t, guess)
+
+    monkeypatch.setattr(continuity, "_newton_solve", faulty)
+    trajs = continuity.solve_aubin_paths(probes, dt=0.05)
+    assert all(traj.ref_state is probe for traj, probe in zip(trajs, probes))
+    # the lockstep splits as planned: three rows up to t = 0.3, probe 1
+    # alone on the grid from there, probes 0 and 2 together up to t = 0.55,
+    # and from there probe 0 alone on the grid and probe 2 alone in
+    # substeps off it
+    alone = {row: [t for t, rows in stacks if rows == [row]] for row in (0, 1, 2)}
+    assert [t for t, rows in stacks if rows == [0, 1, 2]] == pytest.approx(
+        np.linspace(0.0, 0.3, 7))
+    assert [t for t, rows in stacks if rows == [0, 2]] == pytest.approx(
+        np.linspace(0.3, 0.55, 6))
+    assert alone[0] == pytest.approx(np.linspace(0.55, 1.0, 10))
+    assert alone[1] == pytest.approx(np.linspace(0.3, 1.0, 15))
+    assert alone[2][0] == pytest.approx(0.55)
+    assert len(alone[2]) > 5 and 0.5 < min(alone[2]) < 0.52
+    assert [traj.status for traj in trajs] == ["completed", "completed", "stalled"]
+    assert trajs[2].ts[-1] == pytest.approx(0.5)
+    assert trajs[2].reason.startswith("no progress past t = 0.51")
+    for traj, probe in zip(trajs, probes):
+        _assert_same_trajectory(traj, solve_aubin_path(probe, dt=0.05))
 
 
 def test_warm_start_extrapolation_is_lagrange_through_the_last_points():

@@ -593,6 +593,24 @@ def test_ricci_potential_closed_form_matches_integrated_oracle(n, size, tol):
         assert np.abs(f - _integrated_ricci_potential(state)).max() < tol, seed
 
 
+@pytest.mark.parametrize("count", [16, 5])
+def test_stacked_ricci_potential_rows_are_their_solo_potentials(count):
+    # a stack as tall as the grid is wide once normalized every column by
+    # the row masses, silently, and any other stack raised; each row's f
+    # and defect are its own.  Three modes are resolved on 16 nodes
+    bg = fs_background("cpn", 2, 16)
+    states = [generate_probe(bg, seed=5, scenario="ricci", index=i, modes=3, amplitude=0.02)
+              for i in range(count)]
+    f, defect = ricci_potential(MetricState.stack(states))
+    assert f.shape == (count, bg.size) and defect.shape == (count,)
+    for i, state in enumerate(states):
+        solo_f, solo_defect = ricci_potential(state)
+        assert type(solo_defect) is float
+        assert f[i].tobytes() == solo_f.tobytes(), i
+        assert defect[i].tobytes() == np.float64(solo_defect).tobytes(), i
+        assert solo_defect < 1e-6, i
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_antiderivative_is_the_inverse_of_d_on_probes(n):
     # a state built from the moment inversion differences its potential

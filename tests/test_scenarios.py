@@ -148,17 +148,17 @@ def test_a_run_without_a_directory_formats_nothing(name, monkeypatch):
 
 
 def test_a_run_that_raises_writes_no_file(monkeypatch, tmp_path):
-    # the second probe's path raises after the first one's trajectory is
+    # the second probe's checks raise after the first one's trajectory is
     # recorded: the scenario directory is made up front, and stays empty
-    calls, original = [], scenarios.solve_aubin_path
+    calls, original = [], scenarios.check_lemma_3_4
 
-    def failing(probe, *args, **kwargs):
-        calls.append(probe)
+    def failing(traj, *args, **kwargs):
+        calls.append(traj)
         if len(calls) == 2:
             raise SolverError("raised on purpose")
-        return original(probe, *args, **kwargs)
+        return original(traj, *args, **kwargs)
 
-    monkeypatch.setattr(scenarios, "solve_aubin_path", failing)
+    monkeypatch.setattr(scenarios, "check_lemma_3_4", failing)
     cfg = parse_config({"scenario": "lemma32_34", "grid_size": 48, "count": 2})
     with pytest.raises(SolverError):
         run_scenario(cfg, out_dir=str(tmp_path))
