@@ -272,8 +272,8 @@ def _newton_solve(ref_state: MetricState, target: Array, t: float, guess: Array)
     NEWTON_TOL / (100 max|R|))  (Eisenstat & Walker 1996): the step need
     only take the residual well below NEWTON_TOL, not to GMRES_TOL of a
     large R.  Its gauge defect counts times the volume, as GMRES sees it
-    divided by the volume; unweighted, a t = 1 Krylov step at n = 4 leaves
-    the defect near 2e-10, and the solve stalls there.
+    divided by the volume; unweighted, a t = 1 Krylov step at n = 4 stalls
+    with the defect above NEWTON_TOL.
 
     When a trial step leaves the cone, every row that left halves its step
     and the stack is built again, so each row takes the largest admissible
@@ -388,26 +388,26 @@ def _density_step(state: MetricState, R: Array, t: float, tol):
     u = 1 at t = 0 and the rotation potential m - n at t = 1 (as in
     `_newton_solve`), is applied matrix-free as K: its first N rows scaled
     by m_x, so that its principal part is the round D_w0_D, and its gauge
-    row divided by the volume, a mean.  Unscaled, the n = 4 preconditioned
-    operator has condition number 4e7 and stalls near 1e-10, scaled about
-    1.1.  At 0 < t < 1 the correction splits as delta_0 + c, with delta_0
-    in the t = 0 gauge  l.delta_0 = 0 , and Lap annihilates the constant c,
-    so J delta = -R is the system bordered by u = 1, with mu = t c and a
-    zero gauge defect; the correction is delta_0 + mu / t.  At t = 0 and
-    t = 1 it is delta itself.
+    row divided by the volume, a mean; unscaled, the n = 4 preconditioned
+    operator is ill-conditioned and GMRES stalls.  At 0 < t < 1 the
+    correction splits as delta_0 + c, with delta_0 in the t = 0 gauge
+    l.delta_0 = 0 , and Lap annihilates the constant c, so J delta = -R is
+    the system bordered by u = 1, with mu = t c and a zero gauge defect;
+    the correction is delta_0 + mu / t.  At t = 0 and t = 1 it is delta
+    itself.
 
     K is right-preconditioned by the inverse P of K0, the t = 0 K of the
     round metric (`Background.density_preconditioner`).  With z = P v,
     K P v = K0 z + (K - K0) z = v + (K - K0) z, up to the rounding of
-    K0 P = I (at most 2.4e-11 on the grids up to N = 384).  K - K0 is
-    diagonal but for its coupling (n - 1)(m_x r - w0/x) D, its border
-    column and its gauge row, so an iteration takes one product with P and
-    one with D, where K itself would stream D_w0_D as well.  The rows
-    iterate in lockstep, each leaves once its residual estimate is within
-    its relative tolerance `tol` (one value, or one per row) of its
-    right-hand side, and every product is row by row, so a row of a stack
-    is bitwise its solve alone.  Returns delta and the iterations per row,
-    0 for a row not converged in GMRES_ITERS.
+    K0 P = I.  K - K0 is diagonal but for its coupling
+    (n - 1)(m_x r - w0/x) D, its border column and its gauge row, so an
+    iteration takes one product with P and one with D, where K itself would
+    stream D_w0_D as well.  The rows iterate in lockstep, each leaves once
+    its residual estimate is within its relative tolerance `tol` (one
+    value, or one per row) of its right-hand side, and every product is
+    row by row, so a row of a stack is bitwise its solve alone.  Returns
+    delta and the iterations per row, 0 for a row not converged in
+    GMRES_ITERS.
     """
     bg = state.bg
     size = bg.size
@@ -652,8 +652,7 @@ def monitors(states: MetricState, ref: MetricState | None = None,
     J, I - J, the first eigenvalue and the curvature minimum.  Energies, I
     and J are relative to the state `ref` (the background reference when
     None), from one stacked evaluation each, bitwise the per-row values."""
-    for k in range(states.bg.n + 1):
-        columns[f"E_{k}"] = e_k_closed(states, k, ref)
+    columns.update({f"E_{k}": e for k, e in enumerate(e_k_closed(states, ref))})
     columns["I"], columns["J"], columns["I_minus_J"] = i_and_j(states, ref)
     columns["lambda1_radial"] = lambda1_radial(states)
     columns["min_ricci"] = states.min_ricci
@@ -829,9 +828,10 @@ def check_lemma_4_1(traj: PathTrajectory) -> list[CheckItem]:
     end = traj.states[-1]
     sq_integral = _squared_rate_integral(traj, rate)
     q_end = _gradient_wedges(end, traj.ref_state)
+    energies = e_k_closed(end, traj.ref_state)
 
     for k in range(1, min(n, 2) + 1):
-        lhs = e_k_closed(end, k, traj.ref_state)
+        lhs = energies[k]
 
         t1 = -sum((n - k) * (i + 1) / (n + 1) * q_end[i] for i in range(k))
         t2 = -sum((k + 1) * (n - i) / (n + 1) * q_end[i] for i in range(k, n))
@@ -899,7 +899,7 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
             "path too short for the requested time pair", ts[-1]))
 
     # lower bound by the accumulated I - J integral (valid on any range)
-    e1_theta = e_k_closed(ref_state, 1)
+    e1_theta = e_k_closed(ref_state)[1]
     items.append(CheckItem.lower_bound(
         "energy_vs_accumulated_imj",
         "background-relative energy dominates twice the accumulated I - J",
@@ -925,7 +925,7 @@ def check_section5(aubin: PathTrajectory, yau: PathTrajectory, *,
         gap_osc = np.ptp(tilde - tilde[-1], axis=-1)  # oscillation of each row
         late = int(np.searchsorted(ts, 0.5 - 1e-12))
         # E_1 and J between the endpoint metric and the time-t metrics
-        e_between = e_k_closed(states[late:], 1, end)
+        e_between = e_k_closed(states[late:], end)[1]
         j_between = i_and_j(states[late:], end)[1]
         tails = 2.0 * (partial - running[late:])
         items.append(CheckItem.upper_bound(

@@ -33,8 +33,10 @@ the critical-equation residual sigma_{k+1} - Lap sigma_k - const, the
 degree-k Futaki-type invariants of the generating holomorphic field, the
 one-parameter pullback orbit of that field, and the explicit nonnegative
 closed form the k = 1 energy reduces to on the Ricci-flat torus model.
-`e_k_closed`, `i_and_j` and `futaki_k` take stacked states as well, one
-value per row, each bitwise the value of that row alone.
+`e_k_closed`, `futaki_k` and `critical_residual` return all k in one
+array, k on the leading axis: (n+1,) for one state, (n+1, B) for a stack
+of B states, and the grid last for the residual.  `i_and_j` takes stacks
+too, and each row of a stacked result is bitwise its state's value alone.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ import numpy as np
 
 from .errors import ParameterError, SolverError, UnsupportedModelError
 from .geometry import (
-    Background,
     MetricState,
     make_metric,
     laplacian,
+    ricci_wedges,
     sigma_k,
     slot_gradsq,
     slot_metric,
@@ -74,18 +76,6 @@ class PathEnergies:
     values: tuple[float, ...]
     intervals: int
     est_errors: tuple[float, ...]
-
-
-def mu_k(bg: Background, k: int) -> float:
-    """Class constant: (1/V) integral of k+1 Ricci factors wedged against
-    n-k-1 metric factors.  Computed once per background from the reference."""
-    _check_k(bg, k)
-    return bg.mu[k]
-
-
-def _check_k(bg: Background, k: int) -> None:
-    if not 0 <= k <= bg.n:
-        raise ParameterError(f"energy index must lie in [0, {bg.n}], got {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +106,10 @@ def _ek_integrands(state: MetricState, dot: Array) -> list[Array]:
     bg = state.bg
     n = bg.n
     lap_dot = laplacian(state, dot)
-    ric = slot_ricci(state)
-    met = slot_metric(state)
-    # wedge[j]: j Ricci factors against n-j metric factors; the zero
-    # wedge[n + 1] meets the factor n - k = 0 of the k = n term
-    wedge = [wedge_density(bg, [ric] * j + [met] * (n - j)) for j in range(n + 1)] + [0.0]
+    # the zero wedge[n + 1] meets the factor n - k = 0 of the k = n term
+    wedge = ricci_wedges(state) + [0.0]
     return [((k + 1) * bg.integrate(lap_dot * wedge[k])
-             - (n - k) * bg.integrate(dot * (wedge[k + 1] - mu_k(bg, k) * state.rho)))
+             - (n - k) * bg.integrate(dot * (wedge[k + 1] - bg.mu[k] * state.rho)))
             / bg.volume for k in range(n + 1)]
 
 
@@ -158,10 +145,11 @@ def e_k_path(state: MetricState, path: str) -> PathEnergies:
 # closed-form route
 
 
-def e_k_closed(state: MetricState, k: int,
-               ref: MetricState | None = None) -> float:
-    """Energy E_k of the metric of `state` relative to the metric of `ref`
-    (the background reference when None), without time integration.
+def e_k_closed(state: MetricState, ref: MetricState | None = None) -> Array:
+    """Energies E_0 .. E_n of the metric of `state` relative to the metric
+    of `ref` (the background reference when None), without time
+    integration: shape (n+1,), or (n+1, B) for a stack of B states, each
+    row bitwise the value of that state alone.
 
     With w the metric of `ref`, w_phi that of `state`, phi = state.phi -
     ref.phi and L = log(w^n / w_phi^n):
@@ -175,15 +163,14 @@ def e_k_closed(state: MetricState, k: int,
     Each wedge in the phi-linear sums integrates to a class constant, so a
     constant c added to phi moves the first sum by c (n-k) mu_k V and the
     last by c (n+1) V, and the two cancel: the value does not depend on the
-    constants the two states' potentials carry.
+    constants the two states' potentials carry.  The last sum is taken
+    once for all k.
     """
     bg = state.bg
-    _check_k(bg, k)
     if ref is None:
         ref = bg.reference
     n = bg.n
     values = state.phi - ref.phi
-    mu = mu_k(bg, k)
 
     w_ref = slot_metric(ref)
     w_phi = slot_metric(state)
@@ -191,20 +178,17 @@ def e_k_closed(state: MetricState, k: int,
     ric_phi = slot_ricci(state)
     log_ratio = ref.log_rho - state.log_rho
 
-    a = 0.0
-    for j in range(n - k):
-        slots = [w_phi] * j + [ric_ref] * (k + 1) + [w_ref] * (n - j - k - 1)
-        a += bg.integrate(values * wedge_density(bg, slots))
-    for j in range(k + 1):
-        slots = [ric_phi] * j + [ric_ref] * (k - j) + [w_phi] * (n - k)
-        a += bg.integrate(log_ratio * wedge_density(bg, slots))
-
-    b = 0.0
-    for i in range(n + 1):
-        slots = [w_phi] * i + [w_ref] * (n - i)
-        b += bg.integrate(values * wedge_density(bg, slots))
-
-    return -a / bg.volume + (n - k) * mu * b / ((n + 1) * bg.volume)
+    b = sum(bg.integrate(values * wedge_density(bg, [w_phi] * i + [w_ref] * (n - i)))
+            for i in range(n + 1))
+    out = []
+    for k in range(n + 1):
+        terms = [(values, [w_phi] * j + [ric_ref] * (k + 1) + [w_ref] * (n - j - k - 1))
+                 for j in range(n - k)]
+        terms += [(log_ratio, [ric_phi] * j + [ric_ref] * (k - j) + [w_phi] * (n - k))
+                  for j in range(k + 1)]
+        a = sum(bg.integrate(f * wedge_density(bg, slots)) for f, slots in terms)
+        out.append(-a / bg.volume + (n - k) * bg.mu[k] * b / ((n + 1) * bg.volume))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +200,8 @@ def _gradient_wedges(state: MetricState, ref: MetricState) -> list[float]:
     for i = 0 .. n-1 (not divided by V), with w the metric of `ref`, w_phi
     that of `state` and phi = state.phi - ref.phi."""
     bg = state.bg
+    if bg.model != "cpn":
+        raise UnsupportedModelError("the gradient wedges live on the projective model")
     n = bg.n
     w_ref = slot_metric(ref)
     w_phi = slot_metric(state)
@@ -250,35 +236,42 @@ def i_and_j(state: MetricState,
 # critical-equation residual
 
 
-def critical_residual(state: MetricState, k: int) -> Array:
-    """Residual of the critical equation for E_k at the state's metric:
+def critical_residual(state: MetricState) -> Array:
+    """Residuals of the critical equations for E_0 .. E_n at the state's
+    metric, one per k on the leading axis, the grid on the last, and a
+    stack's rows between them:
 
         sigma_{k+1} - Lap sigma_k - C(n, k+1) mu_k
 
     (the top symmetric function is taken as zero beyond degree n, and the
     binomial factor kills the constant at k = n).  Identically zero at a
-    critical metric; exactly zero on the round reference.
+    critical metric; exactly zero on the round reference.  Each sigma_j is
+    taken once for all k.
     """
     bg = state.bg
-    _check_k(bg, k)
+    if bg.model != "cpn":
+        raise UnsupportedModelError("the critical residual is for the projective model")
     n = bg.n
-    s_next = sigma_k(state, k + 1) if k < n else np.zeros(bg.size)
-    # sigma_k of a smooth admissible state is analytic; truncating its
-    # coefficient tail keeps the Laplacian from amplifying the roundoff
-    # floor of the pointwise curvature eigenvalues
-    smooth = bg.lowpass(sigma_k(state, k), bg.band)
-    lap_s = laplacian(state, smooth)
-    const = comb(n, k + 1) * mu_k(bg, k) if k < n else 0.0
-    return s_next - lap_s - const
+    sigmas = [sigma_k(state, j) for j in range(n + 1)] + [np.zeros(bg.size)]
+    out = []
+    for k in range(n + 1):
+        # sigma_k of a smooth admissible state is analytic; truncating its
+        # coefficient tail keeps the Laplacian from amplifying the roundoff
+        # floor of the pointwise curvature eigenvalues
+        lap_s = laplacian(state, bg.lowpass(sigmas[k], bg.band))
+        const = comb(n, k + 1) * bg.mu[k] if k < n else 0.0
+        out.append(sigmas[k + 1] - lap_s - const)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
 # Futaki-type invariants and the pullback orbit
 
 
-def futaki_k(state: MetricState, k: int) -> float | Array:
-    """Degree-k invariant of the generating rotation field at a metric; one
-    value per row of a stacked state, bitwise that row's value alone.
+def futaki_k(state: MetricState) -> Array:
+    """Invariants F_0 .. F_n of the generating rotation field at a metric:
+    shape (n+1,), or (n+1, B) for a stack of B states, each row bitwise
+    that state's values alone.
 
     The Hamiltonian is the moment profile of the state, normalized to zero
     average in the state's own volume form:
@@ -286,23 +279,24 @@ def futaki_k(state: MetricState, k: int) -> float | Array:
         F_k = (n-k) int h w_phi^n
               + (k+1) int (Lap h) Ric^k ^ w_phi^{n-k}
               - (n-k) int h Ric^{k+1} ^ w_phi^{n-k-1}
+
+    Lap h, int h w_phi^n and the Ricci wedges are taken once for all k.
     """
     bg = state.bg
-    _check_k(bg, k)
     if bg.model != "cpn":
         raise UnsupportedModelError("the rotation field lives on the projective model")
     n = bg.n
     h = state.m - np.asarray(bg.mean(state.m, state.rho))[..., None]
-
-    ric = slot_ricci(state)
-    met = slot_metric(state)
-    total = (n - k) * bg.integrate(h * state.rho)
-    d1 = wedge_density(bg, [ric] * k + [met] * (n - k))
-    total += (k + 1) * bg.integrate(laplacian(state, h) * d1)
-    if k < n:
-        d2 = wedge_density(bg, [ric] * (k + 1) + [met] * (n - k - 1))
-        total -= (n - k) * bg.integrate(h * d2)
-    return total
+    h_mass = bg.integrate(h * state.rho)
+    lap_h = laplacian(state, h)
+    wedge = ricci_wedges(state)
+    out = []
+    for k in range(n + 1):
+        total = (n - k) * h_mass + (k + 1) * bg.integrate(lap_h * wedge[k])
+        if k < n:
+            total -= (n - k) * bg.integrate(h * wedge[k + 1])
+        out.append(total)
+    return np.array(out)
 
 
 def orbit_potential(base: MetricState, s: float) -> Array:

@@ -35,12 +35,12 @@ from .continuity import (
 )
 from .energies import (
     _gradient_wedges,
+    critical_residual,
     e1_cy,
     e_k_closed,
     e_k_path,
     futaki_k,
     i_and_j,
-    mu_k,
     orbit_potential,
 )
 from .errors import NotKahlerError, ParameterError
@@ -55,7 +55,6 @@ from .geometry import (
     make_metric,
     ricci_potential,
 )
-from . import energies as _energies
 from . import spectral
 
 @dataclass
@@ -229,9 +228,8 @@ def _run_fs_anchors(cfg, bg, report, art):
             report.add(CheckItem.identity(
                 f"class_constant_k{k}",
                 "class constant with k+1 curvature factors equals one",
-                mu_k(bg, k), 1.0, t["mu"]))
-        for k in range(bg.n + 1):
-            res = _energies.critical_residual(ref, k)
+                bg.mu[k], 1.0, t["mu"]))
+        for k, res in enumerate(critical_residual(ref)):
             report.add(CheckItem.identity(
                 f"critical_residual_k{k}",
                 "critical-equation residual vanishes at the round metric",
@@ -253,7 +251,7 @@ def _run_fs_anchors(cfg, bg, report, art):
         for k in range(bg.n + 1):
             report.add(CheckItem.identity(
                 f"class_constant_k{k}", "flat-model class constants vanish",
-                mu_k(bg, k), 0.0, t["mu"]))
+                bg.mu[k], 0.0, t["mu"]))
     report.add(CheckItem.identity(
         "volume_quadrature", "reference volume reproduced by quadrature",
         bg.integrate(ref.rho) / bg.volume, 1.0, 1e-12))
@@ -266,8 +264,7 @@ def _run_ek_path_independence(cfg, bg, report, art):
     for idx, state in enumerate(_probes(bg, cfg)):
         lin = e_k_path(state, "linear").values
         quad = e_k_path(state, "quadratic").values
-        for k in range(bg.n + 1):
-            closed = e_k_closed(state, k)
+        for k, closed in enumerate(e_k_closed(state)):
             scale = max(abs(lin[k]), abs(closed))
             report.add(CheckItem.identity(
                 f"path_independence_s{idx}_k{k}",
@@ -287,8 +284,7 @@ def _run_prop21_agreement(cfg, bg, report, art):
     rng = np.random.default_rng(cfg.seed)
     shifts = rng.uniform(-1.0, 1.0, size=len(probes))
 
-    for k in range(bg.n + 1):
-        zero = e_k_closed(bg.reference, k)
+    for k, zero in enumerate(e_k_closed(bg.reference)):
         report.add(CheckItem.identity(
             f"zero_potential_k{k}", "closed form vanishes at the reference",
             zero, 0.0, 1e-11))
@@ -296,18 +292,17 @@ def _run_prop21_agreement(cfg, bg, report, art):
     for idx, state in enumerate(probes):
         shifted_state = make_metric(bg, state.phi + shifts[idx])
         path = e_k_path(state, "linear").values
-        for k in range(bg.n + 1):
-            closed = e_k_closed(state, k)
+        shifted = e_k_closed(shifted_state)
+        for k, closed in enumerate(e_k_closed(state)):
             scale = max(abs(closed), abs(path[k]))
             report.add(CheckItem.identity(
                 f"definition_agreement_s{idx}_k{k}",
                 "closed-form expression reproduces the defining integral",
                 path[k], closed, t["closed"], relative_to=scale))
-            shifted = e_k_closed(shifted_state, k)
             report.add(CheckItem.identity(
                 f"shift_invariance_s{idx}_k{k}",
                 "energy unchanged by adding a constant to the potential",
-                shifted, closed, t["shift"], relative_to=max(1.0, abs(closed))))
+                shifted[k], closed, t["shift"], relative_to=max(1.0, abs(closed))))
 
 
 @_scenario("two-step composition and antisymmetry of the energy",
@@ -316,13 +311,11 @@ def _run_cocycle(cfg, bg, report, art):
     t = cfg.tolerances
     first = MetricState.stack(_probes(bg, cfg))
     second = MetricState.stack(_probes(bg, cfg, index_offset=cfg.count))
-    # per k, one stacked evaluation of each energy over the probe pairs
-    direct, via, anti = [], [], []
-    for k in range(bg.n + 1):
-        e_second = e_k_closed(second, k)
-        direct.append(e_k_closed(first, k))
-        via.append(e_second + e_k_closed(first, k, second))
-        anti.append(e_k_closed(bg.reference, k, second) + e_second)
+    # one stacked evaluation of each energy over the probe pairs
+    e_second = e_k_closed(second)
+    direct = e_k_closed(first)
+    via = e_second + e_k_closed(first, second)
+    anti = e_k_closed(bg.reference, second) + e_second
 
     for idx in range(cfg.count):
         for k in range(bg.n + 1):
@@ -347,7 +340,7 @@ def _run_theorem1(cfg, bg, report, art):
     # the gradient term of each probe's potential over its Ricci form
     q0 = _gradient_wedges(states, seeds)[0] / bg.volume
     low, dev = states.min_ricci, states.einstein_defect
-    values = [e_k_closed(states, k) for k in range(bg.n + 1)]
+    values = e_k_closed(states)
 
     for idx in range(cfg.count):
         report.add(CheckItem.lower_bound(
@@ -380,11 +373,11 @@ def _run_theorem1(cfg, bg, report, art):
 def _run_theorem2(cfg, bg, report, art):
     t = cfg.tolerances
     probes = MetricState.stack(_probes(bg, cfg))
-    direct = e_k_closed(probes, 1)
+    direct = e_k_closed(probes)[1]
     # the first five probes split through their transports, as one stack
     split = probes[:5]
     ends = ricci_positive_generator(split)
-    total, back = e_k_closed(ends, 1), e_k_closed(ends, 1, split)
+    total, back = e_k_closed(ends)[1], e_k_closed(ends, split)[1]
     for idx in range(cfg.count):
         report.add(CheckItem.lower_bound(
             f"energy_floor_s{idx}",
@@ -435,7 +428,7 @@ def _run_futaki(cfg, bg, report, art):
     t = cfg.tolerances
     # the round metric and the probes as one stacked state, a row each
     probes = MetricState.stack([bg.reference] + _probes(bg, cfg, count=cfg.count - 1))
-    values = [futaki_k(probes, k) / bg.volume for k in range(bg.n + 1)]
+    values = futaki_k(probes) / bg.volume
 
     for k, arr in enumerate(values):
         report.add(CheckItem.identity(
@@ -453,13 +446,12 @@ def _run_futaki(cfg, bg, report, art):
     h = 0.02
     orbit = make_metric(bg, np.array([orbit_potential(probes[base], s)
                                       for s in 0.1 + h * np.arange(-2, 3)]))
+    derivs = spectral.fd_derivative(e_k_closed(orbit).T, h)[2]
     for k in range(min(bg.n, 2) + 1):
-        samples = e_k_closed(orbit, k)[:, None]
-        deriv = float(spectral.fd_derivative(samples, h)[2, 0])
         report.add(CheckItem.identity(
             f"orbit_derivative_k{k}",
             "orbit derivative of the energy equals the normalized invariant",
-            deriv, values[k][base],
+            derivs[k], values[k][base],
             t["orbit_derivative"]))
 
 
@@ -472,8 +464,8 @@ def _run_section5(cfg, bg, report, art):
         rows = path_monitors(aubin)
         report.extend(_suffixed(check_section5(aubin, yau, monitors=rows), idx))
         if not aubin.completed:
-            report.note(f"probe {idx}: bending path stalled at "
-                        f"t = {aubin.ts[-1]}")
+            report.note(f"probe {idx}: path stalled at t = {aubin.ts[-1]}"
+                        f" ({aubin.reason})")
         art[f"trajectory_bending_{idx}.csv"] = rows
 
 
@@ -486,16 +478,16 @@ def _run_orbit_flatness(cfg, bg, report, art):
     # the orbit points as one stacked state, one evaluation per functional
     orbit = make_metric(bg, np.array([orbit_potential(bg.reference, s) for s in s_values]))
     js = i_and_j(orbit)[1]
+    energies, invariants = e_k_closed(orbit), futaki_k(orbit) / bg.volume
 
     report.add(CheckItem.lower_bound(
         "j_span", "orbit sweep spans a tenfold range of J",
         js.max() / js.min(), 10.0, 0.0))
-    for k in range(bg.n + 1):
+    for k, arr in enumerate(invariants):
         report.add(CheckItem.identity(
             f"orbit_energy_flat_k{k}",
             "energy vanishes along the full rotation orbit of the round metric",
-            float(np.abs(e_k_closed(orbit, k)).max()), 0.0, t["energy"]))
-        arr = futaki_k(orbit, k) / bg.volume
+            float(np.abs(energies[k]).max()), 0.0, t["energy"]))
         report.add(CheckItem.identity(
             f"orbit_invariant_k{k}",
             "rotation invariant vanishes at every orbit point",
@@ -506,13 +498,13 @@ def _run_orbit_flatness(cfg, bg, report, art):
             float(arr.max() - arr.min()), 0.0, t["spread"]))
 
     probe = generate_probe(bg, cfg.seed, cfg.scenario, 0, cfg.modes, cfg.amplitude)
-    base_e1 = e_k_closed(probe, 1)
+    base_e1 = e_k_closed(probe)[1]
     for s in (-0.6, 0.6):
         moved = make_metric(bg, orbit_potential(probe, s))
         report.add(CheckItem.identity(
             f"pullback_invariance_s{s:+.1f}",
             "energy of a probe unchanged under the rotation pullback",
-            e_k_closed(moved, 1), base_e1, t["energy"],
+            e_k_closed(moved)[1], base_e1, t["energy"],
             relative_to=max(1.0, abs(base_e1))))
 
 
@@ -544,7 +536,7 @@ def _run_properness_probe(cfg, bg, report, art):
             state = make_metric(bg, c * base.phi)
         except NotKahlerError:
             break
-        e1 = e_k_closed(state, 1)
+        e1 = e_k_closed(state)[1]
         jval = i_and_j(state)[1]
         rows.append((float(c), e1, jval))
 
@@ -594,12 +586,12 @@ def _run_krf_monotone(cfg, bg, report, art):
         float(np.abs(flows.rows[0].states.phi).max()), 0.0, t["stationary"]))
 
     # E_0 and E_1 of every probe's samples: probe 0's from the monitors
-    # behind its CSV, the later probes' from one stacked call per k
+    # behind its CSV, the later probes' from one stacked call
     first = flows.rows[1]
     rows = monitors(first.states, t=first.times, c_t=np.zeros(len(first.times)))
     art["trajectory_flow_0.csv"] = rows
-    later = flows.states[flows.offsets[2]:]
-    all_e0, all_e1 = (np.concatenate([rows[f"E_{k}"], e_k_closed(later, k)]) for k in (0, 1))
+    later = e_k_closed(flows.states[flows.offsets[2]:])
+    all_e0, all_e1 = (np.concatenate([rows[f"E_{k}"], later[k]]) for k in (0, 1))
     for idx, traj in enumerate(flows.rows[1:]):
         span = slice(*(flows.offsets[idx + 1:idx + 3] - flows.offsets[1]))
         e0, e1 = all_e0[span], all_e1[span]
@@ -649,7 +641,7 @@ def _run_cy_torus(cfg, bg, report, art):
     for k in range(bg.n + 1):
         report.add(CheckItem.identity(
             f"class_constant_k{k}", "flat-model class constants vanish",
-            mu_k(bg, k), 0.0, 1e-12))
+            bg.mu[k], 0.0, 1e-12))
 
     for idx, state in enumerate(_probes(bg, cfg)):
         cy = e1_cy(state)
@@ -658,7 +650,7 @@ def _run_cy_torus(cfg, bg, report, art):
             "flat-model k = 1 energy is a manifest square",
             cy, 0.0, t["floor"]))
         if idx < 5:
-            closed = e_k_closed(state, 1)
+            closed = e_k_closed(state)[1]
             report.add(CheckItem.identity(
                 f"closed_form_s{idx}",
                 "general energy formula reduces to the squared-slope integral",

@@ -783,8 +783,8 @@ def test_path_monitor_columns_are_the_single_state_values(fixture, request):
     for i, p in enumerate(traj.points):
         want = {"t": p.t, "c_t": p.c_t, "lambda1_radial": lambda1_radial(p.state),
                 "min_ricci": p.state.min_ricci}
-        want.update({f"E_{k}": energies.e_k_closed(p.state, k, ref)
-                     for k in range(traj.bg.n + 1)})
+        want.update({f"E_{k}": value
+                     for k, value in enumerate(energies.e_k_closed(p.state, ref))})
         want["I"], want["J"], want["I_minus_J"] = energies.i_and_j(p.state, ref)
         assert set(rows.dtype.names) == set(want)
         for name, value in want.items():
@@ -985,9 +985,8 @@ def test_monitors_suites_and_functionals_build_no_metric(monkeypatch, bg_torus,
                   check_section5(aubin, yau, monitors=monitors)):
         assert items
     end = aubin.points[-1].state
-    for k in range(bg.n + 1):
-        energies.futaki_k(end, k)
-        energies.e_k_closed(end, k, yau.points[-1].state)
+    energies.futaki_k(end)
+    energies.e_k_closed(end, yau.points[-1].state)
     energies.i_and_j(end, aubin.ref_state)
     assert energies.e1_cy(probe_torus) >= 0.0
 

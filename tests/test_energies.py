@@ -22,7 +22,7 @@ from kahler_lab import spectral
 from kahler_lab.energies import (GAUSS_ORDERS, GAUSS_TOL, PathEnergies,
                                  _gauss_rule, critical_residual, e1_cy,
                                  e_k_closed, e_k_path, futaki_k, i_and_j,
-                                 mu_k, orbit_potential)
+                                 orbit_potential)
 from kahler_lab.errors import ParameterError, UnsupportedModelError
 from kahler_lab.families import generate_probe
 from kahler_lab.geometry import (MetricState, fs_background, laplacian, make_metric,
@@ -55,7 +55,7 @@ def _energy_rate(state, dot, k: int) -> float:
     total = (k + 1) * bg.integrate(lap * d1)
     if k < n:
         d2 = wedge_density(bg, [ric] * (k + 1) + [met] * (n - k - 1))
-        total -= (n - k) * bg.integrate(dot * (d2 - mu_k(bg, k) * state.rho))
+        total -= (n - k) * bg.integrate(dot * (d2 - bg.mu[k] * state.rho))
     return total / bg.volume
 
 
@@ -72,14 +72,14 @@ def test_closed_form_derivative_matches_first_variation(fixture, k, request):
     bg = request.getfixturevalue(fixture)
     phi = generate_probe(bg, seed=13, scenario="energy", index=0).phi
     t0 = 0.55
-    lhs = _fd5(lambda t: e_k_closed(make_metric(bg, t * phi), k), t0, 1e-3)
+    lhs = _fd5(lambda t: e_k_closed(make_metric(bg, t * phi))[k], t0, 1e-3)
     rhs = _first_variation(bg, phi, t0, k)
     assert lhs == pytest.approx(rhs, abs=1e-8 * max(1.0, abs(rhs)))
 
 
 def test_torus_closed_form_derivative_matches_first_variation(bg_torus,
                                                               probe_torus):
-    lhs = _fd5(lambda t: e_k_closed(make_metric(bg_torus, t * probe_torus.phi), 1),
+    lhs = _fd5(lambda t: e_k_closed(make_metric(bg_torus, t * probe_torus.phi))[1],
                0.6, 1e-3)
     rhs = _first_variation(bg_torus, probe_torus.phi, 0.6, 1)
     assert lhs == pytest.approx(rhs, abs=1e-7 * max(1.0, abs(rhs)))
@@ -95,9 +95,9 @@ def test_path_routes_and_closed_form_agree(fixture, request):
     state = generate_probe(bg, seed=21, scenario="routes", index=3)
     lin = e_k_path(state, "linear").values
     quad = e_k_path(state, "quadratic").values
-    assert len(lin) == len(quad) == bg.n + 1
-    for k in range(bg.n + 1):
-        closed = e_k_closed(state, k)
+    closed_all = e_k_closed(state)
+    assert len(lin) == len(quad) == len(closed_all) == bg.n + 1
+    for k, closed in enumerate(closed_all):
         scale = max(1.0, abs(closed))
         assert abs(lin[k] - quad[k]) < 1e-10 * scale
         assert abs(lin[k] - closed) < 1e-9 * scale
@@ -105,8 +105,7 @@ def test_path_routes_and_closed_form_agree(fixture, request):
 
 def test_energy_of_zero_potential_vanishes(bg_cp2):
     zero = make_metric(bg_cp2, np.zeros(bg_cp2.size))
-    for k in range(3):
-        assert e_k_closed(zero, k) == pytest.approx(0.0, abs=1e-12)
+    assert e_k_closed(zero).tolist() == pytest.approx([0.0] * 3, abs=1e-12)
     assert e_k_path(zero, "linear").values == pytest.approx([0.0] * 3, abs=1e-12)
 
 
@@ -179,17 +178,13 @@ def test_all_k_path_quadrature_matches_per_k_oracle(fixture, path, request):
 def test_constant_shift_invariance(bg_cp2, probe_cp2):
     state = probe_cp2
     shifted = make_metric(bg_cp2, probe_cp2.phi + 11.0)
-    for k in range(3):
-        a = e_k_closed(state, k)
-        b = e_k_closed(shifted, k)
+    for a, b in zip(e_k_closed(state), e_k_closed(shifted)):
         assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(a)))
     # a state/ref pair whose potentials carry different additive constants,
     # as the bending path's equation-exact potentials do
     ref = generate_probe(bg_cp2, seed=31, scenario="cocycle", index=0)
     ref_shifted = make_metric(bg_cp2, ref.phi - 4.5)
-    for k in range(3):
-        a = e_k_closed(state, k, ref)
-        b = e_k_closed(shifted, k, ref_shifted)
+    for a, b in zip(e_k_closed(state, ref), e_k_closed(shifted, ref_shifted)):
         assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(a)))
     for a, b in zip(i_and_j(state, ref), i_and_j(shifted, ref_shifted)):
         assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(a)))
@@ -199,25 +194,19 @@ def test_cocycle_and_antisymmetry(bg_cp2):
     state_a = generate_probe(bg_cp2, seed=31, scenario="cocycle", index=0)
     b = 0.6 * generate_probe(bg_cp2, seed=31, scenario="cocycle", index=1).phi
     state_ab = make_metric(bg_cp2, state_a.phi + b)
-    for k in range(3):
-        whole = e_k_closed(state_ab, k)
-        first = e_k_closed(state_a, k)
-        second = e_k_closed(state_ab, k, ref=state_a)
+    legs = zip(e_k_closed(state_ab), e_k_closed(state_a),
+               e_k_closed(state_ab, ref=state_a), e_k_closed(state_a, ref=state_ab))
+    for whole, first, second, back in legs:
         scale = max(1.0, abs(whole))
         assert abs(whole - (first + second)) < 1e-9 * scale
         # traversing a leg backwards negates it
-        back = e_k_closed(state_a, k, ref=state_ab)
         assert abs(second + back) < 1e-9 * scale
 
 
 def test_bad_indices_and_paths_raise(bg_cp2, probe_cp2):
     state = probe_cp2
     with pytest.raises(ParameterError):
-        e_k_closed(state, 3)
-    with pytest.raises(ParameterError):
         e_k_path(state, path="cubic")
-    with pytest.raises(ParameterError):
-        mu_k(bg_cp2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +281,13 @@ def test_i_minus_j_nondecreasing_along_segment(bg_cp2, probe_cp2):
 
 
 def test_round_metric_is_critical_for_every_index(bg_cp2):
-    for k in range(3):
-        res = critical_residual(bg_cp2.reference, k)
-        assert np.abs(res).max() < 1e-9
+    res = critical_residual(bg_cp2.reference)
+    assert res.shape == (3, bg_cp2.size)
+    assert np.abs(res).max() < 1e-9
 
 
 def test_critical_residual_nonzero_off_round(probe_cp2):
-    assert np.abs(critical_residual(probe_cp2, 1)).max() > 1e-4
+    assert np.abs(critical_residual(probe_cp2)[1]).max() > 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +314,19 @@ def test_orbit_composition_is_additive(bg_cp2, probe_cp2):
 def test_rotation_invariant_matches_orbit_energy_derivative(bg_cp2, probe_cp2):
     s0 = 0.12
     h = 0.02
-    for k in range(3):
+    base = orbit_potential(probe_cp2, s0)
+    invariants = futaki_k(make_metric(bg_cp2, base)) / bg_cp2.volume
+    for k, rhs in enumerate(invariants):
         lhs = _fd5(lambda s: e_k_closed(make_metric(
-            bg_cp2, orbit_potential(probe_cp2, s)), k), s0, h)
-        base = orbit_potential(probe_cp2, s0)
-        rhs = futaki_k(make_metric(bg_cp2, base), k) / bg_cp2.volume
+            bg_cp2, orbit_potential(probe_cp2, s)))[k], s0, h)
         assert lhs == pytest.approx(rhs, abs=2e-7 * max(1.0, abs(rhs)))
 
 
 def test_rotation_invariant_vanishes_on_round_and_probes(bg_cp2, probe_cp2):
-    for k in range(3):
-        round_state = make_metric(bg_cp2, np.zeros(bg_cp2.size))
-        assert abs(futaki_k(round_state, k)) < 1e-9 * bg_cp2.volume
-        # the invariant is metric-independent and zero in this class
-        assert abs(futaki_k(probe_cp2, k)) < 1e-7 * bg_cp2.volume
+    round_state = make_metric(bg_cp2, np.zeros(bg_cp2.size))
+    assert np.abs(futaki_k(round_state)).max() < 1e-9 * bg_cp2.volume
+    # the invariant is metric-independent and zero in this class
+    assert np.abs(futaki_k(probe_cp2)).max() < 1e-7 * bg_cp2.volume
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -346,16 +334,18 @@ def test_rotation_invariant_of_a_stack_is_bitwise_per_row(n, request):
     bg = request.getfixturevalue(f"bg_cp{n}")
     states = [bg.reference] + [generate_probe(bg, seed=4, scenario="futaki", index=i)
                                for i in range(3)]
-    stacked = MetricState.stack(states)
-    for k in range(n + 1):
-        assert futaki_k(stacked, k).tolist() == [futaki_k(s, k) for s in states], k
+    values = futaki_k(MetricState.stack(states))
+    assert values.shape == (n + 1, len(states))
+    for b, state in enumerate(states):
+        assert values[:, b].tolist() == futaki_k(state).tolist(), b
 
 
-def test_rotation_invariant_requires_projective_model(probe_torus):
+@pytest.mark.parametrize("call", [
+    futaki_k, critical_residual, i_and_j, lambda state: orbit_potential(state, 0.3),
+], ids=["futaki_k", "critical_residual", "i_and_j", "orbit_potential"])
+def test_rotation_invariant_requires_projective_model(call, probe_torus):
     with pytest.raises(UnsupportedModelError):
-        futaki_k(probe_torus, 1)
-    with pytest.raises(UnsupportedModelError):
-        orbit_potential(probe_torus, 0.3)
+        call(probe_torus)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +361,11 @@ def test_stacked_integrals_and_closed_energies_match_rows_bitwise(size):
     rows = [states[i] for i in range(len(phis))]
     density = states.rho * states.phi
     assert bg.integrate(density).tolist() == [bg.integrate(d) for d in density]
-    for k in range(bg.n + 1):
-        for ref in (None, rows[0]):
-            assert (e_k_closed(states, k, ref).tolist()
-                    == [e_k_closed(row, k, ref) for row in rows]), (k, ref)
+    for ref in (None, rows[0]):
+        values = e_k_closed(states, ref)
+        assert values.shape == (bg.n + 1, len(rows))
+        for b, row in enumerate(rows):
+            assert values[:, b].tolist() == e_k_closed(row, ref).tolist(), (b, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +375,7 @@ def test_stacked_integrals_and_closed_energies_match_rows_bitwise(size):
 def test_flat_closed_form_matches_general_formula(probe_torus):
     state = probe_torus
     cy = e1_cy(state)
-    closed = e_k_closed(state, 1)
+    closed = e_k_closed(state)[1]
     assert cy >= 0.0
     assert closed == pytest.approx(cy, rel=1e-8)
 

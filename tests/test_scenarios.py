@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import kahler_lab
-from kahler_lab import energies, geometry, scenarios, spectral
+from kahler_lab import continuity, energies, geometry, scenarios, spectral
 from kahler_lab.continuity import monitors
 from kahler_lab.errors import SolverError
 from kahler_lab.families import generate_probe
@@ -220,7 +220,7 @@ def test_trajectory_csv_columns_are_the_monitor_records(n, request):
 
 def test_flow_scenario_evaluates_each_sample_energy_once(monkeypatch, tmp_path):
     # trajectory 0's monitor rows already hold E_0 and E_1 of every sample;
-    # a stacked call evaluates one energy per row, so rows are counted
+    # a stacked call evaluates every energy of each row, so rows are counted
     rows = []
     original = energies.e_k_closed
 
@@ -238,7 +238,7 @@ def test_flow_scenario_evaluates_each_sample_energy_once(monkeypatch, tmp_path):
     assert report.items
     samples = len((tmp_path / "krf_monotone" / "trajectory_flow_0.csv")
                   .read_text().splitlines()) - 1
-    assert sum(rows) == (cfg.n + 1) * samples
+    assert sum(rows) == samples
 
 
 def test_flow_scenario_passes_its_probe_states(monkeypatch):
@@ -282,6 +282,32 @@ def test_flow_scenario_notes_halved_and_truncated_runs(monkeypatch, tmp_path):
         "dt_final = 0.25 (marked)"]
     data = json.loads((tmp_path / "marked" / "krf_monotone" / "report.json").read_text())
     assert data["notes"] == report.notes
+
+
+def test_bending_runners_note_a_stalled_path_with_its_reason(monkeypatch):
+    # every bending solve past t = 0.52 raises, so each scenario's path
+    # substeps to a stall; both runners note it alike, the reason included
+    original = continuity._newton_solve
+
+    def faulty(ref_state, target, t, guess):
+        if t > 0.52:
+            raise SolverError(f"forced failure at t = {t}", t=t, row=0)
+        return original(ref_state, target, t, guess)
+
+    trajs = []
+
+    def recorded(probes):
+        trajs[:] = continuity.solve_aubin_paths(probes)
+        return trajs
+
+    monkeypatch.setattr(continuity, "_newton_solve", faulty)
+    monkeypatch.setattr(scenarios, "solve_aubin_paths", recorded)
+    for name in ("lemma32_34", "section5"):
+        cfg = parse_config({"scenario": name, "grid_size": 48, "count": 1})
+        notes = run_scenario(cfg).notes
+        assert trajs[0].reason.startswith("no progress past t = "), name
+        assert notes == [f"probe 0: path stalled at t = {trajs[0].ts[-1]}"
+                         f" ({trajs[0].reason})"], name
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

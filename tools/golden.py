@@ -10,9 +10,13 @@ compare two such sets.
 * DIR/default/seed<s>/<scenario>/   -- all 15 scenarios at default configs;
 * DIR/n384/seed<s>/<scenario>/      -- lemma41, lemma32_34, section5 and
   krf_monotone at grid_size 384 with count 1;
-* DIR/dims/seed<s>/n<n>[_N<size>]/<scenario>/ -- lemma32_34, lemma41,
-  section5, theorem1 and theorem2 with count 1 at n = 1, 3 and 4 on the
-  default grid, and at n = 3 and 4 with grid_size 192.
+* DIR/dims/seed<s>/n<n>[_N<size>]/<scenario>/ -- the path scenarios
+  lemma32_34, lemma41 and section5, and every scenario that reads E_k,
+  F_k or the critical residual per k (fs_anchors, ek_path_independence,
+  prop21_agreement, cocycle, theorem1, theorem2, futaki, orbit_flatness
+  and properness_probe), with count 1 at n = 1, 3 and 4 on the default
+  grid and at n = 3 and 4 with grid_size 192; and
+  DIR/dims/seed<s>/torus/fs_anchors/, the flat model's anchors.
 
 A run that raises leaves error.txt (exception type and message) in its
 scenario directory in place of a report, prints its traceback to stderr,
@@ -50,7 +54,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
 PATH_SCENARIOS = ("lemma41", "lemma32_34", "section5", "krf_monotone")
-DIM_SCENARIOS = ("lemma32_34", "lemma41", "section5", "theorem1", "theorem2")
+DIM_SCENARIOS = ("lemma32_34", "lemma41", "section5", "fs_anchors",
+                 "ek_path_independence", "prop21_agreement", "cocycle", "theorem1",
+                 "theorem2", "futaki", "orbit_flatness", "properness_probe")
 # the dims set's (n, grid_size) pairs; None keeps the scenario's default
 DIMS = ((1, None), (3, None), (4, None), (3, 192), (4, 192))
 MAX_MOVE = 1e-12
@@ -68,7 +74,8 @@ def write(out: Path) -> int:
         "n384": [("", name, {"grid_size": 384, "count": 1}) for name in PATH_SCENARIOS],
         "dims": [(f"n{n}_N{size}" if size else f"n{n}", name,
                   {"n": n, "count": 1, **({"grid_size": size} if size else {})})
-                 for n, size in DIMS for name in DIM_SCENARIOS],
+                 for n, size in DIMS for name in DIM_SCENARIOS]
+                + [("torus", "fs_anchors", {"model": "torus", "n": 1})],
     }
     for set_name, runs in sets.items():
         for seed in SEEDS:
